@@ -11,7 +11,6 @@ from ncsolenoid import (
     QnRational,
     cohomologous,
     colimit_report,
-    j_seq,
     trace,
     xi_cocycle,
 )
@@ -19,7 +18,7 @@ from ncsolenoid.ktheory import MIRROR, as_pair, connecting_matrix, embedding_mat
 from ncsolenoid.nadic import NadicInteger
 
 alpha = AngleSequence.constant(3, Fraction(1, 2))
-J = j_seq(alpha)
+J = alpha.carrier
 
 print("carrier tower:", [J.at(k) for k in range(7)])
 

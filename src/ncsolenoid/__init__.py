@@ -6,8 +6,8 @@ the ordered K0 picture in ktheory, classification in classify, and the
 brute-force cross checks in oracle.
 """
 
-from .nadic import NadicInteger, PrimeSeq, QnRational, multiplicative_order, prime_factors
-from .sequences import Angle, AngleSequence, MixedAngleSequence, coarsen, refine
+from .nadic import NadicInteger, QnRational, multiplicative_order, prime_factors
+from .sequences import Angle, AngleSequence
 from .multiplier import (
     SequenceKind,
     Symmetrizer,
@@ -23,15 +23,12 @@ from .ktheory import (
     ExtensionElement,
     GeneratorCochain,
     KPairElement,
-    WeakEquivalence,
     cohomologous,
     coboundary,
-    j_seq,
     k_member,
     k_project,
     mu_cochain,
     trace,
-    weakly_equivalent,
     xi_cocycle,
     zeta_cocycle,
 )
@@ -39,7 +36,6 @@ from .classify import (
     AngleMatrix,
     BundleData,
     IsoVerdict,
-    aut_generators,
     block_shift,
     bundle_data,
     conjugacy_report,
@@ -71,21 +67,16 @@ __all__ = [
     "GeneratorCochain",
     "IsoVerdict",
     "KPairElement",
-    "MixedAngleSequence",
     "NadicInteger",
-    "PrimeSeq",
     "QnRational",
     "SequenceKind",
     "Symmetrizer",
-    "WeakEquivalence",
     "action_phase",
-    "aut_generators",
     "bicharacter",
     "block_shift",
     "brute_symmetrizer",
     "bundle_data",
     "classify_type",
-    "coarsen",
     "coboundary",
     "coboundary_solve",
     "cocycle_fuzz",
@@ -95,7 +86,6 @@ __all__ = [
     "conjugacy_report",
     "isomorphic",
     "is_simple",
-    "j_seq",
     "k_member",
     "k_project",
     "mu_cochain",
@@ -103,13 +93,11 @@ __all__ = [
     "prime_case_isomorphic",
     "prime_factors",
     "psi_phase",
-    "refine",
     "replay_witness",
     "rescale",
     "symmetrizer",
     "theta_phase",
     "trace",
-    "weakly_equivalent",
     "xi_cocycle",
     "zeta_cocycle",
 ]

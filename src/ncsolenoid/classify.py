@@ -41,7 +41,7 @@ from math import gcd
 
 from .nadic import (
     NadicInteger,
-    QnRational,
+    _Frozen,
     check_scale,
     distinct_primes,
     format_fraction,
@@ -51,7 +51,7 @@ from .nadic import (
 from .sequences import Angle, AngleSequence
 
 
-class IsoVerdict:
+class IsoVerdict(_Frozen):
     """Yes-with-witness / No-with-reason / Unknown-at-bound."""
 
     __slots__ = ("kind", "witness", "reason", "bound")
@@ -63,9 +63,6 @@ class IsoVerdict:
         object.__setattr__(self, "witness", witness)
         object.__setattr__(self, "reason", reason)
         object.__setattr__(self, "bound", bound)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("IsoVerdict is immutable")
 
     @classmethod
     def yes(cls, witness):
@@ -131,10 +128,8 @@ def rescale(alpha, target):
     if alpha.carrier.is_exact:
         carrier = NadicInteger.from_value(alpha.carrier.value, target)
     else:
-        depth = alpha.carrier.length
-        reps = [alpha.carrier.at(k) % target ** k for k in range(depth + 1)]
-        digits = [(reps[k + 1] - reps[k]) // target ** k for k in range(depth)]
-        carrier = NadicInteger.from_prefix(digits, target)
+        J = alpha.carrier
+        carrier = NadicInteger.from_tower([J.at(k) for k in range(J.length + 1)], target)
     return AngleSequence(target, alpha.base, carrier)
 
 
@@ -293,28 +288,7 @@ def replay_witness(alpha, beta, verdict, depth=None):
     return all(x.value(n) == image.value(n) for n in range(depth + 1))
 
 
-def aut_generators(scale, bound):
-    """Bounded slice of a generating family for the automorphisms of Q_N.
-
-    Images of 1 of the shape p / N**k with p a divisor of N other than
-    N itself, both signs, k up to the bound.  Contains 1.
-
-    >>> [g.fraction for g in aut_generators(2, 1)]
-    [Fraction(1, 1), Fraction(-1, 1), Fraction(1, 2), Fraction(-1, 2)]
-    """
-    scale = check_scale(scale)
-    if isinstance(bound, bool) or not isinstance(bound, int) or bound < 0:
-        raise ValueError("bound must be a nonnegative integer")
-    divisors = [p for p in range(1, scale) if scale % p == 0]
-    out = []
-    for k in range(bound + 1):
-        for p in divisors:
-            out.append(QnRational(p, k, scale))
-            out.append(QnRational(-p, k, scale))
-    return out
-
-
-class AngleMatrix:
+class AngleMatrix(_Frozen):
     """A square matrix of optional unit phases (None stands for 0).
 
     Closed under products as long as every entry of the product is a
@@ -338,9 +312,6 @@ class AngleMatrix:
                 if e is not None and not isinstance(e, Angle):
                     raise ValueError("entries are Angles or None")
         object.__setattr__(self, "rows", rows)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("AngleMatrix is immutable")
 
     @property
     def size(self):
@@ -424,7 +395,7 @@ class AngleMatrix:
         ]
 
 
-class BundleData:
+class BundleData(_Frozen):
     """Flat-bundle presentation data for a periodic sequence.
 
     Fields: the order q of the fibre phase, the solenoid power k, the
@@ -446,9 +417,6 @@ class BundleData:
             ("base_label", base_label),
         ):
             object.__setattr__(self, name, value)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("BundleData is immutable")
 
     def __repr__(self):
         return "BundleData(q=%d, k=%d, lam=%r)" % (self.q, self.k, self.lam)
@@ -490,9 +458,12 @@ def bundle_data(alpha):
     lam = Angle(alpha.base)
     u = AngleMatrix.diagonal([j * lam for j in range(q)])
     v = AngleMatrix.cyclic(q)
-    assert v @ u == (u @ v).scaled(lam)
-    assert u ** q == AngleMatrix.identity(q)
-    assert v ** q == AngleMatrix.identity(q)
+    if v @ u != (u @ v).scaled(lam):
+        raise ValueError("bundle relation v u = lam u v fails")
+    if u ** q != AngleMatrix.identity(q):
+        raise ValueError("bundle relation u**q = 1 fails")
+    if v ** q != AngleMatrix.identity(q):
+        raise ValueError("bundle relation v**q = 1 fails")
     label = "S_{%d^%d} x S_{%d^%d}" % (alpha.modulus, k, alpha.modulus, k)
     return BundleData(alpha.modulus, q, p, k, lam, u, v, label)
 

@@ -1,8 +1,8 @@
 """Command line interface.
 
 Results go to stdout as one deterministic JSON document; diagnostics go
-to stderr.  Exit codes: 0 on success, 2 on domain or input errors, 3
-when a query comes back Unknown.
+to stderr.  Exit codes: 0 on success, 1 when a selftest oracle fails, 2
+on domain or input errors, 3 when a query comes back Unknown.
 
     ncsolenoid info n5.json
     ncsolenoid symmetrizer n5.json
@@ -113,7 +113,7 @@ def cmd_selftest(args):
     trials = args.trials
     reports = []
 
-    carrier = ktheory.j_seq(AngleSequence.constant(3, Fraction(1, 2)))
+    carrier = AngleSequence.constant(3, Fraction(1, 2)).carrier
     for kind in ("xi", "zeta"):
         rep = oracle.cocycle_fuzz(kind, carrier, trials=trials, seed=seed)
         reports.append(rep.to_json())

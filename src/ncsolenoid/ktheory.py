@@ -64,23 +64,8 @@ import random
 from fractions import Fraction
 from math import floor
 
-from .nadic import (
-    NadicInteger,
-    QnRational,
-    as_fraction,
-    format_fraction,
-    frac_part,
-    is_prime,
-    multiplicative_order,
-)
+from .nadic import NadicInteger, QnRational, _Frozen, as_fraction, format_fraction, frac_part
 from .sequences import Angle, AngleSequence
-
-
-def j_seq(alpha):
-    """The carrier of an angle sequence (the digit stream as a tower)."""
-    if not isinstance(alpha, AngleSequence):
-        raise TypeError("expected an AngleSequence")
-    return alpha.carrier
 
 
 def _check_carrier(J):
@@ -143,9 +128,7 @@ def cross_section_carry(t1, t2):
     """
     a1 = t1.value if isinstance(t1, Angle) else frac_part(as_fraction(t1))
     a2 = t2.value if isinstance(t2, Angle) else frac_part(as_fraction(t2))
-    out = a1 + a2 - frac_part(a1 + a2)
-    assert out.denominator == 1
-    return int(out)
+    return floor(a1 + a2)
 
 
 def zeta_cocycle(J, x, y):
@@ -158,7 +141,7 @@ def coboundary(c, x, y):
     return c(x) + c(y) - c(x + y)
 
 
-class GeneratorCochain:
+class GeneratorCochain(_Frozen):
     """An integer cochain on Q_N determined by its values on 1/N**k.
 
     The table holds psi_k = psi(1/N**k) for k = 0..depth, and the
@@ -177,9 +160,6 @@ class GeneratorCochain:
                 raise ValueError("table must map levels to integers")
         object.__setattr__(self, "modulus", modulus)
         object.__setattr__(self, "table", table)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("GeneratorCochain is immutable")
 
     @property
     def depth(self):
@@ -250,78 +230,7 @@ def cohomologous(J, R, depth=8, samples=100, seed=20260817):
     return psi
 
 
-class WeakEquivalence:
-    """Verdict for the scaling relation N**k * J == R modulo integers."""
-
-    __slots__ = ("kind", "exponent", "direction", "bound", "reason")
-
-    def __init__(self, kind, exponent=None, direction=None, bound=None, reason=None):
-        object.__setattr__(self, "kind", kind)
-        object.__setattr__(self, "exponent", exponent)
-        object.__setattr__(self, "direction", direction)
-        object.__setattr__(self, "bound", bound)
-        object.__setattr__(self, "reason", reason)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("WeakEquivalence is immutable")
-
-    @property
-    def is_yes(self):
-        return self.kind == "yes"
-
-    @property
-    def is_no(self):
-        return self.kind == "no"
-
-    def __repr__(self):
-        if self.kind == "yes":
-            return "WeakEquivalence(yes, k=%d, direction=%s)" % (self.exponent, self.direction)
-        if self.kind == "no":
-            return "WeakEquivalence(no, %s)" % self.reason
-        return "WeakEquivalence(unknown, bound=%d)" % self.bound
-
-    def to_json(self):
-        if self.kind == "yes":
-            return {"verdict": "Yes", "k": self.exponent, "direction": self.direction}
-        if self.kind == "no":
-            return {"verdict": "No", "reason": self.reason}
-        return {"verdict": "Unknown", "bound": self.bound}
-
-
-def weakly_equivalent(J, R, bound=64):
-    """Decide whether N**k J - R or N**k R - J is an integer for some k.
-
-    Prime scales only.  Since scaling by N permutes residues mod the
-    common reduced denominator b with period ord_b(N), scanning one full
-    cycle is complete: the verdict is No once the cycle is exhausted,
-    and Unknown only when ``bound`` truncates the cycle.
-    """
-    _check_carrier(J)
-    _check_carrier(R)
-    if J.modulus != R.modulus:
-        raise ValueError("carriers live at different scales")
-    if not is_prime(J.modulus):
-        raise ValueError("weak equivalence is implemented for prime scales only")
-    if not (J.is_exact and R.is_exact):
-        raise ValueError("weak equivalence is undecidable from finite prefixes")
-    a, b = J.value.numerator, J.value.denominator
-    c, d = R.value.numerator, R.value.denominator
-    if b != d:
-        return WeakEquivalence("no", reason="reduced denominators differ (%d vs %d)" % (b, d))
-    N = J.modulus
-    cycle = multiplicative_order(N, b)
-    for k in range(min(bound, cycle - 1) + 1):
-        w = pow(N, k, b) if b > 1 else 0
-        if (w * a - c) % b == 0:
-            return WeakEquivalence("yes", exponent=k, direction="left")
-        if (w * c - a) % b == 0:
-            return WeakEquivalence("yes", exponent=k, direction="right")
-    if cycle - 1 <= bound:
-        return WeakEquivalence("no", reason="full scaling cycle of length %d exhausted" % cycle)
-    return WeakEquivalence("unknown", bound=bound)
-
-
-class ExtensionElement:
+class ExtensionElement(_Frozen):
     """(z, x) in the cocycle presentation Z x Q_N with the twisted sum.
 
     >>> a = AngleSequence.constant(3, Fraction(1, 2))
@@ -342,9 +251,6 @@ class ExtensionElement:
         object.__setattr__(self, "alpha", alpha)
         object.__setattr__(self, "z", z)
         object.__setattr__(self, "x", x)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("ExtensionElement is immutable")
 
     def _require_same(self, other):
         if not isinstance(other, ExtensionElement):
@@ -403,7 +309,7 @@ def k_member(alpha, first, second):
     return shift.denominator == 1
 
 
-class KPairElement:
+class KPairElement(_Frozen):
     """A point (first, second) of K_alpha inside Q x Q_N.
 
     Membership is validated on construction.
@@ -418,9 +324,6 @@ class KPairElement:
         object.__setattr__(self, "alpha", alpha)
         object.__setattr__(self, "first", first)
         object.__setattr__(self, "second", second)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("KPairElement is immutable")
 
     def _require_same(self, other):
         if not isinstance(other, KPairElement):
@@ -491,7 +394,6 @@ def as_extension(elem):
     alpha = elem.alpha
     k = elem.second.exp
     z = elem.first - Fraction(elem.second.num * alpha.carrier.at(k), alpha.modulus ** k)
-    assert z.denominator == 1
     return ExtensionElement(alpha, int(z), elem.second)
 
 
@@ -555,10 +457,3 @@ def mat_apply(A, v):
 #: The mirror D = diag(1, -1); U_{k+1} * (D F_k D) == U_k holds exactly.
 MIRROR = ((1, 0), (0, -1))
 
-
-def k1_shape(modulus):
-    """K1 of the twisted algebra: free of rank two over Q_N (constant shape)."""
-    from .nadic import check_scale
-
-    check_scale(modulus)
-    return "(Q_%d)^2" % modulus

@@ -28,25 +28,18 @@ import enum
 from fractions import Fraction
 from math import gcd
 
-from .nadic import QnRational
+from .nadic import QnRational, _Frozen
 from .sequences import Angle, AngleSequence
 
 
 class SequenceKind(enum.Enum):
-    """Partition of coherent angle sequences by range behaviour.
-
-    ``IRRATIONAL_SURROGATE`` marks data that stands in for a sequence
-    with irrational terms.  Exact constructors only ever build rational
-    sequences, so this member is reachable only through explicitly
-    flagged inputs; it is kept so reports have a stable vocabulary.
-    """
+    """Partition of coherent angle sequences by range behaviour."""
 
     RATIONAL_PERIODIC = "RationalPeriodic"
     RATIONAL_APERIODIC = "RationalAperiodic"
-    IRRATIONAL_SURROGATE = "IrrationalSurrogate"
 
 
-class Symmetrizer:
+class Symmetrizer(_Frozen):
     """Description of a symmetrizer subgroup of (Q_N)**2.
 
     One of three shapes: ``trivial`` (only the identity), ``full`` (the
@@ -69,9 +62,6 @@ class Symmetrizer:
             raise ValueError("only ScaledLattice carries a scale")
         object.__setattr__(self, "variant", variant)
         object.__setattr__(self, "b", b)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("Symmetrizer is immutable")
 
     @classmethod
     def trivial(cls):

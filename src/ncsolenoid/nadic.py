@@ -134,7 +134,16 @@ def multiplicative_order(n, m, cap=ORDER_CAP):
     return t
 
 
-class QnRational:
+class _Frozen:
+    """Base of the value classes: attributes are set once, in __init__."""
+
+    __slots__ = ()
+
+    def __setattr__(self, name, value):
+        raise AttributeError("%s is immutable" % type(self).__name__)
+
+
+class QnRational(_Frozen):
     """An element p / N**k of Q_N in lowest N-adic terms.
 
     The constructor normalises: trailing factors of N are cancelled, and
@@ -163,9 +172,6 @@ class QnRational:
         object.__setattr__(self, "num", num)
         object.__setattr__(self, "exp", exp)
         object.__setattr__(self, "modulus", modulus)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("QnRational is immutable")
 
     @classmethod
     def from_fraction(cls, value, modulus):
@@ -249,7 +255,7 @@ class QnRational:
         return cls(num, exp, modulus)
 
 
-class NadicInteger:
+class NadicInteger(_Frozen):
     """An N-adic integer as a coherent residue tower.
 
     Exact form: ``NadicInteger.from_value(Fraction(a, b), N)`` with
@@ -292,9 +298,6 @@ class NadicInteger:
         object.__setattr__(self, "prefix", prefix)
         object.__setattr__(self, "_reps", {0: 0})
 
-    def __setattr__(self, name, value):
-        raise AttributeError("NadicInteger is immutable")
-
     @classmethod
     def iota(cls, z, modulus):
         """The canonical copy of an ordinary integer."""
@@ -308,6 +311,17 @@ class NadicInteger:
 
     @classmethod
     def from_prefix(cls, digits, modulus):
+        return cls(modulus, prefix=digits)
+
+    @classmethod
+    def from_tower(cls, tower, modulus):
+        """Prefix form of the coherent tower whose residues are tower[k] mod N**k.
+
+        >>> NadicInteger.from_tower([0, -1, -1], 3).prefix
+        (2, 2)
+        """
+        reps = [t % modulus ** k for k, t in enumerate(tower)]
+        digits = [(reps[k + 1] - reps[k]) // modulus ** k for k in range(len(reps) - 1)]
         return cls(modulus, prefix=digits)
 
     @property
@@ -371,11 +385,7 @@ class NadicInteger:
 
     def _from_tower(self, depth, tower_fn):
         """Prefix-form result whose residues are tower_fn(k) mod N**k."""
-        reps = [tower_fn(k) % self.modulus ** k for k in range(depth + 1)]
-        digits = [
-            (reps[k + 1] - reps[k]) // self.modulus ** k for k in range(depth)
-        ]
-        return NadicInteger(self.modulus, prefix=digits)
+        return NadicInteger.from_tower([tower_fn(k) for k in range(depth + 1)], self.modulus)
 
     def __add__(self, other):
         self._require_same(other)
@@ -446,92 +456,3 @@ class NadicInteger:
             return cls(modulus, prefix=obj["prefix"])
         raise ValueError("carrier object needs exactly one of value and prefix")
 
-
-class PrimeSeq:
-    """A periodic sequence of primes, with products and depth lookups.
-
-    ``PrimeSeq.of(N)`` is the ascending factorisation of N repeated
-    forever; its block product reproduces N.
-
-    >>> PrimeSeq.of(12).period
-    (2, 2, 3)
-    >>> PrimeSeq.of(12).pi(4)
-    24
-    >>> PrimeSeq((2, 3)).delta(6)
-    2
-    """
-
-    __slots__ = ("period",)
-
-    def __init__(self, period):
-        period = tuple(period)
-        if not period:
-            raise ValueError("need at least one prime")
-        for p in period:
-            if isinstance(p, bool) or not isinstance(p, int) or not is_prime(p):
-                raise ValueError("%r is not prime" % (p,))
-        object.__setattr__(self, "period", period)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("PrimeSeq is immutable")
-
-    @classmethod
-    def of(cls, scale):
-        """The ascending prime factorisation of a scale, as a period."""
-        return cls(prime_factors(check_scale(scale)))
-
-    @property
-    def omega(self):
-        """Slots per block."""
-        return len(self.period)
-
-    @property
-    def block(self):
-        """Product of one period."""
-        out = 1
-        for p in self.period:
-            out *= p
-        return out
-
-    def entry(self, n):
-        if n < 0:
-            raise ValueError("index must be nonnegative")
-        return self.period[n % len(self.period)]
-
-    def pi(self, k):
-        """Product of the first k entries (pi(0) == 1)."""
-        if k < 0:
-            raise ValueError("depth must be nonnegative")
-        full, rest = divmod(k, len(self.period))
-        out = self.block ** full
-        for i in range(rest):
-            out *= self.period[i]
-        return out
-
-    def delta(self, m):
-        """The depth k with pi(k) == m, if one exists.
-
-        >>> PrimeSeq.of(12).delta(12)
-        3
-        """
-        if m < 1:
-            raise ValueError("need a positive target")
-        k = 0
-        acc = 1
-        while acc < m:
-            acc *= self.entry(k)
-            k += 1
-        if acc != m:
-            raise ValueError("%d is not a partial product of %r" % (m, self.period))
-        return k
-
-    def __eq__(self, other):
-        if not isinstance(other, PrimeSeq):
-            return NotImplemented
-        return self.period == other.period
-
-    def __hash__(self):
-        return hash(self.period)
-
-    def __repr__(self):
-        return "PrimeSeq(%r)" % (self.period,)

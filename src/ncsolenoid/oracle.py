@@ -28,13 +28,13 @@ from .ktheory import (
     zeta_cocycle,
 )
 from .multiplier import bicharacter, psi_phase, theta_phase
-from .nadic import NadicInteger, QnRational
+from .nadic import NadicInteger, QnRational, _Frozen
 from .sequences import Angle, AngleSequence
 
 DEFAULT_SEED = 20260817
 
 
-class FuzzReport:
+class FuzzReport(_Frozen):
     """Outcome of a randomized identity sweep."""
 
     __slots__ = ("kind", "trials", "seed", "checks", "failures")
@@ -45,9 +45,6 @@ class FuzzReport:
         object.__setattr__(self, "seed", seed)
         object.__setattr__(self, "checks", checks)
         object.__setattr__(self, "failures", list(failures))
-
-    def __setattr__(self, name, value):
-        raise AttributeError("FuzzReport is immutable")
 
     @property
     def passed(self):

@@ -15,10 +15,6 @@ in [0, 1) and the carrier is the N-adic integer J with
 
 The digit stream of the carrier is exactly the stream of division
 choices j_n in [0, N) with N * alpha_{n+1} = alpha_n + j_n.
-
-``MixedAngleSequence`` generalises the scale to a periodic sequence of
-primes (one prime per step); regrouping a block of steps at a time
-converts between the two presentations without touching the data.
 """
 
 from __future__ import annotations
@@ -27,7 +23,7 @@ from fractions import Fraction
 
 from .nadic import (
     NadicInteger,
-    PrimeSeq,
+    _Frozen,
     as_fraction,
     check_scale,
     format_fraction,
@@ -36,7 +32,7 @@ from .nadic import (
 )
 
 
-class Angle:
+class Angle(_Frozen):
     """A rational angle theta mod 1, i.e. the unit complex e(theta).
 
     >>> Angle(Fraction(3, 4)) + Angle(Fraction(1, 2))
@@ -49,9 +45,6 @@ class Angle:
 
     def __init__(self, value):
         object.__setattr__(self, "value", frac_part(as_fraction(value)))
-
-    def __setattr__(self, name, value):
-        raise AttributeError("Angle is immutable")
 
     def __add__(self, other):
         if not isinstance(other, Angle):
@@ -91,7 +84,7 @@ class Angle:
         return format_fraction(self.value)
 
 
-class AngleSequence:
+class AngleSequence(_Frozen):
     """A coherent angle sequence over scale N, stored as (head, carrier).
 
     >>> a = AngleSequence.constant(3, Fraction(1, 2))
@@ -120,15 +113,6 @@ class AngleSequence:
         object.__setattr__(self, "modulus", modulus)
         object.__setattr__(self, "base", base)
         object.__setattr__(self, "carrier", carrier)
-        # smoke test: the first couple of terms must land in [0, 1)
-        for n in (1, 2):
-            if carrier.length is not None and carrier.length < n:
-                break
-            if not 0 <= self.value(n) < 1:
-                raise AssertionError("carrier produced an angle outside [0, 1)")
-
-    def __setattr__(self, name, value):
-        raise AttributeError("AngleSequence is immutable")
 
     @classmethod
     def zero(cls, modulus):
@@ -213,17 +197,9 @@ class AngleSequence:
                 self.carrier.value + other.carrier.value + carry, self.modulus
             )
         else:
-            depth = min(lengths)
-            nn = self.modulus
-            carrier = NadicInteger(  # reuse the coherent tower of residues
-                self.modulus,
-                prefix=_tower_digits(
-                    [
-                        (self.carrier.at(k) + other.carrier.at(k) + carry) % nn ** k
-                        for k in range(depth + 1)
-                    ],
-                    nn,
-                ),
+            J, R = self.carrier, other.carrier
+            carrier = NadicInteger.from_tower(
+                [J.at(k) + R.at(k) + carry for k in range(min(lengths) + 1)], self.modulus
             )
         return AngleSequence(self.modulus, total - carry, carrier)
 
@@ -232,14 +208,9 @@ class AngleSequence:
         if self.carrier.is_exact:
             carrier = NadicInteger.from_value(-self.carrier.value - carry, self.modulus)
         else:
-            depth = self.carrier.length
-            nn = self.modulus
-            carrier = NadicInteger(
-                self.modulus,
-                prefix=_tower_digits(
-                    [(-self.carrier.at(k) - carry) % nn ** k for k in range(depth + 1)],
-                    nn,
-                ),
+            J = self.carrier
+            carrier = NadicInteger.from_tower(
+                [-J.at(k) - carry for k in range(J.length + 1)], self.modulus
             )
         return AngleSequence(self.modulus, carry - self.base, carrier)
 
@@ -285,168 +256,3 @@ class AngleSequence:
         carrier = NadicInteger.from_json(obj.get("carrier", {"value": "0"}), modulus)
         return cls(modulus, base, carrier)
 
-
-def _tower_digits(reps, modulus):
-    """Digits of a coherent residue tower reps[0..L] (reps[k] mod modulus**k)."""
-    return [
-        (reps[k + 1] - reps[k]) // modulus ** k for k in range(len(reps) - 1)
-    ]
-
-
-class MixedAngleSequence:
-    """A coherent angle sequence whose step n divides by the prime Lambda_n.
-
-    The storage mirrors AngleSequence: a head eta_0 in [0, 1) plus a
-    carrier, here either an exact rational w with denominator coprime to
-    every listed prime (the residue at depth k is w mod pi(k)) or a
-    finite digit prefix with digit n in [0, Lambda_n).
-
-    >>> m = MixedAngleSequence(PrimeSeq.of(4), Fraction(1, 3), value=Fraction(-1, 3))
-    >>> [m.value(k) for k in range(4)]
-    [Fraction(1, 3), Fraction(2, 3), Fraction(1, 3), Fraction(2, 3)]
-    """
-
-    __slots__ = ("primes", "base", "value_carrier", "prefix_carrier", "_reps")
-
-    def __init__(self, primes, base, value=None, prefix=None):
-        if not isinstance(primes, PrimeSeq):
-            raise TypeError("primes must be a PrimeSeq")
-        base = as_fraction(base)
-        if not 0 <= base < 1:
-            raise ValueError("head angle must lie in [0, 1)")
-        if (value is None) == (prefix is None):
-            raise ValueError("exactly one of value and prefix is required")
-        if value is not None:
-            value = as_fraction(value)
-            for p in set(primes.period):
-                if value.denominator % p == 0:
-                    raise ValueError("carrier denominator shares a listed prime")
-        else:
-            prefix = tuple(prefix)
-            for n, r in enumerate(prefix):
-                if isinstance(r, bool) or not isinstance(r, int) or not 0 <= r < primes.entry(n):
-                    raise ValueError("digit %d out of range for prime %d" % (r, primes.entry(n)))
-        object.__setattr__(self, "primes", primes)
-        object.__setattr__(self, "base", base)
-        object.__setattr__(self, "value_carrier", value)
-        object.__setattr__(self, "prefix_carrier", prefix)
-        object.__setattr__(self, "_reps", {0: 0})
-
-    def __setattr__(self, name, value):
-        raise AttributeError("MixedAngleSequence is immutable")
-
-    @property
-    def is_exact(self):
-        return self.value_carrier is not None
-
-    @property
-    def length(self):
-        return None if self.prefix_carrier is None else len(self.prefix_carrier)
-
-    def level(self, k):
-        """The residue of the carrier mod pi(k), in [0, pi(k))."""
-        got = self._reps.get(k)
-        if got is not None:
-            return got
-        if self.value_carrier is not None:
-            m = self.primes.pi(k)
-            w = self.value_carrier
-            rep = (w.numerator * pow(w.denominator, -1, m)) % m
-        else:
-            if k > len(self.prefix_carrier):
-                raise ValueError("depth %d exceeds the recorded prefix" % k)
-            rep = 0
-            w = 1
-            for n in range(k):
-                rep += w * self.prefix_carrier[n]
-                w *= self.primes.entry(n)
-        self._reps[k] = rep
-        return rep
-
-    def value(self, k):
-        """The term eta_k in [0, 1)."""
-        return (self.base + self.level(k)) / self.primes.pi(k)
-
-    def digit(self, n):
-        if self.prefix_carrier is not None:
-            if not 0 <= n < len(self.prefix_carrier):
-                raise ValueError("digit %d is outside the recorded prefix" % n)
-            return self.prefix_carrier[n]
-        return (self.level(n + 1) - self.level(n)) // self.primes.pi(n)
-
-    def __eq__(self, other):
-        if not isinstance(other, MixedAngleSequence):
-            return NotImplemented
-        return (
-            self.primes == other.primes
-            and self.base == other.base
-            and self.value_carrier == other.value_carrier
-            and self.prefix_carrier == other.prefix_carrier
-        )
-
-    def __hash__(self):
-        return hash((self.primes, self.base, self.value_carrier, self.prefix_carrier))
-
-    def __repr__(self):
-        inner = (
-            format_fraction(self.value_carrier)
-            if self.value_carrier is not None
-            else list(self.prefix_carrier)
-        )
-        return "MixedAngleSequence(%r, head=%s, carrier=%s)" % (
-            self.primes,
-            format_fraction(self.base),
-            inner,
-        )
-
-
-def refine(seq):
-    """Spread an AngleSequence over the prime ladder of its scale.
-
-    One division by N becomes Omega(N) single-prime divisions; the head
-    and the carrier value are unchanged, so for exact carriers this is a
-    reinterpretation.  Every Omega-th term of the result returns the
-    original sequence.
-
-    >>> m = refine(AngleSequence.constant(4, Fraction(1, 3)))
-    >>> [m.value(k) for k in range(4)]
-    [Fraction(1, 3), Fraction(2, 3), Fraction(1, 3), Fraction(2, 3)]
-    """
-    if not isinstance(seq, AngleSequence):
-        raise TypeError("expected an AngleSequence")
-    primes = PrimeSeq.of(seq.modulus)
-    if seq.carrier.is_exact:
-        return MixedAngleSequence(primes, seq.base, value=seq.carrier.value)
-    digits = []
-    for n in range(seq.carrier.length):
-        m = seq.carrier.digit(n)
-        for j in range(primes.omega):
-            p = primes.period[j]
-            digits.append(m % p)
-            m //= p
-    return MixedAngleSequence(primes, seq.base, prefix=digits)
-
-
-def coarsen(mixed):
-    """Regroup a MixedAngleSequence block by block into its block scale.
-
-    Inverse to :func:`refine`; the head and exact carrier value carry
-    over verbatim.
-    """
-    if not isinstance(mixed, MixedAngleSequence):
-        raise TypeError("expected a MixedAngleSequence")
-    scale = mixed.primes.block
-    if mixed.is_exact:
-        carrier = NadicInteger.from_value(mixed.value_carrier, scale)
-        return AngleSequence(scale, mixed.base, carrier)
-    omega = mixed.primes.omega
-    blocks = mixed.length // omega
-    digits = []
-    for n in range(blocks):
-        m = 0
-        w = 1
-        for j in range(omega):
-            m += w * mixed.prefix_carrier[n * omega + j]
-            w *= mixed.primes.period[j]
-        digits.append(m)
-    return AngleSequence(scale, mixed.base, NadicInteger.from_prefix(digits, scale))

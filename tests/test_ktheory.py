@@ -15,8 +15,6 @@ from ncsolenoid.ktheory import (
     connecting_matrix,
     cross_section_carry,
     embedding_matrix,
-    j_seq,
-    k1_shape,
     k_member,
     k_project,
     mat_mul,
@@ -24,7 +22,6 @@ from ncsolenoid.ktheory import (
     prufer_pair,
     r_digit,
     trace,
-    weakly_equivalent,
     xi_cocycle,
     zeta_cocycle,
 )
@@ -150,7 +147,7 @@ def test_cohomologous_none_case():
 
 
 def test_cohomologous_reflexive(three_half):
-    psi = cohomologous(j_seq(three_half), j_seq(three_half))
+    psi = cohomologous(three_half.carrier, three_half.carrier)
     assert all(v == 0 for v in psi.table.values())
 
 
@@ -159,43 +156,6 @@ def test_cohomologous_integer_carriers(a, b):
     psi = cohomologous(NadicInteger.iota(a, 5), NadicInteger.iota(b, 5), samples=10)
     assert psi is not None
     assert psi.psi1() == b - a
-
-
-# ---------------------------------------------------------------- weak equivalence
-
-
-def test_weakly_equivalent_frozen():
-    J = NadicInteger.from_value(Fraction(-1, 2), 3)
-    R = NadicInteger.from_value(Fraction(-3, 2), 3)
-    got = weakly_equivalent(J, R)
-    assert got.is_yes and got.exponent == 0
-    assert got.to_json()["verdict"] == "Yes"
-
-
-def test_weakly_equivalent_denominator_obstruction():
-    J = NadicInteger.from_value(Fraction(1, 5), 3)
-    R = NadicInteger.from_value(Fraction(1, 7), 3)
-    assert weakly_equivalent(J, R).is_no
-
-
-def test_weakly_equivalent_scaling_direction():
-    J = NadicInteger.from_value(Fraction(1, 7), 3)
-    R = NadicInteger.from_value(Fraction(3, 7), 3)
-    got = weakly_equivalent(J, R)
-    assert got.is_yes and got.exponent == 1
-
-
-def test_weakly_equivalent_cycle_exhaustion_is_no():
-    # mod 8 the powers of 3 are {1, 3}; 1 and 5 are in different orbits
-    J = NadicInteger.from_value(Fraction(1, 8), 3)
-    R = NadicInteger.from_value(Fraction(5, 8), 3)
-    got = weakly_equivalent(J, R)
-    assert got.is_no
-
-
-def test_weakly_equivalent_requires_prime_scale():
-    with pytest.raises(ValueError):
-        weakly_equivalent(NadicInteger.iota(1, 6), NadicInteger.iota(0, 6))
 
 
 # ---------------------------------------------------------------- extension group
@@ -292,9 +252,3 @@ def test_mirrored_stage_identity(three_half, five_62):
             # without the mirror the product differs whenever r_k != 0
             if F[0][1]:
                 assert mat_mul(U1, F) != U0
-
-
-def test_k1_shape():
-    assert k1_shape(6) == "(Q_6)^2"
-    with pytest.raises(ValueError):
-        k1_shape(1)

@@ -5,7 +5,6 @@ from hypothesis import given, strategies as st
 
 from ncsolenoid.nadic import (
     NadicInteger,
-    PrimeSeq,
     QnRational,
     as_fraction,
     format_fraction,
@@ -219,25 +218,3 @@ def test_zeta_inverts_iota():
         NadicInteger.from_value(Fraction(-1, 2), 3).zeta()
     with pytest.raises(ValueError):
         NadicInteger.from_prefix([1, 1], 3).zeta()
-
-
-# ---------------------------------------------------------------- PrimeSeq
-
-
-def test_prime_seq_of_scale():
-    assert PrimeSeq.of(12).period == (2, 2, 3)
-    assert PrimeSeq.of(360).period == (2, 2, 2, 3, 3, 5)
-
-
-def test_prime_seq_partial_products():
-    s = PrimeSeq.of(12)
-    assert [s.pi(k) for k in range(5)] == [1, 2, 4, 12, 24]
-    assert s.omega == 3
-    assert s.block == 12
-
-
-def test_prime_seq_entry_and_delta():
-    s = PrimeSeq((2, 3))
-    assert [s.entry(n) for n in range(5)] == [2, 3, 2, 3, 2]
-    assert s.delta(6) == 2
-    assert s.delta(1) == 0

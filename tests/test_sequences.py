@@ -4,8 +4,8 @@ from math import gcd
 import pytest
 from hypothesis import given, strategies as st
 
-from ncsolenoid.nadic import NadicInteger, PrimeSeq
-from ncsolenoid.sequences import Angle, AngleSequence, MixedAngleSequence, coarsen, refine
+from ncsolenoid.nadic import NadicInteger
+from ncsolenoid.sequences import Angle, AngleSequence
 
 scales = st.sampled_from([2, 3, 5, 6, 10, 12])
 
@@ -88,6 +88,29 @@ def test_digits_recover_division_choices(a):
         j = a.digit(n)
         assert 0 <= j < N
         assert a.value(n + 1) == (a.value(n) + j) / N
+
+
+@st.composite
+def exact_or_prefix_seqs(draw):
+    n = draw(st.sampled_from([2, 3, 4, 6, 12]))
+    b = draw(st.integers(min_value=1, max_value=60))
+    head = Fraction(draw(st.integers(min_value=0, max_value=b - 1)), b)
+    if draw(st.booleans()):
+        d = draw(st.integers(min_value=1, max_value=60).filter(lambda d: gcd(d, n) == 1))
+        c = draw(st.integers(min_value=-10 ** 6, max_value=10 ** 6))
+        carrier = NadicInteger.from_value(Fraction(c, d), n)
+    else:
+        digits = draw(st.lists(st.integers(min_value=0, max_value=n - 1), max_size=12))
+        carrier = NadicInteger.from_prefix(digits, n)
+    return AngleSequence(n, head, carrier)
+
+
+@given(exact_or_prefix_seqs())
+def test_every_term_lies_in_the_unit_interval(a):
+    # holds by construction: 0 <= head < 1 and 0 <= J_n < N**n
+    depth = 12 if a.carrier.length is None else a.carrier.length
+    for n in range(depth + 1):
+        assert 0 <= a.value(n) < 1
 
 
 # ---------------------------------------------------------------- group ops
@@ -190,50 +213,3 @@ def test_sequence_json_prefix_round_trip():
     a = AngleSequence(3, Fraction(1, 2), NadicInteger.from_prefix([0, 2, 1], 3))
     back = AngleSequence.from_json(a.to_json())
     assert [back.digit(n) for n in range(3)] == [0, 2, 1]
-
-
-# ---------------------------------------------------------------- mixed ladder
-
-
-def test_refine_frozen(thirds_4):
-    m = refine(thirds_4)
-    assert m.primes.period == (2, 2)
-    want = [Fraction(1, 3), Fraction(2, 3)]
-    assert [m.value(k) for k in range(6)] == want * 3
-
-
-def test_refine_blocks_recover_original(five_62):
-    m = refine(five_62)
-    assert [m.value(k) for k in range(3)] == [five_62.value(k) for k in range(3)]
-
-
-def test_refine_prefix_digits():
-    a = AngleSequence(6, Fraction(1, 5), NadicInteger.from_prefix([4, 1], 6))
-    m = refine(a)
-    assert m.length == 4
-    for k in range(3):
-        assert m.value(2 * k) == a.value(k)
-
-
-def test_coarsen_inverts_refine(thirds_4, five_62):
-    for seq in (thirds_4, five_62):
-        back = coarsen(refine(seq))
-        assert back.modulus == seq.modulus
-        assert back.base == seq.base
-        assert back.carrier.value == seq.carrier.value
-
-
-def test_mixed_validates_digits():
-    with pytest.raises(ValueError):
-        MixedAngleSequence(PrimeSeq.of(6), 0, prefix=[2])
-    with pytest.raises(ValueError):
-        MixedAngleSequence(PrimeSeq.of(6), 0, value=Fraction(1, 3))
-
-
-def test_mixed_level_and_digit():
-    m = MixedAngleSequence(PrimeSeq.of(12), 0, value=Fraction(-1, 5))
-    for k in range(5):
-        assert 0 <= m.level(k) < m.primes.pi(k)
-        assert (5 * m.level(k) + 1) % m.primes.pi(k) == 0
-    for n in range(4):
-        assert 0 <= m.digit(n) < m.primes.entry(n)
