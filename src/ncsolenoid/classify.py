@@ -295,12 +295,20 @@ class AngleMatrix(_Frozen):
     sum of at most one phase, which holds for the monomial matrices
     used here; multiplying entries means adding angles.
 
+    Stored by row: each row is a tuple of (column, Angle) pairs in
+    increasing column order, holding only the filled entries.  With e
+    filled entries per row, ``@`` costs O(n * e**2) angle additions
+    (O(n) on monomial matrices), ``m ** k`` takes O(log k) products by
+    repeated squaring, and ``scaled``, ``==`` and ``hash`` are O(n * e).
+    The dense view ``rows``, the constructor and ``to_json`` cost
+    O(n**2).
+
     >>> v = AngleMatrix.cyclic(3)
     >>> v ** 3 == AngleMatrix.identity(3)
     True
     """
 
-    __slots__ = ("rows",)
+    __slots__ = ("_entries",)
 
     def __init__(self, rows):
         rows = tuple(tuple(r) for r in rows)
@@ -311,83 +319,106 @@ class AngleMatrix(_Frozen):
             for e in r:
                 if e is not None and not isinstance(e, Angle):
                     raise ValueError("entries are Angles or None")
-        object.__setattr__(self, "rows", rows)
+        object.__setattr__(
+            self,
+            "_entries",
+            tuple(tuple((j, e) for j, e in enumerate(r) if e is not None) for r in rows),
+        )
+
+    @classmethod
+    def _sparse(cls, entries):
+        """Wrap rows of (column, Angle) pairs already in canonical order."""
+        m = object.__new__(cls)
+        object.__setattr__(m, "_entries", entries)
+        return m
 
     @property
     def size(self):
-        return len(self.rows)
+        return len(self._entries)
+
+    @property
+    def rows(self):
+        """The dense form: a tuple of rows, each a tuple of Angle or None."""
+        n = self.size
+        out = []
+        for row in self._entries:
+            dense = [None] * n
+            for j, e in row:
+                dense[j] = e
+            out.append(tuple(dense))
+        return tuple(out)
 
     @classmethod
     def identity(cls, n):
         zero = Angle(0)
-        return cls(
-            [[zero if i == j else None for j in range(n)] for i in range(n)]
-        )
+        return cls._sparse(tuple(((i, zero),) for i in range(n)))
 
     @classmethod
     def diagonal(cls, angles):
-        angles = list(angles)
-        n = len(angles)
-        return cls(
-            [[angles[i] if i == j else None for j in range(n)] for i in range(n)]
-        )
+        entries = []
+        for i, e in enumerate(angles):
+            if e is not None and not isinstance(e, Angle):
+                raise ValueError("entries are Angles or None")
+            entries.append(() if e is None else ((i, e),))
+        return cls._sparse(tuple(entries))
 
     @classmethod
     def cyclic(cls, n):
         """The permutation sending basis vector e_{i+1} to e_i (e_0 wraps)."""
         zero = Angle(0)
-        return cls(
-            [[zero if j == (i + 1) % n else None for j in range(n)] for i in range(n)]
-        )
+        return cls._sparse(tuple((((i + 1) % n, zero),) for i in range(n)))
 
     def __matmul__(self, other):
         if not isinstance(other, AngleMatrix) or other.size != self.size:
             return NotImplemented
-        n = self.size
+        right = other._entries
         out = []
-        for i in range(n):
-            row = []
-            for j in range(n):
-                terms = [
-                    self.rows[i][t] + other.rows[t][j]
-                    for t in range(n)
-                    if self.rows[i][t] is not None and other.rows[t][j] is not None
-                ]
-                if len(terms) > 1:
-                    raise ValueError("product entry is not a single phase")
-                row.append(terms[0] if terms else None)
-            out.append(row)
-        return AngleMatrix(out)
+        for row in self._entries:
+            acc = {}
+            for t, a in row:
+                for j, b in right[t]:
+                    if j in acc:
+                        raise ValueError("product entry is not a single phase")
+                    acc[j] = a + b
+            out.append(tuple(sorted(acc.items())))
+        return AngleMatrix._sparse(tuple(out))
 
     def __pow__(self, m):
+        """The m-th power by repeated squaring.
+
+        Equal to the m-fold product whenever every partial product is
+        single-phase; a square larger than m is never formed.
+        """
         if isinstance(m, bool) or not isinstance(m, int) or m < 0:
             return NotImplemented
         out = AngleMatrix.identity(self.size)
-        for _ in range(m):
-            out = out @ self
+        square = self
+        while m:
+            if m & 1:
+                out = out @ square
+            m >>= 1
+            if m:
+                square = square @ square
         return out
 
     def scaled(self, angle):
         """Multiply every nonzero entry by a global phase."""
         if not isinstance(angle, Angle):
             raise ValueError("expected an Angle")
-        return AngleMatrix(
-            [
-                [None if e is None else e + angle for e in row]
-                for row in self.rows
-            ]
+        return AngleMatrix._sparse(
+            tuple(tuple((j, e + angle) for j, e in row) for row in self._entries)
         )
 
     def __eq__(self, other):
         if not isinstance(other, AngleMatrix):
             return NotImplemented
-        return self.rows == other.rows
+        return self._entries == other._entries
 
     def __hash__(self):
-        return hash(self.rows)
+        return hash(self._entries)
 
     def __repr__(self):
-        return "AngleMatrix(%r)" % (self.rows,)
+        return "AngleMatrix(size=%d, entries=%r)" % (self.size, self._entries)
 
     def to_json(self):
         return [
@@ -451,7 +482,7 @@ def bundle_data(alpha):
         raise TypeError("expected an AngleSequence")
     if not alpha.is_exact:
         raise ValueError("bundle data needs an exact carrier")
-    if alpha.period() is None:
+    if not alpha.has_finite_range():
         raise ValueError("bundle data is defined for periodic sequences only")
     p, q = alpha.base.numerator, alpha.base.denominator
     k = multiplicative_order(alpha.modulus, q)

@@ -26,7 +26,6 @@ from __future__ import annotations
 
 import enum
 from fractions import Fraction
-from math import gcd
 
 from .nadic import QnRational, _Frozen
 from .sequences import Angle, AngleSequence
@@ -190,14 +189,11 @@ def symmetrizer(alpha):
         raise ValueError("symmetrizer is undecidable from a finite prefix")
     if alpha.is_zero():
         return Symmetrizer.full()
-    p = alpha.period()
-    if p is None:
+    if not alpha.has_finite_range():
         return Symmetrizer.trivial()
-    b = 1
-    for n in range(p):
-        d = alpha.value(n).denominator
-        b = b * d // gcd(b, d)
-    return Symmetrizer.scaled_lattice(b)
+    # With alpha_0 = c/b in lowest terms, every term is c_n/b where
+    # c_n = c * N**-n mod b is a unit mod b, so b is the lattice scale.
+    return Symmetrizer.scaled_lattice(alpha.base.denominator)
 
 
 def is_simple(alpha):
@@ -210,7 +206,7 @@ def is_simple(alpha):
         raise TypeError("expected an AngleSequence")
     if not alpha.is_exact:
         raise ValueError("simplicity is undecidable from a finite prefix")
-    return alpha.period() is None
+    return not alpha.has_finite_range()
 
 
 def classify_type(alpha):
@@ -219,6 +215,6 @@ def classify_type(alpha):
         raise TypeError("expected an AngleSequence")
     if not alpha.is_exact:
         raise ValueError("classification is undecidable from a finite prefix")
-    if alpha.period() is not None:
+    if alpha.has_finite_range():
         return SequenceKind.RATIONAL_PERIODIC
     return SequenceKind.RATIONAL_APERIODIC

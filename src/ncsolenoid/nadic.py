@@ -22,8 +22,10 @@ from __future__ import annotations
 from fractions import Fraction
 from math import gcd
 
-#: Search cap for multiplicative orders.  Inputs are desk scale, so a
-#: plain loop with a safety cap beats anything clever.
+#: Search cap of the linear multiplicative-order scan.  Only the minimal
+#: period of a periodic sequence (``AngleSequence.period``) and the
+#: solenoid power k of ``bundle_data`` compute an order; periodicity,
+#: simplicity, the range type and the symmetrizer are decided without one.
 ORDER_CAP = 10 ** 6
 
 

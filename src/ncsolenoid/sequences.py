@@ -120,7 +120,19 @@ class AngleSequence(_Frozen):
 
     @classmethod
     def constant(cls, modulus, q):
-        """The constant sequence at frac(q); q needs gcd(denominator, N) == 1."""
+        """The periodic sequence with head frac(q) and carrier -frac(q).
+
+        The denominator b of q must be prime to N.  Writing frac(q) = a/b,
+        the terms are alpha_n = (a * N**-n mod b) / b, so the sequence is
+        constant only when (N - 1) * q is an integer; in general its
+        period is the multiplicative order of N mod b.
+
+        >>> a = AngleSequence.constant(12, Fraction(1, 7))
+        >>> [a.value(n).numerator for n in range(7)]
+        [1, 3, 2, 6, 4, 5, 1]
+        >>> a.period()
+        6
+        """
         head = frac_part(as_fraction(q))
         return cls(modulus, head, NadicInteger.from_value(-head, modulus))
 
@@ -171,15 +183,19 @@ class AngleSequence(_Frozen):
         -alpha_0; the minimal period is then the multiplicative order of
         N modulo the denominator of alpha_0.
         """
-        if not self.carrier.is_exact:
-            raise ValueError("periodicity is undecidable from a finite prefix")
-        if self.carrier.value != -self.base:
+        if not self.has_finite_range():
             return None
         return multiplicative_order(self.modulus, self.base.denominator)
 
     def has_finite_range(self):
-        """Whether {alpha_n} is a finite set (equivalent to periodicity)."""
-        return self.period() is not None
+        """Whether {alpha_n} is a finite set, i.e. whether alpha is periodic.
+
+        Read off the storage in one comparison: the carrier value equals
+        -alpha_0.  No multiplicative order is computed.
+        """
+        if not self.carrier.is_exact:
+            raise ValueError("periodicity is undecidable from a finite prefix")
+        return self.carrier.value == -self.base
 
     def is_zero(self):
         return self.base == 0 and self.carrier.is_exact and self.carrier.value == 0

@@ -2,6 +2,7 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, strategies as st
 
 from ncsolenoid.classify import (
     AngleMatrix,
@@ -224,6 +225,85 @@ def test_matrix_product_raises_on_non_monomial():
         ones @ ones
 
 
+def _dense_product(a, b):
+    """The textbook triple loop on dense rows (None stands for 0)."""
+    n = len(a)
+    out = []
+    for i in range(n):
+        row = []
+        for j in range(n):
+            terms = [
+                a[i][t] + b[t][j]
+                for t in range(n)
+                if a[i][t] is not None and b[t][j] is not None
+            ]
+            if len(terms) > 1:
+                raise ValueError("product entry is not a single phase")
+            row.append(terms[0] if terms else None)
+        out.append(tuple(row))
+    return tuple(out)
+
+
+def _dense_power(a, m):
+    n = len(a)
+    out = tuple(tuple(Angle(0) if i == j else None for j in range(n)) for i in range(n))
+    for _ in range(m):
+        out = _dense_product(out, a)
+    return out
+
+
+@st.composite
+def phase_matrices(draw, size, per_row):
+    """Square matrices of the given size with at most per_row phases a row."""
+    rows = []
+    for _ in range(size):
+        cols = draw(st.lists(st.integers(0, size - 1), max_size=per_row, unique=True))
+        row = [None] * size
+        for j in cols:
+            row[j] = Angle(Fraction(draw(st.integers(0, 11)), 12))
+        rows.append(row)
+    return AngleMatrix(rows)
+
+
+sizes = st.integers(min_value=1, max_value=8)
+
+
+@given(sizes.flatmap(lambda n: st.tuples(phase_matrices(n, 2), phase_matrices(n, 2))))
+def test_matrix_product_matches_the_dense_loop(pair):
+    x, y = pair
+    try:
+        expected = _dense_product(x.rows, y.rows)
+    except ValueError:
+        with pytest.raises(ValueError, match="not a single phase"):
+            x @ y
+        return
+    got = x @ y
+    assert got.rows == expected
+    assert got == AngleMatrix(expected) and hash(got) == hash(AngleMatrix(expected))
+
+
+@given(
+    st.tuples(sizes, st.sampled_from([1, 2])).flatmap(lambda t: phase_matrices(*t)),
+    st.integers(0, 9),
+)
+def test_power_matches_repeated_products_when_those_are_single_phase(x, m):
+    # one phase a row never collides; two may, and then there is nothing to match
+    try:
+        expected = _dense_power(x.rows, m)
+    except ValueError:
+        return
+    assert (x**m).rows == expected
+
+
+def test_scaled_and_dense_round_trip():
+    u = AngleMatrix.diagonal([Angle(Fraction(j, 5)) for j in range(5)])
+    lam = Angle(Fraction(1, 5))
+    assert AngleMatrix(u.rows) == u
+    assert u.scaled(lam).rows == tuple(
+        tuple(None if e is None else e + lam for e in row) for row in u.rows
+    )
+
+
 def test_matrix_json():
     u = AngleMatrix.diagonal([Angle(0), Angle(Fraction(1, 3))])
     assert u.to_json() == [["0", None], [None, "1/3"]]
@@ -246,6 +326,20 @@ def test_bundle_frozen_62(five_62):
     data = bundle_data(five_62)
     assert (data.q, data.k) == (62, 3)
     assert data.lam == Angle(Fraction(1, 62))
+
+
+@pytest.mark.parametrize("q", [62, 101])
+def test_bundle_relations_hold_at_large_q(q):
+    a = AngleSequence(5, Fraction(1, q), NadicInteger.from_value(Fraction(-1, q), 5))
+    data = bundle_data(a)
+    identity = AngleMatrix.identity(q)
+    assert data.v @ data.u == (data.u @ data.v).scaled(data.lam)
+    assert data.u**q == identity and data.v**q == identity
+    blob = data.to_json()
+    for m in (blob["u"], blob["v"]):
+        assert len(m) == q and all(len(row) == q for row in m)
+    assert blob["u"][q - 1][q - 1] == "%d/%d" % (q - 1, q)
+    assert blob["v"][q - 1] == ["0"] + [None] * (q - 1)
 
 
 def test_bundle_rejects_aperiodic():

@@ -1,4 +1,5 @@
 from fractions import Fraction
+from math import gcd
 
 import pytest
 from hypothesis import given, strategies as st
@@ -94,6 +95,34 @@ def test_symmetrizer_variants(five_62, three_half, thirds_2, fifths_2):
     assert symmetrizer(trivial) == Symmetrizer.trivial()
 
 
+@st.composite
+def periodic_seqs(draw):
+    n = draw(st.sampled_from([2, 3, 5, 6, 10, 12]))
+    q = draw(st.integers(min_value=1, max_value=60).filter(lambda q: gcd(q, n) == 1))
+    head = Fraction(draw(st.integers(min_value=0, max_value=q - 1)), q)
+    return AngleSequence(n, head, NadicInteger.from_value(-head, n))
+
+
+@given(periodic_seqs())
+def test_symmetrizer_scale_is_the_lcm_over_one_period(a):
+    b = 1
+    for n in range(a.period()):
+        d = a.value(n).denominator
+        b = b * d // gcd(b, d)
+    expected = Symmetrizer.full() if b == 1 else Symmetrizer.scaled_lattice(b)
+    assert symmetrizer(a) == expected
+
+
+def test_symmetrizer_holds_brute_points_at_a_composite_scale():
+    a = AngleSequence.constant(12, Fraction(1, 7))
+    described = symmetrizer(a)
+    assert described == Symmetrizer.scaled_lattice(7)
+    pts = brute_symmetrizer(a, window_num=20, window_exp=3, spot_checks=200, seed=5)
+    assert all(described.contains(g) for g in pts)
+    assert (QnRational(7, 0, 12), QnRational(-7, 2, 12)) in pts
+    assert (QnRational(1, 0, 12), QnRational(0, 0, 12)) not in pts
+
+
 def test_symmetrizer_contains():
     s = Symmetrizer.scaled_lattice(62)
     assert s.contains((QnRational(124, 3, 5), QnRational(0, 0, 5)))
@@ -144,6 +173,20 @@ def test_is_simple_cases(five_62, three_half):
     assert not is_simple(AngleSequence.zero(3))
     for n in (2, 3, 5):
         assert is_simple(AngleSequence(n, 0, NadicInteger.iota(1, n)))
+
+
+@pytest.mark.parametrize("n, q", [(2, 2000003), (5, 1000003)])
+def test_periodicity_decisions_above_the_order_cap(n, q):
+    # the order of n mod q is q - 1 > ORDER_CAP, yet nothing here needs it
+    head = Fraction(1, q)
+    periodic = AngleSequence(n, head, NadicInteger.from_value(-head, n))
+    assert not is_simple(periodic)
+    assert classify_type(periodic) is SequenceKind.RATIONAL_PERIODIC
+    assert symmetrizer(periodic) == Symmetrizer.scaled_lattice(q)
+    aperiodic = AngleSequence(n, head, NadicInteger.from_value(head, n))
+    assert is_simple(aperiodic)
+    assert classify_type(aperiodic) is SequenceKind.RATIONAL_APERIODIC
+    assert symmetrizer(aperiodic) == Symmetrizer.trivial()
 
 
 def test_classify_type(five_62):

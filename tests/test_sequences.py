@@ -164,6 +164,14 @@ def test_zero_and_constant():
         AngleSequence.constant(3, Fraction(1, 3))
 
 
+def test_constant_is_the_periodic_sequence_at_its_head():
+    # constant only when (N - 1) * q is an integer; 11/7 is not
+    a = AngleSequence.constant(12, Fraction(1, 7))
+    assert a.carrier.value == Fraction(-1, 7)
+    assert [a.value(n) for n in range(6)] == [Fraction(c, 7) for c in (1, 3, 2, 6, 4, 5)]
+    assert a.period() == 6
+
+
 # ---------------------------------------------------------------- periodicity
 
 
