@@ -38,10 +38,12 @@ from __future__ import annotations
 
 from fractions import Fraction
 from math import gcd
+from operator import attrgetter
 
 from .nadic import (
     NadicInteger,
     _Frozen,
+    _Value,
     check_scale,
     distinct_primes,
     format_fraction,
@@ -266,11 +268,12 @@ def prime_case_isomorphic(alpha, beta, bound=32):
     return isomorphic(alpha, beta, bound)
 
 
-def replay_witness(alpha, beta, verdict, depth=None):
+def replay_witness(alpha, beta, verdict):
     """Recompute a Yes witness and compare the two sides term by term.
 
-    Returns True when every compared term matches; raises on a verdict
-    that is not a Yes.
+    Compares terms 0..3 * (pa + pb) when both rescaled sides are periodic
+    with periods pa and pb, and terms 0..30 otherwise.  Returns True when
+    every compared term matches; raises on a verdict that is not a Yes.
     """
     if not isinstance(verdict, IsoVerdict) or not verdict.is_yes:
         raise ValueError("only Yes verdicts can be replayed")
@@ -282,13 +285,12 @@ def replay_witness(alpha, beta, verdict, depth=None):
     image = block_shift(y.shift(w["shift"]), w["block"])
     if w["sign"] == -1:
         image = -image
-    if depth is None:
-        pa, pb = a.period(), b.period()
-        depth = 3 * (pa + pb) if (pa is not None and pb is not None) else 30
+    pa, pb = a.period(), b.period()
+    depth = 3 * (pa + pb) if (pa is not None and pb is not None) else 30
     return all(x.value(n) == image.value(n) for n in range(depth + 1))
 
 
-class AngleMatrix(_Frozen):
+class AngleMatrix(_Value):
     """A square matrix of optional unit phases (None stands for 0).
 
     Closed under products as long as every entry of the product is a
@@ -309,6 +311,7 @@ class AngleMatrix(_Frozen):
     """
 
     __slots__ = ("_entries",)
+    _key = attrgetter("_entries")
 
     def __init__(self, rows):
         rows = tuple(tuple(r) for r in rows)
@@ -409,14 +412,6 @@ class AngleMatrix(_Frozen):
             tuple(tuple((j, e + angle) for j, e in row) for row in self._entries)
         )
 
-    def __eq__(self, other):
-        if not isinstance(other, AngleMatrix):
-            return NotImplemented
-        return self._entries == other._entries
-
-    def __hash__(self):
-        return hash(self._entries)
-
     def __repr__(self):
         return "AngleMatrix(size=%d, entries=%r)" % (self.size, self._entries)
 
@@ -437,16 +432,7 @@ class BundleData(_Frozen):
     __slots__ = ("modulus", "q", "p", "k", "lam", "u", "v", "base_label")
 
     def __init__(self, modulus, q, p, k, lam, u, v, base_label):
-        for name, value in (
-            ("modulus", modulus),
-            ("q", q),
-            ("p", p),
-            ("k", k),
-            ("lam", lam),
-            ("u", u),
-            ("v", v),
-            ("base_label", base_label),
-        ):
+        for name, value in zip(self.__slots__, (modulus, q, p, k, lam, u, v, base_label)):
             object.__setattr__(self, name, value)
 
     def __repr__(self):
@@ -480,8 +466,6 @@ def bundle_data(alpha):
     """
     if not isinstance(alpha, AngleSequence):
         raise TypeError("expected an AngleSequence")
-    if not alpha.is_exact:
-        raise ValueError("bundle data needs an exact carrier")
     if not alpha.has_finite_range():
         raise ValueError("bundle data is defined for periodic sequences only")
     p, q = alpha.base.numerator, alpha.base.denominator

@@ -19,7 +19,7 @@ from fractions import Fraction
 
 from . import classify, ktheory, multiplier, oracle
 from .codec import carrier_from_file, dump_json, sequence_from_file
-from .nadic import QnRational, as_fraction, format_fraction
+from .nadic import NadicInteger, QnRational, as_fraction, format_fraction
 from .sequences import AngleSequence
 
 EXIT_OK = 0
@@ -113,18 +113,15 @@ def cmd_selftest(args):
     trials = args.trials
     reports = []
 
-    carrier = AngleSequence.constant(3, Fraction(1, 2)).carrier
+    alpha = AngleSequence.constant(3, Fraction(1, 2))
     for kind in ("xi", "zeta"):
-        rep = oracle.cocycle_fuzz(kind, carrier, trials=trials, seed=seed)
+        rep = oracle.cocycle_fuzz(kind, alpha.carrier, trials=trials, seed=seed)
         reports.append(rep.to_json())
         print("selftest %s: %s" % (kind, "ok" if rep.passed else "FAIL"), file=sys.stderr)
 
-    alpha = AngleSequence.constant(3, Fraction(1, 2))
     rep = oracle.cocycle_fuzz("psi_bichar", alpha, trials=max(1, trials // 4), seed=seed)
     reports.append(rep.to_json())
     print("selftest psi_bichar: %s" % ("ok" if rep.passed else "FAIL"), file=sys.stderr)
-
-    from .nadic import NadicInteger
 
     five = AngleSequence(5, Fraction(1, 62), NadicInteger.from_value(Fraction(-1, 62), 5))
     got = oracle.brute_symmetrizer(

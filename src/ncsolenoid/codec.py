@@ -45,11 +45,8 @@ def carrier_from_file(path):
         raise ValueError("%s: carrier files need an N field" % path)
     if "carrier" in obj:
         return AngleSequence.from_json(obj).carrier
-    modulus = obj["N"]
-    if isinstance(modulus, bool) or not isinstance(modulus, int):
-        raise ValueError("%s: N must be an integer" % path)
     return NadicInteger.from_json(
-        {k: v for k, v in obj.items() if k in ("value", "prefix")}, modulus
+        {k: v for k, v in obj.items() if k in ("value", "prefix")}, obj["N"]
     )
 
 

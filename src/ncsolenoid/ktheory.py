@@ -63,8 +63,11 @@ from __future__ import annotations
 import random
 from fractions import Fraction
 from math import floor
+from operator import attrgetter
 
-from .nadic import NadicInteger, QnRational, _Frozen, as_fraction, format_fraction, frac_part
+from .nadic import (
+    NadicInteger, QnRational, _Frozen, _Value, as_fraction, format_fraction, frac_part
+)
 from .sequences import Angle, AngleSequence
 
 
@@ -230,7 +233,7 @@ def cohomologous(J, R, depth=8, samples=100, seed=20260817):
     return psi
 
 
-class ExtensionElement(_Frozen):
+class ExtensionElement(_Value):
     """(z, x) in the cocycle presentation Z x Q_N with the twisted sum.
 
     >>> a = AngleSequence.constant(3, Fraction(1, 2))
@@ -240,6 +243,7 @@ class ExtensionElement(_Frozen):
     """
 
     __slots__ = ("alpha", "z", "x")
+    _key = attrgetter("alpha", "z", "x")
 
     def __init__(self, alpha, z, x):
         if not isinstance(alpha, AngleSequence):
@@ -272,14 +276,6 @@ class ExtensionElement(_Frozen):
     def __sub__(self, other):
         return self + (-other)
 
-    def __eq__(self, other):
-        if not isinstance(other, ExtensionElement):
-            return NotImplemented
-        return self.alpha == other.alpha and self.z == other.z and self.x == other.x
-
-    def __hash__(self):
-        return hash((self.alpha, self.z, self.x))
-
     def __repr__(self):
         return "ExtensionElement(z=%d, x=%r)" % (self.z, self.x)
 
@@ -309,13 +305,14 @@ def k_member(alpha, first, second):
     return shift.denominator == 1
 
 
-class KPairElement(_Frozen):
+class KPairElement(_Value):
     """A point (first, second) of K_alpha inside Q x Q_N.
 
     Membership is validated on construction.
     """
 
     __slots__ = ("alpha", "first", "second")
+    _key = attrgetter("alpha", "first", "second")
 
     def __init__(self, alpha, first, second):
         first = as_fraction(first)
@@ -340,18 +337,6 @@ class KPairElement(_Frozen):
 
     def __sub__(self, other):
         return self + (-other)
-
-    def __eq__(self, other):
-        if not isinstance(other, KPairElement):
-            return NotImplemented
-        return (
-            self.alpha == other.alpha
-            and self.first == other.first
-            and self.second == other.second
-        )
-
-    def __hash__(self):
-        return hash((self.alpha, self.first, self.second))
 
     def __repr__(self):
         return "KPairElement(%s, %r)" % (format_fraction(self.first), self.second)

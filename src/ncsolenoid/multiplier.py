@@ -26,8 +26,9 @@ from __future__ import annotations
 
 import enum
 from fractions import Fraction
+from operator import attrgetter
 
-from .nadic import QnRational, _Frozen
+from .nadic import QnRational, _Value
 from .sequences import Angle, AngleSequence
 
 
@@ -38,7 +39,7 @@ class SequenceKind(enum.Enum):
     RATIONAL_APERIODIC = "RationalAperiodic"
 
 
-class Symmetrizer(_Frozen):
+class Symmetrizer(_Value):
     """Description of a symmetrizer subgroup of (Q_N)**2.
 
     One of three shapes: ``trivial`` (only the identity), ``full`` (the
@@ -50,6 +51,7 @@ class Symmetrizer(_Frozen):
     """
 
     __slots__ = ("variant", "b")
+    _key = attrgetter("variant", "b")
 
     def __init__(self, variant, b=None):
         if variant not in ("Trivial", "Full", "ScaledLattice"):
@@ -82,14 +84,6 @@ class Symmetrizer(_Frozen):
         if self.variant == "Trivial":
             return x.num == 0 and y.num == 0
         return x.num % self.b == 0 and y.num % self.b == 0
-
-    def __eq__(self, other):
-        if not isinstance(other, Symmetrizer):
-            return NotImplemented
-        return self.variant == other.variant and self.b == other.b
-
-    def __hash__(self):
-        return hash((self.variant, self.b))
 
     def __repr__(self):
         if self.variant == "ScaledLattice":
@@ -185,8 +179,6 @@ def symmetrizer(alpha):
     """
     if not isinstance(alpha, AngleSequence):
         raise TypeError("expected an AngleSequence")
-    if not alpha.is_exact:
-        raise ValueError("symmetrizer is undecidable from a finite prefix")
     if alpha.is_zero():
         return Symmetrizer.full()
     if not alpha.has_finite_range():
@@ -204,8 +196,6 @@ def is_simple(alpha):
     """
     if not isinstance(alpha, AngleSequence):
         raise TypeError("expected an AngleSequence")
-    if not alpha.is_exact:
-        raise ValueError("simplicity is undecidable from a finite prefix")
     return not alpha.has_finite_range()
 
 
@@ -213,8 +203,6 @@ def classify_type(alpha):
     """Place alpha in the range partition (see SequenceKind)."""
     if not isinstance(alpha, AngleSequence):
         raise TypeError("expected an AngleSequence")
-    if not alpha.is_exact:
-        raise ValueError("classification is undecidable from a finite prefix")
     if alpha.has_finite_range():
         return SequenceKind.RATIONAL_PERIODIC
     return SequenceKind.RATIONAL_APERIODIC

@@ -21,6 +21,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from math import gcd
+from operator import attrgetter
 
 #: Search cap of the linear multiplicative-order scan.  Only the minimal
 #: period of a periodic sequence (``AngleSequence.period``) and the
@@ -72,12 +73,11 @@ def format_fraction(q):
 
 
 def frac_part(q):
-    """The representative of q mod 1 in [0, 1).
+    """The representative of a Fraction q mod 1 in [0, 1).
 
     >>> frac_part(Fraction(-1, 3))
     Fraction(2, 3)
     """
-    q = Fraction(q)
     return q - (q.numerator // q.denominator)
 
 
@@ -112,10 +112,10 @@ def is_prime(n):
     return n >= 2 and prime_factors(n) == (n,)
 
 
-def multiplicative_order(n, m, cap=ORDER_CAP):
+def multiplicative_order(n, m):
     """Least t >= 1 with n**t == 1 (mod m), for gcd(n, m) == 1.
 
-    m == 1 gives order 1.  Raises if the order exceeds ``cap``.
+    m == 1 gives order 1.  Raises if the order exceeds ``ORDER_CAP``.
 
     >>> multiplicative_order(5, 62)
     3
@@ -131,13 +131,17 @@ def multiplicative_order(n, m, cap=ORDER_CAP):
     while acc != 1:
         acc = (acc * n) % m
         t += 1
-        if t > cap:
-            raise ValueError("multiplicative order exceeds cap %d" % cap)
+        if t > ORDER_CAP:
+            raise ValueError("multiplicative order exceeds cap %d" % ORDER_CAP)
     return t
 
 
 class _Frozen:
-    """Base of the value classes: attributes are set once, in __init__."""
+    """Base of the package's classes: attributes are set once, in __init__.
+
+    IsoVerdict, BundleData, FuzzReport and GeneratorCochain derive from it
+    directly and compare by identity; the value classes use :class:`_Value`.
+    """
 
     __slots__ = ()
 
@@ -145,7 +149,25 @@ class _Frozen:
         raise AttributeError("%s is immutable" % type(self).__name__)
 
 
-class QnRational(_Frozen):
+class _Value(_Frozen):
+    """Equality and hashing by ``_key = attrgetter(<identity fields>)``.
+
+    The value classes: QnRational, NadicInteger, Angle, AngleSequence,
+    ExtensionElement, KPairElement, Symmetrizer and AngleMatrix.
+    """
+
+    __slots__ = ()
+
+    def __eq__(self, other):
+        if type(other) is not type(self):
+            return NotImplemented
+        return self._key(self) == other._key(other)
+
+    def __hash__(self):
+        return hash(self._key(self))
+
+
+class QnRational(_Value):
     """An element p / N**k of Q_N in lowest N-adic terms.
 
     The constructor normalises: trailing factors of N are cancelled, and
@@ -158,6 +180,7 @@ class QnRational(_Frozen):
     """
 
     __slots__ = ("num", "exp", "modulus")
+    _key = attrgetter("modulus", "num", "exp")
 
     def __init__(self, num, exp, modulus):
         modulus = check_scale(modulus)
@@ -226,18 +249,6 @@ class QnRational(_Frozen):
     def __bool__(self):
         return self.num != 0
 
-    def __eq__(self, other):
-        if not isinstance(other, QnRational):
-            return NotImplemented
-        return (
-            self.modulus == other.modulus
-            and self.num == other.num
-            and self.exp == other.exp
-        )
-
-    def __hash__(self):
-        return hash((self.modulus, self.num, self.exp))
-
     def __repr__(self):
         return "QnRational(%d, %d, scale=%d)" % (self.num, self.exp, self.modulus)
 
@@ -257,7 +268,7 @@ class QnRational(_Frozen):
         return cls(num, exp, modulus)
 
 
-class NadicInteger(_Frozen):
+class NadicInteger(_Value):
     """An N-adic integer as a coherent residue tower.
 
     Exact form: ``NadicInteger.from_value(Fraction(a, b), N)`` with
@@ -278,6 +289,7 @@ class NadicInteger(_Frozen):
     """
 
     __slots__ = ("modulus", "value", "prefix", "_reps")
+    _key = attrgetter("modulus", "value", "prefix")
 
     def __init__(self, modulus, value=None, prefix=None):
         modulus = check_scale(modulus)
@@ -335,12 +347,6 @@ class NadicInteger(_Frozen):
         """Usable tower depth: None when unbounded."""
         return None if self.prefix is None else len(self.prefix)
 
-    def _check_depth(self, k):
-        if self.prefix is not None and k > len(self.prefix):
-            raise ValueError(
-                "depth %d exceeds recorded prefix of length %d" % (k, len(self.prefix))
-            )
-
     def at(self, k):
         """The residue J_k in [0, N**k)."""
         if isinstance(k, bool) or not isinstance(k, int) or k < 0:
@@ -348,10 +354,13 @@ class NadicInteger(_Frozen):
         got = self._reps.get(k)
         if got is not None:
             return got
-        self._check_depth(k)
         if self.value is not None:
             m = self.modulus ** k
             rep = (self.value.numerator * pow(self.value.denominator, -1, m)) % m
+        elif k > len(self.prefix):
+            raise ValueError(
+                "depth %d exceeds recorded prefix of length %d" % (k, len(self.prefix))
+            )
         else:
             rep = 0
             w = 1
@@ -423,20 +432,6 @@ class NadicInteger(_Frozen):
         if self.value.denominator != 1:
             raise ValueError("not in the image of the integers")
         return self.value.numerator
-
-    def __eq__(self, other):
-        if not isinstance(other, NadicInteger):
-            return NotImplemented
-        if self.modulus != other.modulus:
-            return False
-        if (self.value is None) != (other.value is None):
-            return False
-        if self.value is not None:
-            return self.value == other.value
-        return self.prefix == other.prefix
-
-    def __hash__(self):
-        return hash((self.modulus, self.value, self.prefix))
 
     def __repr__(self):
         if self.value is not None:

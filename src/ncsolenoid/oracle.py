@@ -4,12 +4,12 @@ Every decision procedure in this package has an independent check
 here.  The oracles work from raw definitions (term values, digit
 streams, matrix images) and never call the decision procedure they
 validate; they may use the definitional formulas (the multiplier, the
-cocycle) as inputs, because those are the objects under test, not the
-answers.
+cocycle, the stage matrices) as inputs, because those are the objects
+under test, not the answers.
 
 Defaults are sized for desk use: windows around 150 numerators and
-exponent 4, depth 6 stages, 1000 fuzz trials.  Every report records
-the seed that produced it.
+exponent 4, depth 6 stages, 1000 fuzz trials on points p/N**k with
+|p| <= 60 and k <= 6.  Every report records the seed that produced it.
 """
 
 from __future__ import annotations
@@ -19,11 +19,16 @@ from fractions import Fraction
 from math import gcd
 
 from .ktheory import (
+    MIRROR,
     GeneratorCochain,
     coboundary,
+    connecting_matrix,
     cross_section_carry,
+    embedding_matrix,
+    mat_mul,
     mu_cochain,
     prufer_pair,
+    r_digit,
     xi_cocycle,
     zeta_cocycle,
 )
@@ -33,6 +38,9 @@ from .sequences import Angle, AngleSequence
 
 DEFAULT_SEED = 20260817
 
+_FUZZ_NUM, _FUZZ_EXP = 60, 6  # bounds on |p| and k of the fuzz points p/N**k
+_SOLVE_DEPTH, _SOLVE_SAMPLES = 8, 60  # coboundary_solve: digits read, pairs replayed
+
 
 class FuzzReport(_Frozen):
     """Outcome of a randomized identity sweep."""
@@ -40,11 +48,8 @@ class FuzzReport(_Frozen):
     __slots__ = ("kind", "trials", "seed", "checks", "failures")
 
     def __init__(self, kind, trials, seed, checks, failures):
-        object.__setattr__(self, "kind", kind)
-        object.__setattr__(self, "trials", trials)
-        object.__setattr__(self, "seed", seed)
-        object.__setattr__(self, "checks", checks)
-        object.__setattr__(self, "failures", list(failures))
+        for name, value in zip(self.__slots__, (kind, trials, seed, checks, list(failures))):
+            object.__setattr__(self, name, value)
 
     @property
     def passed(self):
@@ -159,8 +164,9 @@ def colimit_report(alpha, depth=6, num_window=24, int_window=6):
       (constructed, not searched);
     * nesting: stage k images recur at stage k+1 via (z, p) ->
       (z - p r_k, N**2 p);
-    * coherence: the mirrored connecting identity
-      U_{k+1}(D F_k D v) == U_k(v) on every sampled vector.
+    * coherence: the mirrored connecting identity U_{k+1} D F_k D == U_k
+      on the library's stage matrices (``ktheory.embedding_matrix``,
+      ``connecting_matrix`` and ``MIRROR``).
     """
     if not isinstance(alpha, AngleSequence):
         raise TypeError("expected an AngleSequence")
@@ -182,23 +188,14 @@ def colimit_report(alpha, depth=6, num_window=24, int_window=6):
         return (first - Fraction(int(t) * at(k), N ** k)).denominator == 1
 
     for k in range(depth):
-        # the mirrored connecting identity U_{k+1} (D F_k D) == U_k, exactly
-        r_k = N * alpha.digit(2 * k + 1) + alpha.digit(2 * k)
-        m0, m1 = N ** (2 * k), N ** (2 * k + 2)
-        u_next = ((Fraction(1), Fraction(at(2 * k + 2), m1)), (Fraction(0), Fraction(1, m1)))
-        mirrored = ((1, -r_k), (0, N ** 2))
-        product = tuple(
-            tuple(sum(u_next[i][t] * mirrored[t][j] for t in range(2)) for j in range(2))
-            for i in range(2)
-        )
-        u_here = ((Fraction(1), Fraction(at(2 * k), m0)), (Fraction(0), Fraction(1, m0)))
+        mirrored = mat_mul(MIRROR, mat_mul(connecting_matrix(alpha, k), MIRROR))
         checks += 1
-        if product != u_here:
+        if mat_mul(embedding_matrix(alpha, k + 1), mirrored) != embedding_matrix(alpha, k):
             failures.append("mirrored connecting identity fails at stage %d" % k)
 
     stage_points = set()
     for k in range(depth + 1):
-        r_k = N * alpha.digit(2 * k + 1) + alpha.digit(2 * k) if k < depth else None
+        r_k = r_digit(alpha, k) if k < depth else None
         for z in range(-int_window, int_window + 1):
             for p in range(-num_window * N, num_window * N + 1):
                 pt = image(k, z, p)
@@ -244,16 +241,20 @@ def colimit_compare(alpha, depth=6, num_window=24, int_window=6):
     return colimit_report(alpha, depth, num_window, int_window)["match"]
 
 
-def _fuzz_xi(carrier, trials, seed, max_num, max_exp):
+def _sampler(seed, scale):
+    """Seeded draws of fuzz points at the given scale."""
     rng = random.Random(seed)
+    return lambda: sample_qn(rng, scale, _FUZZ_NUM, _FUZZ_EXP)
+
+
+def _fuzz_xi(carrier, trials, seed):
+    draw = _sampler(seed, carrier.modulus)
     N = carrier.modulus
     failures = []
     checks = 0
     zero = QnRational(0, 0, N)
     for t in range(trials):
-        x = sample_qn(rng, N, max_num, max_exp)
-        y = sample_qn(rng, N, max_num, max_exp)
-        z = sample_qn(rng, N, max_num, max_exp)
+        x, y, z = draw(), draw(), draw()
         checks += 4
         if xi_cocycle(carrier, x, y) != xi_cocycle(carrier, y, x):
             failures.append("symmetry fails at trial %d" % t)
@@ -271,14 +272,12 @@ def _fuzz_xi(carrier, trials, seed, max_num, max_exp):
     return FuzzReport("xi", trials, seed, checks, failures)
 
 
-def _fuzz_zeta(carrier, trials, seed, max_num, max_exp):
-    rng = random.Random(seed)
-    N = carrier.modulus
+def _fuzz_zeta(carrier, trials, seed):
+    draw = _sampler(seed, carrier.modulus)
     failures = []
     checks = 0
     for t in range(trials):
-        x = sample_qn(rng, N, max_num, max_exp)
-        y = sample_qn(rng, N, max_num, max_exp)
+        x, y = draw(), draw()
         checks += 3
         zc = zeta_cocycle(carrier, x, y)
         if zc not in (0, 1):
@@ -292,17 +291,14 @@ def _fuzz_zeta(carrier, trials, seed, max_num, max_exp):
     return FuzzReport("zeta", trials, seed, checks, failures)
 
 
-def _fuzz_psi_bichar(alpha, trials, seed, max_num, max_exp):
-    rng = random.Random(seed)
-    N = alpha.modulus
+def _fuzz_psi_bichar(alpha, trials, seed):
+    draw = _sampler(seed, alpha.modulus)
     failures = []
     checks = 0
-    zero_seq = AngleSequence.zero(N)
+    zero_seq = AngleSequence.zero(alpha.modulus)
     zero_angle = Angle(0)
     for t in range(trials):
-        g = (sample_qn(rng, N, max_num, max_exp), sample_qn(rng, N, max_num, max_exp))
-        g2 = (sample_qn(rng, N, max_num, max_exp), sample_qn(rng, N, max_num, max_exp))
-        h = (sample_qn(rng, N, max_num, max_exp), sample_qn(rng, N, max_num, max_exp))
+        g, g2, h = (draw(), draw()), (draw(), draw()), (draw(), draw())
         gg2 = (g[0] + g2[0], g[1] + g2[1])
         checks += 5
         if theta_phase(alpha, g, h) + theta_phase(alpha, h, g) != zero_angle:
@@ -319,7 +315,7 @@ def _fuzz_psi_bichar(alpha, trials, seed, max_num, max_exp):
     return FuzzReport("psi_bichar", trials, seed, checks, failures)
 
 
-def cocycle_fuzz(kind, subject, trials=1000, seed=DEFAULT_SEED, max_num=60, max_exp=6):
+def cocycle_fuzz(kind, subject, trials=1000, seed=DEFAULT_SEED):
     """Randomized sweeps of the algebraic laws.
 
     kind "xi" and "zeta" take a carrier (NadicInteger); kind
@@ -329,19 +325,19 @@ def cocycle_fuzz(kind, subject, trials=1000, seed=DEFAULT_SEED, max_num=60, max_
     if kind == "xi":
         if not isinstance(subject, NadicInteger):
             raise TypeError("kind 'xi' takes a carrier")
-        return _fuzz_xi(subject, trials, seed, max_num, max_exp)
+        return _fuzz_xi(subject, trials, seed)
     if kind == "zeta":
         if not isinstance(subject, NadicInteger):
             raise TypeError("kind 'zeta' takes a carrier")
-        return _fuzz_zeta(subject, trials, seed, max_num, max_exp)
+        return _fuzz_zeta(subject, trials, seed)
     if kind == "psi_bichar":
         if not isinstance(subject, AngleSequence):
             raise TypeError("kind 'psi_bichar' takes an AngleSequence")
-        return _fuzz_psi_bichar(subject, trials, seed, max_num, max_exp)
+        return _fuzz_psi_bichar(subject, trials, seed)
     raise ValueError("unknown fuzz kind %r" % (kind,))
 
 
-def coboundary_solve(J, R, depth=8, samples=60, seed=DEFAULT_SEED):
+def coboundary_solve(J, R, seed=DEFAULT_SEED):
     """Solve xi_J - xi_R = d(psi) on generators from cocycle values alone.
 
     Works digit by digit: the difference cocycle evaluated at
@@ -358,7 +354,7 @@ def coboundary_solve(J, R, depth=8, samples=60, seed=DEFAULT_SEED):
         raise ValueError("carriers live at different scales")
     N = J.modulus
     sigma_digits = []
-    for i in range(depth):
+    for i in range(_SOLVE_DEPTH):
         x = QnRational(1, i + 1, N)
         y = QnRational(N - 1, i + 1, N)
         sigma_digits.append(xi_cocycle(J, x, y) - xi_cocycle(R, x, y))
@@ -366,7 +362,7 @@ def coboundary_solve(J, R, depth=8, samples=60, seed=DEFAULT_SEED):
     candidates = []
     acc = 0
     w = 1
-    for i in range(depth):
+    for i in range(_SOLVE_DEPTH):
         acc += w * sigma_digits[i]
         w *= N
         rep = (-acc) % w
@@ -380,7 +376,7 @@ def coboundary_solve(J, R, depth=8, samples=60, seed=DEFAULT_SEED):
     table = {0: psi1}
     acc = 0
     w = 1
-    for k in range(1, depth + 1):
+    for k in range(1, _SOLVE_DEPTH + 1):
         acc += w * sigma_digits[k - 1]
         w *= N
         num = psi1 + acc
@@ -390,9 +386,9 @@ def coboundary_solve(J, R, depth=8, samples=60, seed=DEFAULT_SEED):
     psi = GeneratorCochain(N, table)
 
     rng = random.Random(seed)
-    for _ in range(samples):
-        x = sample_qn(rng, N, 40, depth - 1)
-        y = sample_qn(rng, N, 40, depth - 1)
+    for _ in range(_SOLVE_SAMPLES):
+        x = sample_qn(rng, N, 40, _SOLVE_DEPTH - 1)
+        y = sample_qn(rng, N, 40, _SOLVE_DEPTH - 1)
         want = xi_cocycle(J, x, y) - xi_cocycle(R, x, y)
         if coboundary(psi, x, y) != want:
             return None

@@ -20,10 +20,11 @@ choices j_n in [0, N) with N * alpha_{n+1} = alpha_n + j_n.
 from __future__ import annotations
 
 from fractions import Fraction
+from operator import attrgetter
 
 from .nadic import (
     NadicInteger,
-    _Frozen,
+    _Value,
     as_fraction,
     check_scale,
     format_fraction,
@@ -32,7 +33,7 @@ from .nadic import (
 )
 
 
-class Angle(_Frozen):
+class Angle(_Value):
     """A rational angle theta mod 1, i.e. the unit complex e(theta).
 
     >>> Angle(Fraction(3, 4)) + Angle(Fraction(1, 2))
@@ -42,6 +43,7 @@ class Angle(_Frozen):
     """
 
     __slots__ = ("value",)
+    _key = attrgetter("value")
 
     def __init__(self, value):
         object.__setattr__(self, "value", frac_part(as_fraction(value)))
@@ -69,14 +71,6 @@ class Angle(_Frozen):
     def __bool__(self):
         return self.value != 0
 
-    def __eq__(self, other):
-        if not isinstance(other, Angle):
-            return NotImplemented
-        return self.value == other.value
-
-    def __hash__(self):
-        return hash(("Angle", self.value))
-
     def __repr__(self):
         return "Angle(%s)" % format_fraction(self.value)
 
@@ -84,7 +78,7 @@ class Angle(_Frozen):
         return format_fraction(self.value)
 
 
-class AngleSequence(_Frozen):
+class AngleSequence(_Value):
     """A coherent angle sequence over scale N, stored as (head, carrier).
 
     >>> a = AngleSequence.constant(3, Fraction(1, 2))
@@ -100,6 +94,7 @@ class AngleSequence(_Frozen):
     """
 
     __slots__ = ("modulus", "base", "carrier")
+    _key = attrgetter("modulus", "base", "carrier")
 
     def __init__(self, modulus, base, carrier):
         modulus = check_scale(modulus)
@@ -235,18 +230,6 @@ class AngleSequence(_Frozen):
             return NotImplemented
         return self + (-other)
 
-    def __eq__(self, other):
-        if not isinstance(other, AngleSequence):
-            return NotImplemented
-        return (
-            self.modulus == other.modulus
-            and self.base == other.base
-            and self.carrier == other.carrier
-        )
-
-    def __hash__(self):
-        return hash((self.modulus, self.base, self.carrier))
-
     def __repr__(self):
         return "AngleSequence(scale=%d, head=%s, carrier=%r)" % (
             self.modulus,
@@ -266,8 +249,6 @@ class AngleSequence(_Frozen):
         if not isinstance(obj, dict) or "N" not in obj:
             raise ValueError("element object needs an N field")
         modulus = obj["N"]
-        if isinstance(modulus, bool) or not isinstance(modulus, int):
-            raise ValueError("N must be an integer")
         base = as_fraction(obj.get("alpha0", "0"))
         carrier = NadicInteger.from_json(obj.get("carrier", {"value": "0"}), modulus)
         return cls(modulus, base, carrier)

@@ -16,7 +16,7 @@ from ncsolenoid.classify import (
     rescale,
     same_prime_support,
 )
-from ncsolenoid.multiplier import theta_phase
+from ncsolenoid.multiplier import classify_type, is_simple, symmetrizer, theta_phase
 from ncsolenoid.nadic import NadicInteger, QnRational
 from ncsolenoid.sequences import Angle, AngleSequence
 
@@ -340,6 +340,15 @@ def test_bundle_relations_hold_at_large_q(q):
         assert len(m) == q and all(len(row) == q for row in m)
     assert blob["u"][q - 1][q - 1] == "%d/%d" % (q - 1, q)
     assert blob["v"][q - 1] == ["0"] + [None] * (q - 1)
+
+
+@pytest.mark.parametrize("decide", [is_simple, classify_type, symmetrizer, bundle_data])
+@pytest.mark.parametrize("head", [Fraction(0), Fraction(1, 2)])
+def test_periodicity_decisions_reject_a_prefix_carrier(decide, head):
+    # has_finite_range is the one check; the callers no longer repeat it
+    a = AngleSequence(3, head, NadicInteger.from_prefix([1, 2], 3))
+    with pytest.raises(ValueError, match="undecidable from a finite prefix"):
+        decide(a)
 
 
 def test_bundle_rejects_aperiodic():

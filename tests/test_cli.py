@@ -109,6 +109,17 @@ def test_missing_file_is_a_domain_error(capsys, tmp_path):
     assert code == 2
 
 
+def test_a_scale_that_is_not_an_integer_is_a_domain_error(capsys, tmp_path, half_file):
+    element = tmp_path / "element.json"
+    element.write_text('{"N": "3", "alpha0": "1/2", "carrier": {"value": "-1/2"}}')
+    carrier = tmp_path / "carrier.json"
+    carrier.write_text('{"N": true, "value": "1"}')
+    assert main(["info", str(element)]) == 2
+    assert "scale must be an integer" in capsys.readouterr().err
+    assert main(["cohomologous", str(carrier), half_file]) == 2
+    assert "scale must be an integer" in capsys.readouterr().err
+
+
 def test_float_literals_rejected(capsys, tmp_path):
     path = tmp_path / "bad.json"
     path.write_text('{"N": 3, "alpha0": 0.5, "carrier": {"value": "0"}}')

@@ -72,6 +72,12 @@ def test_multiplicative_order():
         multiplicative_order(2, 4)
 
 
+def test_multiplicative_order_raises_past_the_cap():
+    # the order of 2 mod 2000003 is 2000002, above ORDER_CAP = 10**6
+    with pytest.raises(ValueError, match="exceeds cap 1000000"):
+        multiplicative_order(2, 2000003)
+
+
 # ---------------------------------------------------------------- QnRational
 
 

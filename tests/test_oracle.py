@@ -89,6 +89,22 @@ def test_colimit_stage_image_frozen(three_half):
     assert got == (Fraction(40, 81), Fraction(1, 81))
 
 
+@pytest.mark.parametrize(
+    "name, wrong",
+    [
+        ("connecting_matrix", lambda alpha, k: ((1, 5), (0, 9))),
+        ("embedding_matrix", lambda alpha, k: ((1, 0), (0, Fraction(1, 9 ** k)))),
+    ],
+)
+def test_colimit_coherence_checks_the_library_stage_matrices(three_half, monkeypatch, name, wrong):
+    # three_half has r_k = 4, so either stand-in breaks the identity at stage 0
+    assert colimit_report(three_half, depth=2, num_window=4, int_window=1)["match"]
+    monkeypatch.setattr("ncsolenoid.oracle." + name, wrong)
+    report = colimit_report(three_half, depth=2, num_window=4, int_window=1)
+    assert not report["match"]
+    assert report["failures"][0] == "mirrored connecting identity fails at stage 0"
+
+
 def test_colimit_random_carrier():
     rng = random.Random(11)
     d = rng.choice([5, 7, 11])

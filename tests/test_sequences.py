@@ -217,6 +217,13 @@ def test_sequence_json_round_trip(five_62):
     assert back.carrier.value == five_62.carrier.value
 
 
+@pytest.mark.parametrize("scale", ["3", True, None, 1])
+def test_from_json_rejects_a_scale_that_is_not_an_integer_above_one(scale):
+    # the scale is validated once, by the constructors that from_json calls
+    with pytest.raises(ValueError, match="scale must be"):
+        AngleSequence.from_json({"N": scale, "alpha0": "1/2", "carrier": {"value": "-1/2"}})
+
+
 def test_sequence_json_prefix_round_trip():
     a = AngleSequence(3, Fraction(1, 2), NadicInteger.from_prefix([0, 2, 1], 3))
     back = AngleSequence.from_json(a.to_json())
