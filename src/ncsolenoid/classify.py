@@ -19,7 +19,8 @@ an optional block shift, and an optional global sign:
   over the prime ladder of R, a block of single-prime divisions can be
   entered at any intermediate point; which primes come first only
   enters through their product d, so enumerating proper divisors
-  enumerates all interleavings.
+  enumerates all interleavings.  The divisors are built from the prime
+  factorisation of R and tried in ascending order.
 
 The search tries both directions and both signs.  A hit is returned as
 a replayable witness.  Exact invariants preserved by every move (and
@@ -45,10 +46,10 @@ from .nadic import (
     _Frozen,
     _Value,
     check_scale,
-    distinct_primes,
     format_fraction,
     is_prime,
     multiplicative_order,
+    prime_factors,
 )
 from .sequences import Angle, AngleSequence
 
@@ -107,7 +108,21 @@ class IsoVerdict(_Frozen):
 
 def same_prime_support(n, m):
     """Whether two scales are built from the same set of primes."""
-    return distinct_primes(check_scale(n)) == distinct_primes(check_scale(m))
+    return _common_factors(check_scale(n), check_scale(m)) is not None
+
+
+def _common_factors(n, m):
+    """The prime factors of R = gcd(n, m), or None when the prime supports differ.
+
+    They agree exactly when neither scale has a prime outside R, so only
+    R is factored.
+    """
+    r = gcd(n, m)
+    factors = prime_factors(r) if r > 1 else ()
+    primes = set(factors)
+    if factors and _coprime_part(n, primes) == 1 == _coprime_part(m, primes):
+        return factors
+    return None
 
 
 def rescale(alpha, target):
@@ -159,35 +174,41 @@ def block_shift(alpha, block):
     return AngleSequence(alpha.modulus, head, NadicInteger.from_value(value, alpha.modulus))
 
 
-def _coprime_part(n, scale):
-    """Strip every prime of the scale out of n."""
-    for p in distinct_primes(scale):
+def _coprime_part(n, primes):
+    """Strip every prime in primes out of n."""
+    for p in primes:
         while n % p == 0:
             n //= p
     return n
 
 
-def _obstruction(a, b, scale):
+def _obstruction(a, b, primes):
     """A reason string if an exact invariant separates a and b, else None."""
     if a.carrier.value.denominator != b.carrier.value.denominator:
         return "carrier denominators differ (%d vs %d)" % (
             a.carrier.value.denominator,
             b.carrier.value.denominator,
         )
-    da = _coprime_part(a.base.denominator, scale)
-    db = _coprime_part(b.base.denominator, scale)
+    da = _coprime_part(a.base.denominator, primes)
+    db = _coprime_part(b.base.denominator, primes)
     if da != db:
         return "prime-to-scale parts of the head denominators differ (%d vs %d)" % (da, db)
-    pa, pb = a.period(), b.period()
-    if (pa is None) != (pb is None):
-        return "exactly one side is periodic"
-    if pa is not None and pa != pb:
-        return "periods differ (%d vs %d)" % (pa, pb)
     return None
 
 
-def _proper_divisors(n):
-    return [d for d in range(1, n) if n % d == 0]
+def _proper_divisors(factors):
+    """The divisors d < n of n = prod(factors), in ascending order.
+
+    factors is ascending with multiplicity; the search tries blocks in
+    this order, which fixes the witness it returns.
+    """
+    divisors, new, last = [1], [], None
+    for p in factors:
+        new = [d * p for d in (new if p == last else divisors)]
+        divisors += new
+        last = p
+    divisors.sort()
+    return divisors[:-1]
 
 
 def isomorphic(alpha, beta, bound=32):
@@ -203,7 +224,8 @@ def isomorphic(alpha, beta, bound=32):
             raise TypeError("expected AngleSequences")
     if isinstance(bound, bool) or not isinstance(bound, int) or bound < 0:
         raise ValueError("bound must be a nonnegative integer")
-    if not same_prime_support(alpha.modulus, beta.modulus):
+    factors = _common_factors(alpha.modulus, beta.modulus)
+    if factors is None:
         return IsoVerdict.no(
             "prime supports differ (%d vs %d)" % (alpha.modulus, beta.modulus)
         )
@@ -212,12 +234,16 @@ def isomorphic(alpha, beta, bound=32):
     scale = gcd(alpha.modulus, beta.modulus)
     a = rescale(alpha, scale)
     b = rescale(beta, scale)
-    reason = _obstruction(a, b, scale)
+    reason = _obstruction(a, b, set(factors))
     if reason is not None:
         return IsoVerdict.no(reason)
+    pa, pb = a.period(), b.period()
+    if (pa is None) != (pb is None):
+        return IsoVerdict.no("exactly one side is periodic")
+    if pa is not None and pa != pb:
+        return IsoVerdict.no("periods differ (%d vs %d)" % (pa, pb))
 
-    blocks = _proper_divisors(scale)
-    pa = a.period()
+    blocks = _proper_divisors(factors)
     exhaustive = pa is not None  # periods agree by now, shifts then cycle
     shift_top = min(bound, pa - 1) if exhaustive else bound
     for label, x, y in (("forward", a, b), ("reverse", b, a)):

@@ -188,12 +188,9 @@ class GeneratorCochain(_Frozen):
     def from_difference(cls, J, R, psi1, depth):
         """The linear cochain with psi_k = (psi1 + J_k - R_k) / N**k.
 
-        Raises if some stage fails the integrality requirement.
+        Raises if some stage fails the integrality requirement.  J and R
+        are carriers at one scale; :func:`cohomologous` checks them.
         """
-        _check_carrier(J)
-        _check_carrier(R)
-        if J.modulus != R.modulus:
-            raise ValueError("carriers live at different scales")
         table = {}
         for k in range(depth + 1):
             num = psi1 + J.at(k) - R.at(k)

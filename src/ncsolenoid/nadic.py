@@ -20,14 +20,14 @@ exact; no floats enter or leave this module.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd
+from math import gcd, isqrt, lcm
 from operator import attrgetter
 
-#: Search cap of the linear multiplicative-order scan.  Only the minimal
-#: period of a periodic sequence (``AngleSequence.period``) and the
-#: solenoid power k of ``bundle_data`` compute an order; periodicity,
-#: simplicity, the range type and the symmetrizer are decided without one.
-ORDER_CAP = 10 ** 6
+#: Primes below 100 for trial division.  Miller-Rabin with the first 13 as
+#: bases proves primality below _MR_BOUND (Sorenson and Webster 2015), the
+#: least composite that passes all 13.
+_SMALL_PRIMES = tuple(p for p in range(2, 100) if all(p % d for d in range(2, isqrt(p) + 1)))
+_MR_BOUND = 3317044064679887385961981
 
 
 def check_scale(modulus):
@@ -84,38 +84,100 @@ def frac_part(q):
 def prime_factors(n):
     """Prime factors of n >= 2 in ascending order with multiplicity.
 
-    Trial division only; inputs are desk scale.
+    Trial division by the primes below 100, then deterministic
+    Miller-Rabin and Pollard-Brent rho on what is left.  Raises
+    ValueError when a cofactor of 3.317e24 or more passes every
+    Miller-Rabin base, since its primality is then unproven.
 
     >>> prime_factors(360)
     (2, 2, 2, 3, 3, 5)
+    >>> prime_factors(1000000007 * 998244353)
+    (998244353, 1000000007)
     """
     if n < 2:
         raise ValueError("need an integer >= 2")
     out = []
-    d = 2
-    while d * d <= n:
-        while n % d == 0:
-            out.append(d)
-            n //= d
-        d += 1
-    if n > 1:
+    for p in _SMALL_PRIMES:
+        if p * p > n:
+            break  # n is 1 or a prime below 100**2
+        while n % p == 0:
+            out.append(p)
+            n //= p
+    if n > 1 and not _proven_prime(n):
+        d = _rho(n)
+        out += prime_factors(d) + prime_factors(n // d)
+    elif n > 1:
         out.append(n)
-    return tuple(out)
+    return tuple(sorted(out))
 
 
-def distinct_primes(n):
-    """The set of primes dividing n."""
-    return frozenset(prime_factors(n))
+def _proven_prime(n):
+    """Primality of n > 1 with no prime factor below 100.
+
+    A Miller-Rabin witness proves n composite at any size; passing every
+    base proves n prime only below _MR_BOUND, and raises at or above it.
+    """
+    if n < 100 ** 2:
+        return True
+    s = ((n - 1) & (1 - n)).bit_length() - 1
+    d = (n - 1) >> s
+    for a in _SMALL_PRIMES[:13]:
+        x = pow(a, d, n)
+        if x != 1 and not any(pow(x, 1 << i, n) == n - 1 for i in range(s)):
+            return False
+    if n >= _MR_BOUND:
+        raise ValueError(
+            "cannot prove %d prime: Miller-Rabin with 13 bases is proven only below %d"
+            % (n, _MR_BOUND)
+        )
+    return True
+
+
+def _rho(n):
+    """A proper factor of an odd composite n by Pollard-Brent rho.
+
+    Brent (BIT 20, 1980): gcds batched over 128 steps.  Deterministic:
+    x -> x**2 + c from 2, for c = 1, 2, ... until one splits n.
+    """
+    c = 0
+    while True:
+        c += 1
+        y, r, q, g = 2, 1, 1, 1
+        while g == 1:
+            x, k = y, 0
+            for _ in range(r):
+                y = (y * y + c) % n
+            while k < r and g == 1:
+                ys = y
+                for _ in range(min(128, r - k)):
+                    y = (y * y + c) % n
+                    q = q * (x - y) % n
+                g, k = gcd(q, n), k + 128
+            r *= 2
+        if g == n:  # the batch overshot: step again from its start
+            g = 1
+            while g == 1:
+                ys = (ys * ys + c) % n
+                g = gcd(x - ys, n)
+        if g != n:
+            return g
 
 
 def is_prime(n):
-    return n >= 2 and prime_factors(n) == (n,)
+    """Primality by trial division and Miller-Rabin, without factoring n.
+
+    Raises ValueError, as :func:`prime_factors` does, when n >= 3.317e24
+    passes every base.
+    """
+    return n >= 2 and all(n % p for p in _SMALL_PRIMES if p < n) and _proven_prime(n)
 
 
 def multiplicative_order(n, m):
     """Least t >= 1 with n**t == 1 (mod m), for gcd(n, m) == 1.
 
-    m == 1 gives order 1.  Raises if the order exceeds ``ORDER_CAP``.
+    m == 1 gives order 1.  Starts from the Carmichael exponent lambda(m),
+    which every unit's order divides, and divides out each prime r of it
+    while n**(t/r) == 1 (Cohen, GTM 138, 1.4).
 
     >>> multiplicative_order(5, 62)
     3
@@ -126,13 +188,14 @@ def multiplicative_order(n, m):
         return 1
     if gcd(n, m) != 1:
         raise ValueError("%d is not a unit mod %d" % (n, m))
-    acc = n % m
     t = 1
-    while acc != 1:
-        acc = (acc * n) % m
-        t += 1
-        if t > ORDER_CAP:
-            raise ValueError("multiplicative order exceeds cap %d" % ORDER_CAP)
+    factors = prime_factors(m)
+    for p in set(factors):
+        e = factors.count(p)
+        t = lcm(t, 2 ** (e - 2) if p == 2 and e > 2 else p ** (e - 1) * (p - 1))
+    for r in set(prime_factors(t)) if t > 1 else ():
+        while t % r == 0 and pow(n, t // r, m) == 1:
+            t //= r
     return t
 
 

@@ -7,6 +7,7 @@ from hypothesis import given, strategies as st
 from ncsolenoid.classify import (
     AngleMatrix,
     IsoVerdict,
+    _proper_divisors,
     block_shift,
     bundle_data,
     conjugacy_report,
@@ -17,7 +18,7 @@ from ncsolenoid.classify import (
     same_prime_support,
 )
 from ncsolenoid.multiplier import classify_type, is_simple, symmetrizer, theta_phase
-from ncsolenoid.nadic import NadicInteger, QnRational
+from ncsolenoid.nadic import NadicInteger, QnRational, prime_factors
 from ncsolenoid.sequences import Angle, AngleSequence
 
 
@@ -29,6 +30,18 @@ def test_same_prime_support():
     assert same_prime_support(12, 6)
     assert not same_prime_support(2, 3)
     assert not same_prime_support(6, 10)
+
+
+@given(st.integers(min_value=2, max_value=5000), st.integers(min_value=2, max_value=5000))
+def test_same_prime_support_compares_the_prime_sets(n, m):
+    assert same_prime_support(n, m) == (set(prime_factors(n)) == set(prime_factors(m)))
+    assert same_prime_support(n, n * m) == (set(prime_factors(m)) <= set(prime_factors(n)))
+    assert same_prime_support(n * m, m * n * n)
+
+
+@given(st.integers(min_value=2, max_value=5000))
+def test_proper_divisors_match_the_range_scan(n):
+    assert _proper_divisors(prime_factors(n)) == [d for d in range(1, n) if n % d == 0]
 
 
 def test_rescale_frozen(thirds_4, thirds_2):
@@ -127,6 +140,18 @@ def test_periodic_exhaustion_is_complete_no(five_62):
     verdict = isomorphic(five_62, other, bound=32)
     assert verdict.is_no
     assert "exhausted" in verdict.reason
+
+
+def test_isomorphic_finds_a_shift_at_a_semiprime_scale():
+    scale = 1000000007 * 998244353
+    a = AngleSequence(scale, Fraction(1, 2), NadicInteger.from_value(Fraction(1, 3), scale))
+    verdict = isomorphic(a.shift(2), a)
+    assert verdict.is_yes
+    w = verdict.witness
+    assert (w["R"], w["direction"], w["shift"], w["block"], w["sign"]) == (
+        scale, "forward", 2, 1, 1,
+    )
+    assert replay_witness(a.shift(2), a, verdict)
 
 
 def test_prime_case_shift_pairs(three_half, fifths_2):

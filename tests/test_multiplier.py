@@ -177,9 +177,10 @@ def test_is_simple_cases(five_62, three_half):
 
 @pytest.mark.parametrize("n, q", [(2, 2000003), (5, 1000003)])
 def test_periodicity_decisions_above_the_order_cap(n, q):
-    # the order of n mod q is q - 1 > ORDER_CAP, yet nothing here needs it
+    # the order of n mod q, the period, is q - 1 > 10**6
     head = Fraction(1, q)
     periodic = AngleSequence(n, head, NadicInteger.from_value(-head, n))
+    assert periodic.period() == q - 1
     assert not is_simple(periodic)
     assert classify_type(periodic) is SequenceKind.RATIONAL_PERIODIC
     assert symmetrizer(periodic) == Symmetrizer.scaled_lattice(q)

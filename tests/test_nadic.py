@@ -1,7 +1,8 @@
 from fractions import Fraction
+from math import gcd, isqrt, prod
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from ncsolenoid.nadic import (
     NadicInteger,
@@ -72,10 +73,76 @@ def test_multiplicative_order():
         multiplicative_order(2, 4)
 
 
-def test_multiplicative_order_raises_past_the_cap():
-    # the order of 2 mod 2000003 is 2000002, above ORDER_CAP = 10**6
-    with pytest.raises(ValueError, match="exceeds cap 1000000"):
-        multiplicative_order(2, 2000003)
+def _is_prime_by_trial(n):
+    return n >= 2 and all(n % d for d in range(2, isqrt(n) + 1))
+
+
+def _prime_divisors_by_trial(n):
+    out, d = [], 2
+    while d * d <= n:
+        if n % d == 0:
+            out.append(d)
+            while n % d == 0:
+                n //= d
+        d += 1
+    return out + [n] if n > 1 else out
+
+
+def test_multiplicative_order_has_no_cap():
+    # certificate: 2**t == 1 mod q, and 2**(t/r) != 1 for every prime r | t
+    q, t = 2000003, 2000002
+    assert multiplicative_order(2, q) == t
+    assert pow(2, t, q) == 1
+    assert all(pow(2, t // r, q) != 1 for r in _prime_divisors_by_trial(t))
+
+
+@given(st.integers(min_value=1, max_value=2000), st.integers(min_value=1, max_value=2000))
+def test_multiplicative_order_matches_power_stepping(n, m):
+    assume(gcd(n, m) == 1)
+    t, acc = 1, n % m
+    while acc != 1 % m:
+        acc = acc * n % m
+        t += 1
+    assert multiplicative_order(n, m) == t
+
+
+@given(st.integers(min_value=2, max_value=10**6 - 1))
+def test_prime_factors_are_ascending_primes_with_product_n(n):
+    factors = prime_factors(n)
+    assert prod(factors) == n
+    assert list(factors) == sorted(factors)
+    assert all(_is_prime_by_trial(p) for p in factors)
+
+
+LARGE_PRIMES = (998244353, 1000000007, 2**61 - 1)
+
+
+@settings(max_examples=20)  # rho takes ~10**4.5 steps on each 30-bit prime
+@given(
+    st.sets(st.sampled_from(LARGE_PRIMES), min_size=1),
+    st.integers(min_value=1, max_value=10**4),
+)
+def test_prime_factors_split_products_of_large_primes(large, small):
+    factors = list(prime_factors(small * prod(large)))
+    assert factors == sorted(factors)
+    for p in large:
+        factors.remove(p)
+    assert prod(factors) == small
+    assert all(_is_prime_by_trial(p) for p in factors)
+
+
+def test_is_prime_at_large_inputs():
+    assert is_prime(2**61 - 1)
+    assert is_prime(1000000007)
+    assert not is_prime(1000000007 * 998244353)
+
+
+# 3317044064679887385961981 = 1287836182261 * 2575672364521 passes Miller-Rabin
+# with all 13 bases; 2**89 - 1 is a prime above that bound.
+@pytest.mark.parametrize("n", [1287836182261 * 2575672364521, 6 * (2**89 - 1)])
+def test_prime_factors_refuses_an_unproven_prime(n):
+    with pytest.raises(ValueError, match="proven only below 3317044064679887385961981"):
+        prime_factors(n)
 
 
 # ---------------------------------------------------------------- QnRational
