@@ -9,7 +9,6 @@ from ncsolenoid import (
     AngleSequence,
     NadicInteger,
     bundle_data,
-    conjugacy_report,
     isomorphic,
     replay_witness,
 )
@@ -25,8 +24,10 @@ verdict = isomorphic(thirds_2, thirds_4, bound=16)
 print("thirds over 2 vs thirds over 4:", verdict.to_json())
 print("witness replays:", replay_witness(thirds_2, thirds_4, verdict))
 
-print("thirds vs fifths:", isomorphic(thirds_2, fifths_2, bound=16).to_json())
-print("conjugacy:", conjugacy_report(thirds_2, fifths_2)["conjugate"])
+separated = isomorphic(thirds_2, fifths_2, bound=16)
+print("thirds vs fifths:", separated.to_json())
+# Conjugate actions have isomorphic twisted algebras, so a No rules conjugacy out.
+print("actions conjugate:", "No" if separated.is_no else "undecided")
 
 data = bundle_data(thirds_2)
 print("bundle q, k, lambda:", data.q, data.k, data.lam)

@@ -11,7 +11,6 @@ from .sequences import Angle, AngleSequence
 from .multiplier import (
     SequenceKind,
     Symmetrizer,
-    action_phase,
     bicharacter,
     classify_type,
     is_simple,
@@ -38,7 +37,6 @@ from .classify import (
     IsoVerdict,
     block_shift,
     bundle_data,
-    conjugacy_report,
     isomorphic,
     prime_case_isomorphic,
     replay_witness,
@@ -71,7 +69,6 @@ __all__ = [
     "QnRational",
     "SequenceKind",
     "Symmetrizer",
-    "action_phase",
     "bicharacter",
     "block_shift",
     "brute_symmetrizer",
@@ -83,7 +80,6 @@ __all__ = [
     "cohomologous",
     "colimit_compare",
     "colimit_report",
-    "conjugacy_report",
     "isomorphic",
     "is_simple",
     "k_member",

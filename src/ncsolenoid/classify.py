@@ -38,7 +38,7 @@ Unknown to No.  Aperiodic searches that exhaust the bound stay Unknown.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 from operator import attrgetter
 
 from .nadic import (
@@ -104,11 +104,6 @@ class IsoVerdict(_Frozen):
         if self.is_no:
             return {"verdict": "No", "reason": self.reason}
         return {"verdict": "Unknown", "bound": self.bound}
-
-
-def same_prime_support(n, m):
-    """Whether two scales are built from the same set of primes."""
-    return _common_factors(check_scale(n), check_scale(m)) is not None
 
 
 def _common_factors(n, m):
@@ -317,107 +312,95 @@ def replay_witness(alpha, beta, verdict):
 
 
 class AngleMatrix(_Value):
-    """A square matrix of optional unit phases (None stands for 0).
+    """A monomial matrix of unit phases: row i holds e(phases[i]) in column
+    perm[i], and every other entry is 0.
 
-    Closed under products as long as every entry of the product is a
-    sum of at most one phase, which holds for the monomial matrices
-    used here; multiplying entries means adding angles.
-
-    Stored by row: each row is a tuple of (column, Angle) pairs in
-    increasing column order, holding only the filled entries.  With e
-    filled entries per row, ``@`` costs O(n * e**2) angle additions
-    (O(n) on monomial matrices), ``m ** k`` takes O(log k) products by
-    repeated squaring, and ``scaled``, ``==`` and ``hash`` are O(n * e).
-    The dense view ``rows``, the constructor and ``to_json`` cost
-    O(n**2).
+    Stored as (perm, num, den): the phase of row i is num[i]/den with
+    0 <= num[i] < den, and den is the least common denominator of the
+    phases, so equal matrices have equal fields.  A product composes the
+    permutations and adds numerators; multiplying entries means adding
+    angles.  ``@``, ``scaled``, ``==`` and ``hash`` cost O(n) integer
+    operations and ``m ** k`` takes O(log k) products by repeated
+    squaring.  The dense view ``rows`` and ``to_json`` cost O(n**2).
 
     >>> v = AngleMatrix.cyclic(3)
     >>> v ** 3 == AngleMatrix.identity(3)
     True
+    >>> AngleMatrix([1, 0], [Angle(Fraction(1, 2)), Angle(Fraction(1, 3))]).num
+    (3, 2)
     """
 
-    __slots__ = ("_entries",)
-    _key = attrgetter("_entries")
+    __slots__ = ("perm", "num", "den")
+    _key = attrgetter("perm", "num", "den")
 
-    def __init__(self, rows):
-        rows = tuple(tuple(r) for r in rows)
-        n = len(rows)
-        for r in rows:
-            if len(r) != n:
-                raise ValueError("matrix must be square")
-            for e in r:
-                if e is not None and not isinstance(e, Angle):
-                    raise ValueError("entries are Angles or None")
-        object.__setattr__(
-            self,
-            "_entries",
-            tuple(tuple((j, e) for j, e in enumerate(r) if e is not None) for r in rows),
-        )
+    def __init__(self, perm, phases):
+        perm, phases = tuple(perm), tuple(phases)
+        if sorted(perm) != list(range(len(perm))):
+            raise ValueError("perm must be a permutation of 0..n-1")
+        if len(phases) != len(perm):
+            raise ValueError("need one phase per row")
+        if not all(isinstance(e, Angle) for e in phases):
+            raise ValueError("phases must be Angles")
+        den = lcm(*(e.value.denominator for e in phases))
+        num = [e.value.numerator * (den // e.value.denominator) for e in phases]
+        self._store(perm, num, den)
+
+    def _store(self, perm, num, den):
+        """Set the canonical fields: numerators mod den over the least den."""
+        num = [a % den for a in num]
+        g = gcd(den, *num)
+        object.__setattr__(self, "perm", tuple(perm))
+        object.__setattr__(self, "num", tuple(a // g for a in num))
+        object.__setattr__(self, "den", den // g)
 
     @classmethod
-    def _sparse(cls, entries):
-        """Wrap rows of (column, Angle) pairs already in canonical order."""
+    def _of(cls, perm, num, den):
         m = object.__new__(cls)
-        object.__setattr__(m, "_entries", entries)
+        m._store(perm, num, den)
         return m
 
     @property
     def size(self):
-        return len(self._entries)
+        return len(self.perm)
 
     @property
     def rows(self):
         """The dense form: a tuple of rows, each a tuple of Angle or None."""
-        n = self.size
-        out = []
-        for row in self._entries:
-            dense = [None] * n
-            for j, e in row:
-                dense[j] = e
-            out.append(tuple(dense))
+        n, out = self.size, []
+        for j, a in zip(self.perm, self.num):
+            row = [None] * n
+            row[j] = Angle(Fraction(a, self.den))
+            out.append(tuple(row))
         return tuple(out)
 
     @classmethod
     def identity(cls, n):
-        zero = Angle(0)
-        return cls._sparse(tuple(((i, zero),) for i in range(n)))
+        return cls._of(range(n), [0] * n, 1)
 
     @classmethod
     def diagonal(cls, angles):
-        entries = []
-        for i, e in enumerate(angles):
-            if e is not None and not isinstance(e, Angle):
-                raise ValueError("entries are Angles or None")
-            entries.append(() if e is None else ((i, e),))
-        return cls._sparse(tuple(entries))
+        angles = tuple(angles)
+        return cls(range(len(angles)), angles)
 
     @classmethod
     def cyclic(cls, n):
         """The permutation sending basis vector e_{i+1} to e_i (e_0 wraps)."""
-        zero = Angle(0)
-        return cls._sparse(tuple((((i + 1) % n, zero),) for i in range(n)))
+        return cls._of([(i + 1) % n for i in range(n)], [0] * n, 1)
 
     def __matmul__(self, other):
         if not isinstance(other, AngleMatrix) or other.size != self.size:
             return NotImplemented
-        right = other._entries
-        out = []
-        for row in self._entries:
-            acc = {}
-            for t, a in row:
-                for j, b in right[t]:
-                    if j in acc:
-                        raise ValueError("product entry is not a single phase")
-                    acc[j] = a + b
-            out.append(tuple(sorted(acc.items())))
-        return AngleMatrix._sparse(tuple(out))
+        den = lcm(self.den, other.den)
+        s, t = den // self.den, den // other.den
+        b = other.num
+        return AngleMatrix._of(
+            [other.perm[j] for j in self.perm],
+            [a * s + b[j] * t for j, a in zip(self.perm, self.num)],
+            den,
+        )
 
     def __pow__(self, m):
-        """The m-th power by repeated squaring.
-
-        Equal to the m-fold product whenever every partial product is
-        single-phase; a square larger than m is never formed.
-        """
+        """The m-th power by repeated squaring; a square larger than m is never formed."""
         if isinstance(m, bool) or not isinstance(m, int) or m < 0:
             return NotImplemented
         out = AngleMatrix.identity(self.size)
@@ -434,12 +417,13 @@ class AngleMatrix(_Value):
         """Multiply every nonzero entry by a global phase."""
         if not isinstance(angle, Angle):
             raise ValueError("expected an Angle")
-        return AngleMatrix._sparse(
-            tuple(tuple((j, e + angle) for j, e in row) for row in self._entries)
-        )
+        den = lcm(self.den, angle.value.denominator)
+        s = den // self.den
+        c = angle.value.numerator * (den // angle.value.denominator)
+        return AngleMatrix._of(self.perm, [a * s + c for a in self.num], den)
 
     def __repr__(self):
-        return "AngleMatrix(size=%d, entries=%r)" % (self.size, self._entries)
+        return "AngleMatrix(perm=%r, num=%r, den=%d)" % (self.perm, self.num, self.den)
 
     def to_json(self):
         return [
@@ -479,10 +463,12 @@ class BundleData(_Frozen):
 def bundle_data(alpha):
     """The bundle presentation attached to a periodic angle sequence.
 
-    Writing alpha_0 = p/q in lowest terms, the fibre is a q x q phase
-    pair (u, v) with v u = e(p/q) u v, and the base is the square of
-    the solenoid at scale N**k, k the multiplicative order of N mod q.
-    Raises for aperiodic input.
+    Writing alpha_0 = p/q in lowest terms, the fibre is the monomial
+    pair u = diag(e(j p/q)) and v = the cyclic shift, both q x q, with
+    v u = e(p/q) u v and u**q = v**q = 1; the three relations are
+    checked on the built matrices in O(q log q) integer operations.  The
+    base is the square of the solenoid at scale N**k, k the
+    multiplicative order of N mod q.  Raises for aperiodic input.
 
     >>> from .nadic import NadicInteger
     >>> a = AngleSequence(2, Fraction(1, 3), NadicInteger.from_value(Fraction(-1, 3), 2))
@@ -497,7 +483,7 @@ def bundle_data(alpha):
     p, q = alpha.base.numerator, alpha.base.denominator
     k = multiplicative_order(alpha.modulus, q)
     lam = Angle(alpha.base)
-    u = AngleMatrix.diagonal([j * lam for j in range(q)])
+    u = AngleMatrix._of(range(q), [j * p for j in range(q)], q)
     v = AngleMatrix.cyclic(q)
     if v @ u != (u @ v).scaled(lam):
         raise ValueError("bundle relation v u = lam u v fails")
@@ -508,21 +494,3 @@ def bundle_data(alpha):
     label = "S_{%d^%d} x S_{%d^%d}" % (alpha.modulus, k, alpha.modulus, k)
     return BundleData(alpha.modulus, q, p, k, lam, u, v, label)
 
-
-def conjugacy_report(alpha, beta, bound=32):
-    """What isomorphism data says about conjugacy of the two actions.
-
-    Conjugate actions have isomorphic twisted algebras, so a No verdict
-    rules conjugacy out; anything else is inconclusive.
-    """
-    verdict = isomorphic(alpha, beta, bound)
-    if verdict.is_no:
-        return {
-            "conjugate": "No",
-            "reason": "the twisted algebras are not isomorphic: " + verdict.reason,
-        }
-    return {
-        "conjugate": "Unknown",
-        "note": "isomorphism data alone does not decide conjugacy",
-        "isomorphism": verdict.to_json(),
-    }

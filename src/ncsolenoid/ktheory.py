@@ -279,16 +279,6 @@ class ExtensionElement(_Value):
     def to_json(self):
         return {"z": str(self.z), "x": self.x.to_json()}
 
-    @classmethod
-    def from_json(cls, obj, alpha):
-        if not isinstance(obj, dict):
-            raise ValueError("bad extension element object")
-        z = obj.get("z", "0")
-        if isinstance(z, str):
-            z = int(as_fraction(z))
-        x = QnRational.from_json(obj.get("x", {}), alpha.modulus)
-        return cls(alpha, z, x)
-
 
 def k_member(alpha, first, second):
     """Whether (first, second) lies in K_alpha inside Q x Q_N."""
@@ -340,14 +330,6 @@ class KPairElement(_Value):
 
     def to_json(self):
         return {"first": format_fraction(self.first), "second": self.second.to_json()}
-
-    @classmethod
-    def from_json(cls, obj, alpha):
-        if not isinstance(obj, dict):
-            raise ValueError("bad K0 point object")
-        first = as_fraction(obj.get("first", "0"))
-        second = QnRational.from_json(obj.get("second", {}), alpha.modulus)
-        return cls(alpha, first, second)
 
 
 def k_project(elem):
@@ -428,13 +410,6 @@ def mat_mul(A, B):
         for i in range(2)
     )
 
-
-def mat_apply(A, v):
-    """Apply a 2x2 matrix to a column vector (pairs in, pairs out)."""
-    return (
-        Fraction(A[0][0]) * v[0] + Fraction(A[0][1]) * v[1],
-        Fraction(A[1][0]) * v[0] + Fraction(A[1][1]) * v[1],
-    )
 
 #: The mirror D = diag(1, -1); U_{k+1} * (D F_k D) == U_k holds exactly.
 MIRROR = ((1, 0), (0, -1))

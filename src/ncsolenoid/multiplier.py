@@ -158,17 +158,6 @@ def bicharacter(zeta, xi, eta, chi, g, h):
     return Angle(total)
 
 
-def action_phase(alpha, x, n):
-    """The rotation angle p * alpha_{k+n} applied at stage n by x = p/N**k."""
-    if not isinstance(alpha, AngleSequence):
-        raise TypeError("expected an AngleSequence")
-    if not isinstance(x, QnRational) or x.modulus != alpha.modulus:
-        raise ValueError("x must be a Q_N element at the sequence scale")
-    if isinstance(n, bool) or not isinstance(n, int) or n < 0:
-        raise ValueError("stage must be a nonnegative integer")
-    return Angle(alpha.value(x.exp + n) * x.num)
-
-
 def symmetrizer(alpha):
     """The symmetrizer subgroup of Theta_alpha, described exactly.
 

@@ -318,18 +318,6 @@ class QnRational(_Value):
     def to_json(self):
         return {"num": str(self.num), "exp": self.exp}
 
-    @classmethod
-    def from_json(cls, obj, modulus):
-        if not isinstance(obj, dict) or set(obj) - {"num", "exp"}:
-            raise ValueError("bad Q_N element object")
-        num = obj.get("num", "0")
-        if isinstance(num, str):
-            num = int(as_fraction(num))
-        if isinstance(num, bool) or not isinstance(num, int):
-            raise ValueError("bad numerator in Q_N element")
-        exp = obj.get("exp", 0)
-        return cls(num, exp, modulus)
-
 
 class NadicInteger(_Value):
     """An N-adic integer as a coherent residue tower.

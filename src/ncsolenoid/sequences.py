@@ -139,15 +139,9 @@ class AngleSequence(_Value):
         """The term alpha_n as a Fraction in [0, 1)."""
         return (self.base + self.carrier.at(n)) / self.modulus ** n
 
-    def angle(self, n):
-        return Angle(self.value(n))
-
     def digit(self, n):
         """The division choice j_n with N * alpha_{n+1} = alpha_n + j_n."""
         return self.carrier.digit(n)
-
-    def decompose(self):
-        return self.base, self.carrier
 
     def shift(self, s):
         """Drop the first s terms: n -> alpha_{s+n}.

@@ -7,7 +7,6 @@ from hypothesis import given, strategies as st
 from ncsolenoid.multiplier import (
     SequenceKind,
     Symmetrizer,
-    action_phase,
     bicharacter,
     classify_type,
     is_simple,
@@ -64,15 +63,6 @@ def test_psi_equals_single_corner_bicharacter(g, h):
     a = AngleSequence(5, Fraction(1, 62), NadicInteger.from_value(Fraction(-1, 62), 5))
     z = AngleSequence.zero(5)
     assert bicharacter(z, a, z, z, g, h) == psi_phase(a, g, h)
-
-
-def test_action_phase(three_half):
-    x = QnRational(2, 1, 3)
-    # 2 * alpha_{1+0} = 2 * 1/2
-    assert action_phase(three_half, x, 0) == Angle(0)
-    assert action_phase(three_half, x, 3) == Angle(0)
-    y = QnRational(1, 0, 3)
-    assert action_phase(three_half, y, 2) == Angle(Fraction(1, 2))
 
 
 def test_phase_input_validation(three_half):

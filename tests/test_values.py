@@ -56,14 +56,14 @@ element_args = st.tuples(
 
 
 @st.composite
-def matrix_rows(draw):
+def matrix_args(draw):
     n = draw(st.integers(min_value=1, max_value=2))
-    entries = st.one_of(st.none(), st.sampled_from([Fraction(0), Fraction(1, 2)]))
-    return tuple(tuple(draw(st.lists(entries, min_size=n, max_size=n))) for _ in range(n))
+    phases = st.sampled_from([Fraction(0), Fraction(1, 2)])
+    return (tuple(draw(st.permutations(range(n)))), tuple(draw(phases) for _ in range(n)))
 
 
-def make_matrix(rows):
-    return AngleMatrix([[None if e is None else Angle(e) for e in row] for row in rows])
+def make_matrix(perm, phases):
+    return AngleMatrix(perm, [Angle(e) for e in phases])
 
 
 def make_kpair(alpha_args, z, x):
@@ -107,7 +107,7 @@ CASES = {
         make_symmetrizer,
         lambda x: (x.variant, x.b),
     ),
-    "AngleMatrix": (st.tuples(matrix_rows()), make_matrix, lambda x: x.rows),
+    "AngleMatrix": (matrix_args(), make_matrix, lambda x: x.rows),
 }
 
 
