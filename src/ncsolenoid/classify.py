@@ -31,8 +31,12 @@ by rescaling) give sound No verdicts:
 * periodicity, and with it simplicity of the algebra.
 
 For a periodic sequence the shift moves cycle with the period, so the
-search space is finite and exhausting it upgrades the result from
-Unknown to No.  Aperiodic searches that exhaust the bound stay Unknown.
+search space is finite.  Exhausting it upgrades the result from Unknown
+to No only when R is a prime power p**e: the units of Z[1/R] are then
++-p**a, and shifts and blocks p**i with i < e reach every one of them.
+At any other R the moves miss units (8 at R = 12, for one), so an
+exhausted search stays Unknown, as does an aperiodic search that
+exhausts the bound.
 """
 
 from __future__ import annotations
@@ -45,13 +49,14 @@ from .nadic import (
     NadicInteger,
     _Frozen,
     _Value,
+    check_int,
     check_scale,
     format_fraction,
     is_prime,
     multiplicative_order,
     prime_factors,
 )
-from .sequences import Angle, AngleSequence
+from .sequences import Angle, AngleSequence, check_sequence
 
 
 class IsoVerdict(_Frozen):
@@ -123,25 +128,23 @@ def _common_factors(n, m):
 def rescale(alpha, target):
     """Rewrite alpha over a divisor scale: n -> frac((N/R)**n * alpha_n).
 
-    The head is unchanged and an exact carrier value carries over
-    verbatim (only its residues are now read mod R**n).
+    The head is unchanged and the exact carrier value carries over
+    verbatim (only its residues are now read mod R**n).  A prefix
+    carrier raises, unless the scale is unchanged.
 
     >>> a = AngleSequence.constant(4, Fraction(1, 3))
     >>> [rescale(a, 2).value(n) for n in range(4)]
     [Fraction(1, 3), Fraction(2, 3), Fraction(1, 3), Fraction(2, 3)]
     """
-    if not isinstance(alpha, AngleSequence):
-        raise TypeError("expected an AngleSequence")
+    check_sequence(alpha)
     target = check_scale(target)
     if alpha.modulus % target:
         raise ValueError("%d does not divide the scale %d" % (target, alpha.modulus))
     if target == alpha.modulus:
         return alpha
-    if alpha.carrier.is_exact:
-        carrier = NadicInteger.from_value(alpha.carrier.value, target)
-    else:
-        J = alpha.carrier
-        carrier = NadicInteger.from_tower([J.at(k) for k in range(J.length + 1)], target)
+    if not alpha.carrier.is_exact:
+        raise ValueError("rescaling needs an exact carrier")
+    carrier = NadicInteger.from_value(alpha.carrier.value, target)
     return AngleSequence(target, alpha.base, carrier)
 
 
@@ -152,11 +155,8 @@ def block_shift(alpha, block):
     Exact carriers only; the carrier value becomes (w - c0)/d with
     c0 = (first digit) mod d.
     """
-    if not isinstance(alpha, AngleSequence):
-        raise TypeError("expected an AngleSequence")
-    d = block
-    if isinstance(d, bool) or not isinstance(d, int) or d < 1:
-        raise ValueError("block must be a positive integer")
+    check_sequence(alpha)
+    d = check_int(block, "block", 1)
     if alpha.modulus % d or d == alpha.modulus:
         raise ValueError("block must be a proper divisor of the scale %d" % alpha.modulus)
     if d == 1:
@@ -211,14 +211,11 @@ def isomorphic(alpha, beta, bound=32):
 
     Yes verdicts carry a replayable witness (see :func:`replay_witness`);
     No verdicts cite either a prime-support mismatch, a separating
-    invariant, or an exhausted periodic search; everything else is
-    Unknown at the given shift bound.
+    invariant, or an exhausted periodic search at a prime-power R;
+    everything else is Unknown at the given shift bound.
     """
-    for s in (alpha, beta):
-        if not isinstance(s, AngleSequence):
-            raise TypeError("expected AngleSequences")
-    if isinstance(bound, bool) or not isinstance(bound, int) or bound < 0:
-        raise ValueError("bound must be a nonnegative integer")
+    check_sequence(alpha, beta)
+    check_int(bound, "bound", 0)
     factors = _common_factors(alpha.modulus, beta.modulus)
     if factors is None:
         return IsoVerdict.no(
@@ -263,7 +260,7 @@ def isomorphic(alpha, beta, bound=32):
                             },
                         }
                         return IsoVerdict.yes(witness)
-    if exhaustive and pa - 1 <= bound:
+    if exhaustive and pa - 1 <= bound and len(set(factors)) == 1:
         return IsoVerdict.no(
             "periodic search exhausted (period %d, both directions, all blocks, both signs)"
             % pa
@@ -277,9 +274,7 @@ def prime_case_isomorphic(alpha, beta, bound=32):
     Distinct primes are never isomorphic; equal primes reduce to the
     general search, whose only block is the trivial one.
     """
-    for s in (alpha, beta):
-        if not isinstance(s, AngleSequence):
-            raise TypeError("expected AngleSequences")
+    check_sequence(alpha, beta)
     if not (is_prime(alpha.modulus) and is_prime(beta.modulus)):
         raise ValueError("prime scales only; use isomorphic() for composites")
     if alpha.modulus != beta.modulus:
@@ -476,8 +471,7 @@ def bundle_data(alpha):
     >>> (data.q, data.k, data.lam)
     (3, 2, Angle(1/3))
     """
-    if not isinstance(alpha, AngleSequence):
-        raise TypeError("expected an AngleSequence")
+    check_sequence(alpha)
     if not alpha.has_finite_range():
         raise ValueError("bundle data is defined for periodic sequences only")
     p, q = alpha.base.numerator, alpha.base.denominator

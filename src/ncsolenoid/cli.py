@@ -26,6 +26,9 @@ EXIT_OK = 0
 EXIT_DOMAIN = 2
 EXIT_UNKNOWN = 3
 
+#: selftest sizes: fuzz trials, symmetrizer window (numerators, exponent), colimit depth
+_TRIALS, _WINDOW_P, _WINDOW_K, _DEPTH = 200, 40, 2, 3
+
 
 def _parse_qn(text, modulus):
     """Read a Q_N element given as an ordinary fraction string."""
@@ -110,29 +113,28 @@ def cmd_bundle(args):
 
 def cmd_selftest(args):
     seed = args.seed
-    trials = args.trials
     reports = []
 
     alpha = AngleSequence.constant(3, Fraction(1, 2))
     for kind in ("xi", "zeta"):
-        rep = oracle.cocycle_fuzz(kind, alpha.carrier, trials=trials, seed=seed)
+        rep = oracle.cocycle_fuzz(kind, alpha.carrier, trials=_TRIALS, seed=seed)
         reports.append(rep.to_json())
         print("selftest %s: %s" % (kind, "ok" if rep.passed else "FAIL"), file=sys.stderr)
 
-    rep = oracle.cocycle_fuzz("psi_bichar", alpha, trials=max(1, trials // 4), seed=seed)
+    rep = oracle.cocycle_fuzz("psi_bichar", alpha, trials=_TRIALS // 4, seed=seed)
     reports.append(rep.to_json())
     print("selftest psi_bichar: %s" % ("ok" if rep.passed else "FAIL"), file=sys.stderr)
 
     five = AngleSequence(5, Fraction(1, 62), NadicInteger.from_value(Fraction(-1, 62), 5))
     got = oracle.brute_symmetrizer(
-        five, window_num=args.window_p, window_exp=args.window_k, spot_checks=200, seed=seed
+        five, window_num=_WINDOW_P, window_exp=_WINDOW_K, spot_checks=200, seed=seed
     )
     described = multiplier.symmetrizer(five)
     brute_ok = all(described.contains(g) for g in got)
     reports.append({"kind": "brute_symmetrizer", "points": len(got), "passed": brute_ok})
     print("selftest brute_symmetrizer: %s" % ("ok" if brute_ok else "FAIL"), file=sys.stderr)
 
-    colimit_ok = oracle.colimit_compare(alpha, depth=args.depth, num_window=8, int_window=3)
+    colimit_ok = oracle.colimit_compare(alpha, depth=_DEPTH, num_window=8, int_window=3)
     reports.append({"kind": "colimit", "passed": colimit_ok})
     print("selftest colimit: %s" % ("ok" if colimit_ok else "FAIL"), file=sys.stderr)
 
@@ -208,10 +210,6 @@ def build_parser():
 
     p = sub.add_parser("selftest", help="run the oracle suite at reduced sizes")
     p.add_argument("--seed", type=int, default=oracle.DEFAULT_SEED)
-    p.add_argument("--trials", type=int, default=200)
-    p.add_argument("--window-p", type=int, default=40, dest="window_p")
-    p.add_argument("--window-k", type=int, default=2, dest="window_k")
-    p.add_argument("--depth", type=int, default=3)
     p.set_defaults(fn=cmd_selftest)
 
     return parser

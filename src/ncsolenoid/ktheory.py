@@ -66,9 +66,10 @@ from math import floor
 from operator import attrgetter
 
 from .nadic import (
-    NadicInteger, QnRational, _Frozen, _Value, as_fraction, format_fraction, frac_part
+    NadicInteger, QnRational, _Frozen, _Value, as_fraction, check_int, check_point,
+    format_fraction, frac_part,
 )
-from .sequences import Angle, AngleSequence
+from .sequences import Angle, AngleSequence, check_sequence
 
 
 def _check_carrier(J):
@@ -77,12 +78,9 @@ def _check_carrier(J):
     return J
 
 
-def _check_point(J, x):
-    if not isinstance(x, QnRational):
-        raise ValueError("expected a QnRational")
-    if x.modulus != J.modulus:
-        raise ValueError("scale %d does not match carrier scale %d" % (x.modulus, J.modulus))
-    return x
+def _lift(J, x):
+    """The rational p * J_k / N**k for x = p / N**k in lowest terms."""
+    return Fraction(x.num * J.at(x.exp), J.modulus ** x.exp)
 
 
 def xi_cocycle(J, x, y):
@@ -95,8 +93,8 @@ def xi_cocycle(J, x, y):
     0
     """
     _check_carrier(J)
-    _check_point(J, x)
-    _check_point(J, y)
+    check_point(x, J.modulus)
+    check_point(y, J.modulus)
     if x.exp < y.exp:
         return -x.num * J.segment(x.exp, y.exp)
     if y.exp < x.exp:
@@ -108,8 +106,7 @@ def xi_cocycle(J, x, y):
 def prufer_pair(J, x):
     """The pairing  p/N**k |-> frac(p * J_k / N**k)  into Q/Z."""
     _check_carrier(J)
-    _check_point(J, x)
-    return Angle(Fraction(x.num * J.at(x.exp), J.modulus ** x.exp))
+    return Angle(_lift(J, check_point(x, J.modulus)))
 
 
 def mu_cochain(J, x):
@@ -120,8 +117,7 @@ def mu_cochain(J, x):
     -1
     """
     _check_carrier(J)
-    _check_point(J, x)
-    return -floor(Fraction(x.num * J.at(x.exp), J.modulus ** x.exp))
+    return -floor(_lift(J, check_point(x, J.modulus)))
 
 
 def cross_section_carry(t1, t2):
@@ -159,8 +155,8 @@ class GeneratorCochain(_Frozen):
         if 0 not in table:
             raise ValueError("the table must cover the generator 1 (level 0)")
         for k, v in table.items():
-            if not isinstance(k, int) or k < 0 or isinstance(v, bool) or not isinstance(v, int):
-                raise ValueError("table must map levels to integers")
+            check_int(k, "level", 0)
+            check_int(v, "cochain value")
         object.__setattr__(self, "modulus", modulus)
         object.__setattr__(self, "table", table)
 
@@ -172,9 +168,7 @@ class GeneratorCochain(_Frozen):
         return self.table[0]
 
     def __call__(self, x):
-        if not isinstance(x, QnRational) or x.modulus != self.modulus:
-            raise ValueError("expected a Q_N element at scale %d" % self.modulus)
-        if x.exp not in self.table:
+        if check_point(x, self.modulus).exp not in self.table:
             raise ValueError("level %d exceeds the recorded depth" % x.exp)
         return x.num * self.table[x.exp]
 
@@ -243,24 +237,15 @@ class ExtensionElement(_Value):
     _key = attrgetter("alpha", "z", "x")
 
     def __init__(self, alpha, z, x):
-        if not isinstance(alpha, AngleSequence):
-            raise TypeError("expected an AngleSequence context")
-        if isinstance(z, bool) or not isinstance(z, int):
-            raise ValueError("z must be an integer")
-        if not isinstance(x, QnRational) or x.modulus != alpha.modulus:
-            raise ValueError("x must be a Q_N element at the sequence scale")
+        check_sequence(alpha)
+        check_int(z, "z")
+        check_point(x, alpha.modulus)
         object.__setattr__(self, "alpha", alpha)
         object.__setattr__(self, "z", z)
         object.__setattr__(self, "x", x)
 
-    def _require_same(self, other):
-        if not isinstance(other, ExtensionElement):
-            raise TypeError("expected an ExtensionElement")
-        if other.alpha != self.alpha:
-            raise ValueError("elements live over different sequences")
-
     def __add__(self, other):
-        self._require_same(other)
+        self._require_same(other, "alpha")
         z = self.z + other.z + xi_cocycle(self.alpha.carrier, self.x, other.x)
         return ExtensionElement(self.alpha, z, self.x + other.x)
 
@@ -269,9 +254,6 @@ class ExtensionElement(_Value):
         return ExtensionElement(
             self.alpha, -self.z - xi_cocycle(self.alpha.carrier, self.x, mx), mx
         )
-
-    def __sub__(self, other):
-        return self + (-other)
 
     def __repr__(self):
         return "ExtensionElement(z=%d, x=%r)" % (self.z, self.x)
@@ -282,14 +264,9 @@ class ExtensionElement(_Value):
 
 def k_member(alpha, first, second):
     """Whether (first, second) lies in K_alpha inside Q x Q_N."""
-    if not isinstance(alpha, AngleSequence):
-        raise TypeError("expected an AngleSequence")
-    if not isinstance(second, QnRational) or second.modulus != alpha.modulus:
-        raise ValueError("second coordinate must be a Q_N element at the sequence scale")
-    first = as_fraction(first)
-    k = second.exp
-    shift = first - Fraction(second.num * alpha.carrier.at(k), alpha.modulus ** k)
-    return shift.denominator == 1
+    check_sequence(alpha)
+    check_point(second, alpha.modulus)
+    return (as_fraction(first) - _lift(alpha.carrier, second)).denominator == 1
 
 
 class KPairElement(_Value):
@@ -309,21 +286,12 @@ class KPairElement(_Value):
         object.__setattr__(self, "first", first)
         object.__setattr__(self, "second", second)
 
-    def _require_same(self, other):
-        if not isinstance(other, KPairElement):
-            raise TypeError("expected a KPairElement")
-        if other.alpha != self.alpha:
-            raise ValueError("elements live over different sequences")
-
     def __add__(self, other):
-        self._require_same(other)
+        self._require_same(other, "alpha")
         return KPairElement(self.alpha, self.first + other.first, self.second + other.second)
 
     def __neg__(self):
         return KPairElement(self.alpha, -self.first, -self.second)
-
-    def __sub__(self, other):
-        return self + (-other)
 
     def __repr__(self):
         return "KPairElement(%s, %r)" % (format_fraction(self.first), self.second)
@@ -345,20 +313,16 @@ def as_pair(elem):
     """Convert (z, x) from the cocycle presentation to a concrete K0 point."""
     if not isinstance(elem, ExtensionElement):
         raise TypeError("expected an ExtensionElement")
-    alpha = elem.alpha
-    k = elem.x.exp
-    first = elem.z + Fraction(elem.x.num * alpha.carrier.at(k), alpha.modulus ** k)
-    return KPairElement(alpha, first, elem.x)
+    first = elem.z + _lift(elem.alpha.carrier, elem.x)
+    return KPairElement(elem.alpha, first, elem.x)
 
 
 def as_extension(elem):
     """Convert a concrete K0 point to its cocycle presentation."""
     if not isinstance(elem, KPairElement):
         raise TypeError("expected a KPairElement")
-    alpha = elem.alpha
-    k = elem.second.exp
-    z = elem.first - Fraction(elem.second.num * alpha.carrier.at(k), alpha.modulus ** k)
-    return ExtensionElement(alpha, int(z), elem.second)
+    z = elem.first - _lift(elem.alpha.carrier, elem.second)
+    return ExtensionElement(elem.alpha, int(z), elem.second)
 
 
 def trace(elem):
@@ -377,8 +341,7 @@ def trace(elem):
 
 def r_digit(alpha, k):
     """The stage digit r_k = N * j_{2k+1} + j_{2k} in [0, N**2)."""
-    if not isinstance(alpha, AngleSequence):
-        raise TypeError("expected an AngleSequence")
+    check_sequence(alpha)
     return alpha.modulus * alpha.digit(2 * k + 1) + alpha.digit(2 * k)
 
 
@@ -394,8 +357,7 @@ def embedding_matrix(alpha, k):
     >>> embedding_matrix(a, 1)
     ((Fraction(1, 1), Fraction(4, 9)), (Fraction(0, 1), Fraction(1, 9)))
     """
-    if not isinstance(alpha, AngleSequence):
-        raise TypeError("expected an AngleSequence")
+    check_sequence(alpha)
     m = alpha.modulus ** (2 * k)
     return (
         (Fraction(1), Fraction(alpha.carrier.at(2 * k), m)),

@@ -11,9 +11,9 @@ skew bicharacter.  The symmetrizer subgroup collects the g with
 Theta_alpha(g, .) identically zero; its shape is decided entirely by
 the range of alpha:
 
-* alpha identically zero: everything symmetrizes (the full group).
-* alpha periodic and nonzero, all terms with denominator b: the
-  symmetrizer is the pair group of { p * b / N**k }, scale factor b.
+* alpha periodic, all terms with denominator b: the symmetrizer is the
+  pair group of { p * b / N**k }, scale factor b.  At b = 1 (alpha
+  identically zero) that is the full group.
 * alpha aperiodic: only the trivial subgroup, and the twisted algebra
   attached to Psi_alpha is simple.
 
@@ -28,8 +28,8 @@ import enum
 from fractions import Fraction
 from operator import attrgetter
 
-from .nadic import QnRational, _Value
-from .sequences import Angle, AngleSequence
+from .nadic import QnRational, _Value, check_int, check_point
+from .sequences import Angle, AngleSequence, check_sequence
 
 
 class SequenceKind(enum.Enum):
@@ -57,8 +57,7 @@ class Symmetrizer(_Value):
         if variant not in ("Trivial", "Full", "ScaledLattice"):
             raise ValueError("unknown symmetrizer variant %r" % (variant,))
         if variant == "ScaledLattice":
-            if isinstance(b, bool) or not isinstance(b, int) or b <= 1:
-                raise ValueError("lattice scale must be an integer > 1")
+            check_int(b, "lattice scale", 2)
         elif b is not None:
             raise ValueError("only ScaledLattice carries a scale")
         object.__setattr__(self, "variant", variant)
@@ -102,13 +101,7 @@ def _as_pair(g, modulus):
         x, y = g
     except (TypeError, ValueError):
         raise ValueError("expected a pair of Q_N elements") from None
-    for c in (x, y):
-        if not isinstance(c, QnRational):
-            raise ValueError("pair entries must be QnRational")
-    if x.modulus != y.modulus:
-        raise ValueError("pair entries live at different scales")
-    if modulus is not None and x.modulus != modulus:
-        raise ValueError("pair scale %d does not match %d" % (x.modulus, modulus))
+    check_point(y, check_point(x, modulus).modulus)
     return x, y
 
 
@@ -121,8 +114,7 @@ def psi_phase(alpha, g, h):
     >>> psi_phase(a, g, h)
     Angle(1/2)
     """
-    if not isinstance(alpha, AngleSequence):
-        raise TypeError("expected an AngleSequence")
+    check_sequence(alpha)
     g1, _g2 = _as_pair(g, alpha.modulus)
     _h1, h2 = _as_pair(h, alpha.modulus)
     return Angle(alpha.value(g1.exp + h2.exp) * g1.num * h2.num)
@@ -141,12 +133,9 @@ def bicharacter(zeta, xi, eta, chi, g, h):
         zeta_{k1+k3} p1 p3 + eta_{k2+k3} p2 p3
         + chi_{k2+k4} p2 p4 + xi_{k1+k4} p1 p4   (mod 1).
     """
-    seqs = (zeta, xi, eta, chi)
-    for s in seqs:
-        if not isinstance(s, AngleSequence):
-            raise TypeError("expected AngleSequences")
-        if s.modulus != zeta.modulus:
-            raise ValueError("mismatched scales")
+    check_sequence(zeta, xi, eta, chi)
+    if not zeta.modulus == xi.modulus == eta.modulus == chi.modulus:
+        raise ValueError("mismatched scales")
     g1, g2 = _as_pair(g, zeta.modulus)
     h1, h2 = _as_pair(h, zeta.modulus)
     total = (
@@ -166,15 +155,14 @@ def symmetrizer(alpha):
     >>> symmetrizer(a)
     Symmetrizer('ScaledLattice', b=62)
     """
-    if not isinstance(alpha, AngleSequence):
-        raise TypeError("expected an AngleSequence")
-    if alpha.is_zero():
-        return Symmetrizer.full()
+    check_sequence(alpha)
     if not alpha.has_finite_range():
         return Symmetrizer.trivial()
     # With alpha_0 = c/b in lowest terms, every term is c_n/b where
-    # c_n = c * N**-n mod b is a unit mod b, so b is the lattice scale.
-    return Symmetrizer.scaled_lattice(alpha.base.denominator)
+    # c_n = c * N**-n mod b is a unit mod b, so b is the lattice scale;
+    # the lattice of scale 1 is the whole group.
+    b = alpha.base.denominator
+    return Symmetrizer.full() if b == 1 else Symmetrizer.scaled_lattice(b)
 
 
 def is_simple(alpha):
@@ -183,15 +171,13 @@ def is_simple(alpha):
     Holds exactly when alpha is aperiodic (equivalently, has infinite
     range; equivalently, the symmetrizer is trivial).
     """
-    if not isinstance(alpha, AngleSequence):
-        raise TypeError("expected an AngleSequence")
+    check_sequence(alpha)
     return not alpha.has_finite_range()
 
 
 def classify_type(alpha):
     """Place alpha in the range partition (see SequenceKind)."""
-    if not isinstance(alpha, AngleSequence):
-        raise TypeError("expected an AngleSequence")
+    check_sequence(alpha)
     if alpha.has_finite_range():
         return SequenceKind.RATIONAL_PERIODIC
     return SequenceKind.RATIONAL_APERIODIC

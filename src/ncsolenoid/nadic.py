@@ -30,13 +30,27 @@ _SMALL_PRIMES = tuple(p for p in range(2, 100) if all(p % d for d in range(2, is
 _MR_BOUND = 3317044064679887385961981
 
 
+def check_int(value, what, least=None):
+    """Return value if it is an int (not a bool) and at least least; else raise ValueError."""
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ValueError("%s must be an integer" % what)
+    if least is not None and value < least:
+        raise ValueError("%s must be at least %d" % (what, least))
+    return value
+
+
 def check_scale(modulus):
     """Validate a scale N and return it as an int."""
-    if isinstance(modulus, bool) or not isinstance(modulus, int):
-        raise ValueError("scale must be an integer")
-    if modulus < 2:
-        raise ValueError("scale must be at least 2")
-    return modulus
+    return check_int(modulus, "scale", 2)
+
+
+def check_point(x, modulus=None):
+    """Return x if it is a QnRational (at the given scale), else raise ValueError."""
+    if not isinstance(x, QnRational):
+        raise ValueError("expected a QnRational")
+    if modulus is not None and x.modulus != modulus:
+        raise ValueError("scale %d does not match %d" % (x.modulus, modulus))
+    return x
 
 
 def as_fraction(value):
@@ -216,7 +230,9 @@ class _Value(_Frozen):
     """Equality and hashing by ``_key = attrgetter(<identity fields>)``.
 
     The value classes: QnRational, NadicInteger, Angle, AngleSequence,
-    ExtensionElement, KPairElement, Symmetrizer and AngleMatrix.
+    ExtensionElement, KPairElement, Symmetrizer and AngleMatrix.  The
+    group elements among them also share subtraction, ``self + (-other)``,
+    and the operand check of their ``__add__``.
     """
 
     __slots__ = ()
@@ -228,6 +244,16 @@ class _Value(_Frozen):
 
     def __hash__(self):
         return hash(self._key(self))
+
+    def __sub__(self, other):
+        return self + (-other)
+
+    def _require_same(self, other, field):
+        """Raise TypeError for another class, ValueError when the given field differs."""
+        if not isinstance(other, type(self)):
+            raise TypeError("expected a %s" % type(self).__name__)
+        if getattr(other, field) != getattr(self, field):
+            raise ValueError("operands differ in %s" % field)
 
 
 class QnRational(_Value):
@@ -247,10 +273,8 @@ class QnRational(_Value):
 
     def __init__(self, num, exp, modulus):
         modulus = check_scale(modulus)
-        if isinstance(num, bool) or not isinstance(num, int):
-            raise ValueError("numerator must be an integer")
-        if isinstance(exp, bool) or not isinstance(exp, int) or exp < 0:
-            raise ValueError("exponent must be a nonnegative integer")
+        check_int(num, "numerator")
+        check_int(exp, "exponent", 0)
         if num == 0:
             exp = 0
         else:
@@ -287,27 +311,16 @@ class QnRational(_Value):
     def fraction(self):
         return Fraction(self.num, self.modulus ** self.exp)
 
-    def _require_same(self, other):
-        if not isinstance(other, QnRational):
-            raise TypeError("expected a QnRational")
-        if other.modulus != self.modulus:
-            raise ValueError("mismatched scales %d and %d" % (self.modulus, other.modulus))
-
     def __add__(self, other):
-        self._require_same(other)
+        self._require_same(other, "modulus")
         return QnRational.from_fraction(self.fraction + other.fraction, self.modulus)
 
     def __neg__(self):
         return QnRational(-self.num, self.exp, self.modulus)
 
-    def __sub__(self, other):
-        return self + (-other)
-
     def scaled(self, m):
         """Multiply by an integer scalar."""
-        if isinstance(m, bool) or not isinstance(m, int):
-            raise ValueError("scalar must be an integer")
-        return QnRational(self.num * m, self.exp, self.modulus)
+        return QnRational(self.num * check_int(m, "scalar"), self.exp, self.modulus)
 
     def __bool__(self):
         return self.num != 0
@@ -356,8 +369,8 @@ class NadicInteger(_Value):
         else:
             prefix = tuple(prefix)
             for j in prefix:
-                if isinstance(j, bool) or not isinstance(j, int) or not 0 <= j < modulus:
-                    raise ValueError("digits must be integers in [0, %d)" % modulus)
+                if check_int(j, "digit", 0) >= modulus:
+                    raise ValueError("digits must lie below %d" % modulus)
         object.__setattr__(self, "modulus", modulus)
         object.__setattr__(self, "value", value)
         object.__setattr__(self, "prefix", prefix)
@@ -366,9 +379,7 @@ class NadicInteger(_Value):
     @classmethod
     def iota(cls, z, modulus):
         """The canonical copy of an ordinary integer."""
-        if isinstance(z, bool) or not isinstance(z, int):
-            raise ValueError("iota embeds integers")
-        return cls(modulus, value=Fraction(z))
+        return cls(modulus, value=Fraction(check_int(z, "iota argument")))
 
     @classmethod
     def from_value(cls, value, modulus):
@@ -400,9 +411,7 @@ class NadicInteger(_Value):
 
     def at(self, k):
         """The residue J_k in [0, N**k)."""
-        if isinstance(k, bool) or not isinstance(k, int) or k < 0:
-            raise ValueError("depth must be a nonnegative integer")
-        got = self._reps.get(k)
+        got = self._reps.get(check_int(k, "depth", 0))
         if got is not None:
             return got
         if self.value is not None:
@@ -439,18 +448,12 @@ class NadicInteger(_Value):
             raise ValueError("need 0 <= k <= m")
         return (self.at(m) - self.at(k)) // self.modulus ** k
 
-    def _require_same(self, other):
-        if not isinstance(other, NadicInteger):
-            raise TypeError("expected a NadicInteger")
-        if other.modulus != self.modulus:
-            raise ValueError("mismatched scales %d and %d" % (self.modulus, other.modulus))
-
     def _from_tower(self, depth, tower_fn):
         """Prefix-form result whose residues are tower_fn(k) mod N**k."""
         return NadicInteger.from_tower([tower_fn(k) for k in range(depth + 1)], self.modulus)
 
     def __add__(self, other):
-        self._require_same(other)
+        self._require_same(other, "modulus")
         if self.value is not None and other.value is not None:
             return NadicInteger(self.modulus, value=self.value + other.value)
         depth = min(x for x in (self.length, other.length) if x is not None)
@@ -461,13 +464,9 @@ class NadicInteger(_Value):
             return NadicInteger(self.modulus, value=-self.value)
         return self._from_tower(len(self.prefix), lambda k: -self.at(k))
 
-    def __sub__(self, other):
-        return self + (-other)
-
     def scaled(self, m):
         """Multiply the tower by an integer scalar."""
-        if isinstance(m, bool) or not isinstance(m, int):
-            raise ValueError("scalar must be an integer")
+        check_int(m, "scalar")
         if self.value is not None:
             return NadicInteger(self.modulus, value=self.value * m)
         return self._from_tower(len(self.prefix), lambda k: self.at(k) * m)

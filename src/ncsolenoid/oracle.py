@@ -34,7 +34,7 @@ from .ktheory import (
 )
 from .multiplier import bicharacter, psi_phase, theta_phase
 from .nadic import NadicInteger, QnRational, _Frozen
-from .sequences import Angle, AngleSequence
+from .sequences import Angle, AngleSequence, check_sequence
 
 DEFAULT_SEED = 20260817
 
@@ -103,8 +103,7 @@ def brute_symmetrizer(alpha, window_num=150, window_exp=4, spot_checks=2000, see
 
     Returns a frozenset of pairs of QnRationals.
     """
-    if not isinstance(alpha, AngleSequence):
-        raise TypeError("expected an AngleSequence")
+    check_sequence(alpha)
     N = alpha.modulus
     top = 2 * window_exp
     denom, nums = _window_values(alpha, top)
@@ -168,8 +167,7 @@ def colimit_report(alpha, depth=6, num_window=24, int_window=6):
       on the library's stage matrices (``ktheory.embedding_matrix``,
       ``connecting_matrix`` and ``MIRROR``).
     """
-    if not isinstance(alpha, AngleSequence):
-        raise TypeError("expected an AngleSequence")
+    check_sequence(alpha)
     N = alpha.modulus
     at = alpha.carrier.at
     failures = []
@@ -331,8 +329,7 @@ def cocycle_fuzz(kind, subject, trials=1000, seed=DEFAULT_SEED):
             raise TypeError("kind 'zeta' takes a carrier")
         return _fuzz_zeta(subject, trials, seed)
     if kind == "psi_bichar":
-        if not isinstance(subject, AngleSequence):
-            raise TypeError("kind 'psi_bichar' takes an AngleSequence")
+        check_sequence(subject)
         return _fuzz_psi_bichar(subject, trials, seed)
     raise ValueError("unknown fuzz kind %r" % (kind,))
 

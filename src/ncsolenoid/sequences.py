@@ -26,6 +26,7 @@ from .nadic import (
     NadicInteger,
     _Value,
     as_fraction,
+    check_int,
     check_scale,
     format_fraction,
     frac_part,
@@ -150,9 +151,7 @@ class AngleSequence(_Value):
         >>> b.shift(1).value(0)
         Fraction(2, 3)
         """
-        if isinstance(s, bool) or not isinstance(s, int) or s < 0:
-            raise ValueError("shift must be a nonnegative integer")
-        if s == 0:
+        if check_int(s, "shift", 0) == 0:
             return self
         head = self.value(s)
         if self.carrier.is_exact:
@@ -186,9 +185,6 @@ class AngleSequence(_Value):
             raise ValueError("periodicity is undecidable from a finite prefix")
         return self.carrier.value == -self.base
 
-    def is_zero(self):
-        return self.base == 0 and self.carrier.is_exact and self.carrier.value == 0
-
     def __add__(self, other):
         if not isinstance(other, AngleSequence):
             return NotImplemented
@@ -219,11 +215,6 @@ class AngleSequence(_Value):
             )
         return AngleSequence(self.modulus, carry - self.base, carrier)
 
-    def __sub__(self, other):
-        if not isinstance(other, AngleSequence):
-            return NotImplemented
-        return self + (-other)
-
     def __repr__(self):
         return "AngleSequence(scale=%d, head=%s, carrier=%r)" % (
             self.modulus,
@@ -247,3 +238,9 @@ class AngleSequence(_Value):
         carrier = NadicInteger.from_json(obj.get("carrier", {"value": "0"}), modulus)
         return cls(modulus, base, carrier)
 
+
+def check_sequence(*seqs):
+    """Raise TypeError unless every argument is an AngleSequence."""
+    for s in seqs:
+        if not isinstance(s, AngleSequence):
+            raise TypeError("expected an AngleSequence")

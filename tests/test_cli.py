@@ -128,9 +128,7 @@ def test_float_literals_rejected(capsys, tmp_path):
 
 
 def test_selftest_small(capsys):
-    code = main(
-        ["selftest", "--trials", "40", "--depth", "2", "--window-p", "20", "--window-k", "2"]
-    )
+    code = main(["selftest", "--seed", "7"])
     captured = capsys.readouterr()
     assert code == 0
     out = json.loads(captured.out)

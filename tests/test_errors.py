@@ -1,0 +1,161 @@
+"""Exception types of the public entry points on bad arguments.
+
+Each case calls one entry point with one bad argument (a bool, a float,
+a str, a negative int, an object of the wrong class, or an element at a
+mismatched scale) and pins the exception type it raises.  Messages are
+not pinned: only the type is part of the contract.
+"""
+
+from fractions import Fraction
+
+import pytest
+
+from ncsolenoid import classify, ktheory, multiplier, oracle
+from ncsolenoid.nadic import NadicInteger, QnRational, check_scale
+from ncsolenoid.sequences import AngleSequence
+
+A3 = AngleSequence.constant(3, Fraction(1, 2))
+A3B = AngleSequence.constant(3, Fraction(1, 4))
+A2 = AngleSequence.constant(2, Fraction(1, 3))
+A6 = AngleSequence.constant(6, Fraction(1, 5))
+X3, X2 = QnRational(1, 1, 3), QnRational(1, 1, 2)
+J3, J2 = A3.carrier, NadicInteger.iota(1, 2)
+P3 = (X3, X3)
+E3, E3B = ktheory.ExtensionElement(A3, 0, X3), ktheory.ExtensionElement(A3B, 0, X3)
+K3, K3B = ktheory.as_pair(E3), ktheory.as_pair(E3B)
+COCHAIN = ktheory.GeneratorCochain(3, {0: 1, 1: 0})
+
+BAD_INTS = [("bool", True), ("float", 1.5), ("str", "1")]
+
+
+def _ints(name, call, negative=True):
+    """ValueError cases for an integer argument; call takes the bad value."""
+    cases = [pytest.param(call, v, ValueError, id="%s-%s" % (name, kind)) for kind, v in BAD_INTS]
+    if negative:
+        cases.append(pytest.param(call, -2, ValueError, id="%s-negative" % name))
+    return cases
+
+
+def _sequence_args(name, call):
+    """TypeError for a non-sequence where an AngleSequence is expected."""
+    return [
+        pytest.param(call, bad, TypeError, id="%s-%s" % (name, kind))
+        for kind, bad in (("qn", X3), ("str", "x"), ("bool", True))
+    ]
+
+
+CASES = (
+    _ints("check_scale", check_scale)
+    + _ints("QnRational-num", lambda v: QnRational(v, 0, 3), negative=False)
+    + _ints("QnRational-exp", lambda v: QnRational(1, v, 3))
+    + _ints("QnRational-scale", lambda v: QnRational(1, 0, v))
+    + _ints("QnRational.scaled", X3.scaled, negative=False)
+    + _ints("NadicInteger-digit", lambda v: NadicInteger.from_prefix([0, v], 3))
+    + [pytest.param(lambda v: NadicInteger.from_prefix([v], 3), 3, ValueError, id="digit-high")]
+    + _ints("NadicInteger.iota", lambda v: NadicInteger.iota(v, 3), negative=False)
+    + _ints("NadicInteger.at", J3.at)
+    + _ints("NadicInteger.scaled", J3.scaled, negative=False)
+    + _ints("AngleSequence.shift", A3.shift)
+    + _ints("rescale-target", lambda v: classify.rescale(A6, v))
+    + _ints("block_shift", lambda v: classify.block_shift(A6, v))
+    + _ints("isomorphic-bound", lambda v: classify.isomorphic(A3, A3, v))
+    + _ints("Symmetrizer-b", lambda v: multiplier.Symmetrizer("ScaledLattice", v))
+    + [pytest.param(multiplier.Symmetrizer.scaled_lattice, 1, ValueError, id="Symmetrizer-b-1")]
+    + _ints("GeneratorCochain-value", lambda v: ktheory.GeneratorCochain(3, {0: v}), False)
+    + [pytest.param(lambda v: ktheory.GeneratorCochain(3, {0: 0, v: 0}), -1, ValueError,
+                    id="GeneratorCochain-level-negative"),
+       pytest.param(lambda v: ktheory.GeneratorCochain(3, {0: 0, v: 0}), "1", ValueError,
+                    id="GeneratorCochain-level-str")]
+    + _ints("ExtensionElement-z", lambda v: ktheory.ExtensionElement(A3, v, X3), False)
+    + _sequence_args("rescale", lambda s: classify.rescale(s, 3))
+    + _sequence_args("block_shift", lambda s: classify.block_shift(s, 1))
+    + _sequence_args("isomorphic", lambda s: classify.isomorphic(A3, s))
+    + _sequence_args("prime_case_isomorphic", lambda s: classify.prime_case_isomorphic(s, A3))
+    + _sequence_args("bundle_data", classify.bundle_data)
+    + _sequence_args("psi_phase", lambda s: multiplier.psi_phase(s, P3, P3))
+    + _sequence_args("theta_phase", lambda s: multiplier.theta_phase(s, P3, P3))
+    + _sequence_args("bicharacter", lambda s: multiplier.bicharacter(A3, A3, s, A3, P3, P3))
+    + _sequence_args("symmetrizer", multiplier.symmetrizer)
+    + _sequence_args("is_simple", multiplier.is_simple)
+    + _sequence_args("classify_type", multiplier.classify_type)
+    + _sequence_args("ExtensionElement", lambda s: ktheory.ExtensionElement(s, 0, X3))
+    + _sequence_args("k_member", lambda s: ktheory.k_member(s, 0, X3))
+    + _sequence_args("r_digit", lambda s: ktheory.r_digit(s, 0))
+    + _sequence_args("embedding_matrix", lambda s: ktheory.embedding_matrix(s, 0))
+    + _sequence_args("brute_symmetrizer", oracle.brute_symmetrizer)
+    + _sequence_args("colimit_report", oracle.colimit_report)
+    + _sequence_args("cocycle_fuzz-psi", lambda s: oracle.cocycle_fuzz("psi_bichar", s, 1))
+    + [
+        pytest.param(f, bad, exc, id=name)
+        for name, f, bad, exc in [
+            # wrong class and mismatched scale in the group operations
+            ("QnRational-add-class", X3.__add__, J3, TypeError),
+            ("QnRational-add-scale", X3.__add__, X2, ValueError),
+            ("QnRational-sub-class", lambda o: X3 - o, J3, TypeError),
+            ("QnRational-sub-str", lambda o: X3 - o, "x", TypeError),
+            ("QnRational-sub-scale", lambda o: X3 - o, X2, ValueError),
+            ("NadicInteger-add-class", J3.__add__, X3, TypeError),
+            ("NadicInteger-add-scale", J3.__add__, J2, ValueError),
+            ("NadicInteger-sub-class", lambda o: J3 - o, X3, TypeError),
+            ("NadicInteger-sub-scale", lambda o: J3 - o, J2, ValueError),
+            ("AngleSequence-add-class", lambda o: A3 + o, X3, TypeError),
+            ("AngleSequence-add-scale", lambda o: A3 + o, A2, ValueError),
+            ("AngleSequence-sub-class", lambda o: A3 - o, X3, TypeError),
+            ("AngleSequence-sub-str", lambda o: A3 - o, "x", TypeError),
+            ("AngleSequence-sub-float", lambda o: A3 - o, 1.5, TypeError),
+            ("AngleSequence-sub-scale", lambda o: A3 - o, A2, ValueError),
+            ("ExtensionElement-add-class", E3.__add__, K3, TypeError),
+            ("ExtensionElement-add-sequence", E3.__add__, E3B, ValueError),
+            ("ExtensionElement-sub-class", lambda o: E3 - o, K3, TypeError),
+            ("ExtensionElement-sub-sequence", lambda o: E3 - o, E3B, ValueError),
+            ("KPairElement-add-class", K3.__add__, E3, TypeError),
+            ("KPairElement-add-sequence", K3.__add__, K3B, ValueError),
+            ("KPairElement-sub-class", lambda o: K3 - o, E3, TypeError),
+            ("KPairElement-sub-sequence", lambda o: K3 - o, K3B, ValueError),
+            # points of Q_N: wrong class and mismatched scale
+            ("xi_cocycle-scale", lambda x: ktheory.xi_cocycle(J3, X3, x), X2, ValueError),
+            ("xi_cocycle-class", lambda x: ktheory.xi_cocycle(J3, x, X3), 1, ValueError),
+            ("xi_cocycle-carrier", lambda J: ktheory.xi_cocycle(J, X3, X3), X3, TypeError),
+            ("prufer_pair-scale", lambda x: ktheory.prufer_pair(J3, x), X2, ValueError),
+            ("prufer_pair-bool", lambda x: ktheory.prufer_pair(J3, x), True, ValueError),
+            ("mu_cochain-scale", lambda x: ktheory.mu_cochain(J3, x), X2, ValueError),
+            ("mu_cochain-str", lambda x: ktheory.mu_cochain(J3, x), "1/3", ValueError),
+            ("cohomologous-class", lambda R: ktheory.cohomologous(J3, R), X3, TypeError),
+            ("cohomologous-scale", lambda R: ktheory.cohomologous(J3, R), J2, ValueError),
+            ("cochain-call-scale", COCHAIN, X2, ValueError),
+            ("cochain-call-class", COCHAIN, 1, ValueError),
+            ("ExtensionElement-x-scale", lambda x: ktheory.ExtensionElement(A3, 0, x), X2,
+             ValueError),
+            ("ExtensionElement-x-class", lambda x: ktheory.ExtensionElement(A3, 0, x), 1.5,
+             ValueError),
+            ("k_member-scale", lambda x: ktheory.k_member(A3, 0, x), X2, ValueError),
+            ("k_member-class", lambda x: ktheory.k_member(A3, 0, x), "1/3", ValueError),
+            ("k_member-first-float", lambda t: ktheory.k_member(A3, t, X3), 1.5, ValueError),
+            ("as_pair-class", ktheory.as_pair, K3, TypeError),
+            ("as_extension-class", ktheory.as_extension, E3, TypeError),
+            ("psi_phase-pair-scale", lambda g: multiplier.psi_phase(A3, g, P3), (X2, X2),
+             ValueError),
+            ("psi_phase-pair-mixed", lambda g: multiplier.psi_phase(A3, g, P3), (X3, X2),
+             ValueError),
+            ("psi_phase-pair-class", lambda g: multiplier.psi_phase(A3, g, P3), (X3, 1),
+             ValueError),
+            ("psi_phase-pair-shape", lambda g: multiplier.psi_phase(A3, g, P3), X3, ValueError),
+            ("contains-pair-mixed", multiplier.Symmetrizer.full().contains, (X3, X2), ValueError),
+            ("contains-pair-class", multiplier.Symmetrizer.full().contains, (X3, True),
+             ValueError),
+            ("bicharacter-scale",
+             lambda s: multiplier.bicharacter(A3, A3, s, A3, P3, P3), A2, ValueError),
+            ("cocycle_fuzz-xi", lambda s: oracle.cocycle_fuzz("xi", s, 1), A3, TypeError),
+            ("rescale-non-divisor", lambda t: classify.rescale(A6, t), 4, ValueError),
+            ("block-non-divisor", lambda d: classify.block_shift(A6, d), 4, ValueError),
+            ("prime_case-composite", lambda s: classify.prime_case_isomorphic(s, A3), A6,
+             ValueError),
+        ]
+    ]
+)
+
+
+@pytest.mark.parametrize("call, bad, exc", CASES)
+def test_bad_argument_raises_its_pinned_type(call, bad, exc):
+    with pytest.raises(exc):
+        call(bad)

@@ -6,6 +6,12 @@
   ``__setattr__``.
 * Value equality has one home: only ``nadic._Value`` defines ``__eq__``
   and ``__hash__``.
+* Group subtraction and the operand check of ``__add__`` have one home:
+  only ``nadic._Value`` defines ``_require_same``, and only it and
+  ``sequences.Angle`` (whose direct form is cheaper) define ``__sub__``.
+* The integer check has one home: ``isinstance(x, bool)`` appears only in
+  ``nadic.check_int``, ``nadic.as_fraction`` and the two operators that
+  must return NotImplemented, ``Angle.__mul__`` and ``AngleMatrix.__pow__``.
 * Every name in ``ncsolenoid.__all__`` resolves.
 * ``import ncsolenoid`` loads neither ``dataclasses`` nor ``typing``
   (the start-up cost of the CLI and of every library user).
@@ -33,17 +39,8 @@ def test_no_assert_statements():
     assert found == []
 
 
-def test_only_frozen_defines_setattr():
-    found = []
-    for stem, tree in TREES.items():
-        for owner in ast.walk(tree):
-            for node in ast.iter_child_nodes(owner):
-                if isinstance(node, ast.FunctionDef) and node.name == "__setattr__":
-                    found.append("%s.%s" % (stem, getattr(owner, "name", "<module>")))
-    assert found == ["nadic._Frozen"]
-
-
-def test_only_value_defines_eq_and_hash():
+def _definitions(wanted):
+    """'module.Owner.name' for each def of, or assignment to, a name in wanted."""
     found = []
     for stem, tree in TREES.items():
         for owner in ast.walk(tree):
@@ -58,9 +55,52 @@ def test_only_value_defines_eq_and_hash():
                 found += [
                     "%s.%s.%s" % (stem, getattr(owner, "name", "<module>"), name)
                     for name in names
-                    if name in ("__eq__", "__hash__")
+                    if name in wanted
                 ]
-    assert sorted(found) == ["nadic._Value.__eq__", "nadic._Value.__hash__"]
+    return sorted(found)
+
+
+def _scoped_nodes(node, scope):
+    """Every node below node, with the dotted class and function names around it."""
+    for child in ast.iter_child_nodes(node):
+        yield child, scope
+        inner = scope
+        if isinstance(child, (ast.ClassDef, ast.FunctionDef)):
+            inner = "%s.%s" % (scope, child.name)
+        yield from _scoped_nodes(child, inner)
+
+
+def test_only_frozen_defines_setattr():
+    assert _definitions({"__setattr__"}) == ["nadic._Frozen.__setattr__"]
+
+
+def test_only_value_defines_eq_and_hash():
+    assert _definitions({"__eq__", "__hash__"}) == ["nadic._Value.__eq__", "nadic._Value.__hash__"]
+
+
+def test_only_value_defines_require_same_and_sub():
+    assert _definitions({"_require_same", "__sub__"}) == [
+        "nadic._Value.__sub__",
+        "nadic._Value._require_same",
+        "sequences.Angle.__sub__",
+    ]
+
+
+def test_only_the_integer_checks_test_for_bool():
+    found = []
+    for stem, tree in TREES.items():
+        for node, scope in _scoped_nodes(tree, stem):
+            if not (isinstance(node, ast.Call) and getattr(node.func, "id", None) == "isinstance"):
+                continue
+            kinds = node.args[1].elts if isinstance(node.args[1], ast.Tuple) else [node.args[1]]
+            if any(getattr(k, "id", None) == "bool" for k in kinds):
+                found.append(scope)
+    assert sorted(found) == [
+        "classify.AngleMatrix.__pow__",
+        "nadic.as_fraction",
+        "nadic.check_int",
+        "sequences.Angle.__mul__",
+    ]
 
 
 def test_every_exported_name_resolves():

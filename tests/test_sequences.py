@@ -150,7 +150,7 @@ def test_shift_reindexes(a, s):
 
 def test_zero_and_constant():
     z = AngleSequence.zero(7)
-    assert z.is_zero()
+    assert z.has_finite_range() and z.base == 0 and z.carrier.value == 0
     assert all(z.value(n) == 0 for n in range(4))
     c = AngleSequence.constant(3, Fraction(1, 2))
     assert all(c.value(n) == Fraction(1, 2) for n in range(4))
