@@ -142,9 +142,7 @@ def rescale(alpha, target):
         raise ValueError("%d does not divide the scale %d" % (target, alpha.modulus))
     if target == alpha.modulus:
         return alpha
-    if not alpha.carrier.is_exact:
-        raise ValueError("rescaling needs an exact carrier")
-    carrier = NadicInteger.from_value(alpha.carrier.value, target)
+    carrier = NadicInteger.from_value(alpha.carrier.exact_value("rescaling"), target)
     return AngleSequence(target, alpha.base, carrier)
 
 
@@ -161,11 +159,10 @@ def block_shift(alpha, block):
         raise ValueError("block must be a proper divisor of the scale %d" % alpha.modulus)
     if d == 1:
         return alpha
-    if not alpha.carrier.is_exact:
-        raise ValueError("block shifts need an exact carrier")
+    w = alpha.carrier.exact_value("a block shift")
     c0 = alpha.digit(0) % d
     head = (alpha.base + c0) / d
-    value = (alpha.carrier.value - c0) / d
+    value = (w - c0) / d
     return AngleSequence(alpha.modulus, head, NadicInteger.from_value(value, alpha.modulus))
 
 

@@ -30,6 +30,8 @@ def load_json(path):
             return json.load(fh, parse_float=_reject_float, parse_constant=_reject_float)
         except json.JSONDecodeError as err:
             raise ValueError("%s: %s" % (path, err)) from None
+        except RecursionError:
+            raise ValueError("%s: JSON nested too deeply" % path) from None
 
 
 def sequence_from_file(path):

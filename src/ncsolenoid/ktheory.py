@@ -207,9 +207,7 @@ def cohomologous(J, R, depth=8, samples=100, seed=20260817):
     _check_carrier(R)
     if J.modulus != R.modulus:
         raise ValueError("carriers live at different scales")
-    if not (J.is_exact and R.is_exact):
-        raise ValueError("cohomology is undecidable from finite prefixes")
-    diff = J.value - R.value
+    diff = J.exact_value("cohomology") - R.exact_value("cohomology")
     if diff.denominator != 1:
         return None
     psi = GeneratorCochain.from_difference(J, R, -int(diff), depth)

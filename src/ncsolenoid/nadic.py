@@ -10,8 +10,10 @@ Two abelian groups underlie everything in this package:
   ``J_0 = 0, J_1, J_2, ...`` with ``J_k in [0, N**k)`` and
   ``J_{k+1} == J_k (mod N**k)``.  The tower is stored either as an exact
   rational ``a/b`` with ``gcd(b, N) == 1`` (the residues are then
-  ``a * b**-1 mod N**k``), or as a finite digit prefix for bounded
-  brute-force work.
+  ``a * b**-1 mod N**k``), or as a finite digit prefix read from an
+  element file.  A prefix is a read-only window: it answers residues and
+  digits inside the window, and everything that needs the whole tower
+  raises ValueError.
 
 N may be any integer >= 2, composite scales included.  All arithmetic is
 exact; no floats enter or leave this module.
@@ -340,8 +342,10 @@ class NadicInteger(_Value):
     residue, digit and segment is available.
 
     Prefix form: ``NadicInteger.from_prefix([j0, j1, ...], N)`` records
-    finitely many digits for brute-force windows; queries beyond the
-    recorded depth raise.
+    the first digits of a carrier.  ``at``, ``digit`` and ``segment``
+    answer inside the recorded window and raise beyond it; arithmetic and
+    every decision that needs the whole tower raise ValueError through
+    :meth:`exact_value`.
 
     >>> J = NadicInteger.iota(5, 3)
     >>> [J.at(k) for k in range(5)]
@@ -389,17 +393,6 @@ class NadicInteger(_Value):
     def from_prefix(cls, digits, modulus):
         return cls(modulus, prefix=digits)
 
-    @classmethod
-    def from_tower(cls, tower, modulus):
-        """Prefix form of the coherent tower whose residues are tower[k] mod N**k.
-
-        >>> NadicInteger.from_tower([0, -1, -1], 3).prefix
-        (2, 2)
-        """
-        reps = [t % modulus ** k for k, t in enumerate(tower)]
-        digits = [(reps[k + 1] - reps[k]) // modulus ** k for k in range(len(reps) - 1)]
-        return cls(modulus, prefix=digits)
-
     @property
     def is_exact(self):
         return self.value is not None
@@ -422,20 +415,12 @@ class NadicInteger(_Value):
                 "depth %d exceeds recorded prefix of length %d" % (k, len(self.prefix))
             )
         else:
-            rep = 0
-            w = 1
-            for j in self.prefix[:k]:
-                rep += w * j
-                w *= self.modulus
+            rep = sum(j * self.modulus ** i for i, j in enumerate(self.prefix[:k]))
         self._reps[k] = rep
         return rep
 
     def digit(self, n):
         """The base-N digit j_n in [0, N)."""
-        if self.prefix is not None:
-            if not 0 <= n < len(self.prefix):
-                raise ValueError("digit %d is outside the recorded prefix" % n)
-            return self.prefix[n]
         return (self.at(n + 1) - self.at(n)) // self.modulus ** n
 
     def segment(self, k, m):
@@ -448,28 +433,21 @@ class NadicInteger(_Value):
             raise ValueError("need 0 <= k <= m")
         return (self.at(m) - self.at(k)) // self.modulus ** k
 
-    def _from_tower(self, depth, tower_fn):
-        """Prefix-form result whose residues are tower_fn(k) mod N**k."""
-        return NadicInteger.from_tower([tower_fn(k) for k in range(depth + 1)], self.modulus)
+    def exact_value(self, what):
+        """The exact value a/b; on a prefix, ValueError naming the operation what."""
+        if self.value is None:
+            raise ValueError(
+                "%s is undecidable from a finite prefix: it needs an exact carrier" % what
+            )
+        return self.value
 
     def __add__(self, other):
         self._require_same(other, "modulus")
-        if self.value is not None and other.value is not None:
-            return NadicInteger(self.modulus, value=self.value + other.value)
-        depth = min(x for x in (self.length, other.length) if x is not None)
-        return self._from_tower(depth, lambda k: self.at(k) + other.at(k))
+        total = self.exact_value("addition") + other.exact_value("addition")
+        return NadicInteger(self.modulus, value=total)
 
     def __neg__(self):
-        if self.value is not None:
-            return NadicInteger(self.modulus, value=-self.value)
-        return self._from_tower(len(self.prefix), lambda k: -self.at(k))
-
-    def scaled(self, m):
-        """Multiply the tower by an integer scalar."""
-        check_int(m, "scalar")
-        if self.value is not None:
-            return NadicInteger(self.modulus, value=self.value * m)
-        return self._from_tower(len(self.prefix), lambda k: self.at(k) * m)
+        return NadicInteger(self.modulus, value=-self.exact_value("negation"))
 
     def zeta(self):
         """Recover an ordinary integer from its canonical copy.
@@ -477,11 +455,10 @@ class NadicInteger(_Value):
         >>> NadicInteger.iota(-7, 3).zeta()
         -7
         """
-        if self.value is None:
-            raise ValueError("prefix towers do not determine an integer")
-        if self.value.denominator != 1:
+        value = self.exact_value("zeta")
+        if value.denominator != 1:
             raise ValueError("not in the image of the integers")
-        return self.value.numerator
+        return value.numerator
 
     def __repr__(self):
         if self.value is not None:

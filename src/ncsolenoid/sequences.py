@@ -153,15 +153,9 @@ class AngleSequence(_Value):
         """
         if check_int(s, "shift", 0) == 0:
             return self
-        head = self.value(s)
-        if self.carrier.is_exact:
-            moved = (self.carrier.value - self.carrier.at(s)) / self.modulus ** s
-            return AngleSequence(
-                self.modulus, head, NadicInteger.from_value(moved, self.modulus)
-            )
-        rest = self.carrier.prefix[s:]
+        moved = (self.carrier.exact_value("a shift") - self.carrier.at(s)) / self.modulus ** s
         return AngleSequence(
-            self.modulus, head, NadicInteger.from_prefix(rest, self.modulus)
+            self.modulus, self.value(s), NadicInteger.from_value(moved, self.modulus)
         )
 
     def period(self):
@@ -181,9 +175,7 @@ class AngleSequence(_Value):
         Read off the storage in one comparison: the carrier value equals
         -alpha_0.  No multiplicative order is computed.
         """
-        if not self.carrier.is_exact:
-            raise ValueError("periodicity is undecidable from a finite prefix")
-        return self.carrier.value == -self.base
+        return self.carrier.exact_value("periodicity") == -self.base
 
     def __add__(self, other):
         if not isinstance(other, AngleSequence):
@@ -192,27 +184,14 @@ class AngleSequence(_Value):
             raise ValueError("mismatched scales")
         total = self.base + other.base
         carry = 1 if total >= 1 else 0
-        lengths = [x for x in (self.carrier.length, other.carrier.length) if x is not None]
-        if not lengths:
-            carrier = NadicInteger.from_value(
-                self.carrier.value + other.carrier.value + carry, self.modulus
-            )
-        else:
-            J, R = self.carrier, other.carrier
-            carrier = NadicInteger.from_tower(
-                [J.at(k) + R.at(k) + carry for k in range(min(lengths) + 1)], self.modulus
-            )
+        value = self.carrier.exact_value("addition") + other.carrier.exact_value("addition")
+        carrier = NadicInteger.from_value(value + carry, self.modulus)
         return AngleSequence(self.modulus, total - carry, carrier)
 
     def __neg__(self):
         carry = 1 if self.base > 0 else 0
-        if self.carrier.is_exact:
-            carrier = NadicInteger.from_value(-self.carrier.value - carry, self.modulus)
-        else:
-            J = self.carrier
-            carrier = NadicInteger.from_tower(
-                [-J.at(k) - carry for k in range(J.length + 1)], self.modulus
-            )
+        value = self.carrier.exact_value("negation") + carry
+        carrier = NadicInteger.from_value(-value, self.modulus)
         return AngleSequence(self.modulus, carry - self.base, carrier)
 
     def __repr__(self):

@@ -127,6 +127,14 @@ def test_float_literals_rejected(capsys, tmp_path):
     assert code == 2
 
 
+def test_deeply_nested_json_is_a_domain_error(capsys, tmp_path):
+    # exit 1 is reserved for a failing selftest oracle
+    path = tmp_path / "deep.json"
+    path.write_text("[" * 100000 + "]" * 100000)
+    assert main(["info", str(path)]) == 2
+    assert "nested too deeply" in capsys.readouterr().err
+
+
 def test_selftest_small(capsys):
     code = main(["selftest", "--seed", "7"])
     captured = capsys.readouterr()

@@ -20,6 +20,8 @@ A2 = AngleSequence.constant(2, Fraction(1, 3))
 A6 = AngleSequence.constant(6, Fraction(1, 5))
 X3, X2 = QnRational(1, 1, 3), QnRational(1, 1, 2)
 J3, J2 = A3.carrier, NadicInteger.iota(1, 2)
+JP = NadicInteger.from_prefix([1, 2], 3)
+AP = AngleSequence(3, Fraction(1, 2), JP)
 P3 = (X3, X3)
 E3, E3B = ktheory.ExtensionElement(A3, 0, X3), ktheory.ExtensionElement(A3B, 0, X3)
 K3, K3B = ktheory.as_pair(E3), ktheory.as_pair(E3B)
@@ -54,7 +56,6 @@ CASES = (
     + [pytest.param(lambda v: NadicInteger.from_prefix([v], 3), 3, ValueError, id="digit-high")]
     + _ints("NadicInteger.iota", lambda v: NadicInteger.iota(v, 3), negative=False)
     + _ints("NadicInteger.at", J3.at)
-    + _ints("NadicInteger.scaled", J3.scaled, negative=False)
     + _ints("AngleSequence.shift", A3.shift)
     + _ints("rescale-target", lambda v: classify.rescale(A6, v))
     + _ints("block_shift", lambda v: classify.block_shift(A6, v))
@@ -98,6 +99,14 @@ CASES = (
             ("NadicInteger-add-scale", J3.__add__, J2, ValueError),
             ("NadicInteger-sub-class", lambda o: J3 - o, X3, TypeError),
             ("NadicInteger-sub-scale", lambda o: J3 - o, J2, ValueError),
+            # a prefix carrier is a read-only window: no arithmetic, no shift
+            ("NadicInteger-add-prefix", J3.__add__, JP, ValueError),
+            ("NadicInteger-sub-prefix", lambda o: J3 - o, JP, ValueError),
+            ("NadicInteger-neg-prefix", lambda J: -J, JP, ValueError),
+            ("AngleSequence-add-prefix", lambda o: A3 + o, AP, ValueError),
+            ("AngleSequence-sub-prefix", lambda o: A3 - o, AP, ValueError),
+            ("AngleSequence-neg-prefix", lambda s: -s, AP, ValueError),
+            ("AngleSequence.shift-prefix", lambda s: s.shift(1), AP, ValueError),
             ("AngleSequence-add-class", lambda o: A3 + o, X3, TypeError),
             ("AngleSequence-add-scale", lambda o: A3 + o, A2, ValueError),
             ("AngleSequence-sub-class", lambda o: A3 - o, X3, TypeError),

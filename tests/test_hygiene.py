@@ -12,6 +12,10 @@
 * The integer check has one home: ``isinstance(x, bool)`` appears only in
   ``nadic.check_int``, ``nadic.as_fraction`` and the two operators that
   must return NotImplemented, ``Angle.__mul__`` and ``AngleMatrix.__pow__``.
+* A prefix carrier is a read-only window with one exactness check:
+  ``.prefix`` is read only in ``nadic``, and only
+  ``nadic.NadicInteger.exact_value`` raises the "exact carrier" /
+  "finite prefix" error.
 * Every name in ``ncsolenoid.__all__`` resolves.
 * ``import ncsolenoid`` loads neither ``dataclasses`` nor ``typing``
   (the start-up cost of the CLI and of every library user).
@@ -101,6 +105,31 @@ def test_only_the_integer_checks_test_for_bool():
         "nadic.check_int",
         "sequences.Angle.__mul__",
     ]
+
+
+def test_prefix_is_read_only_in_nadic():
+    found = [
+        "%s.py:%d" % (stem, node.lineno)
+        for stem, tree in TREES.items()
+        if stem != "nadic"
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Attribute) and node.attr == "prefix"
+    ]
+    assert found == []
+
+
+def test_only_exact_value_raises_the_exactness_error():
+    found = []
+    for stem, tree in TREES.items():
+        for node, scope in _scoped_nodes(tree, stem):
+            if isinstance(node, ast.Raise) and any(
+                isinstance(c, ast.Constant)
+                and isinstance(c.value, str)
+                and ("exact carrier" in c.value or "finite prefix" in c.value)
+                for c in ast.walk(node)
+            ):
+                found.append(scope)
+    assert found == ["nadic.NadicInteger.exact_value"]
 
 
 def test_every_exported_name_resolves():

@@ -14,6 +14,7 @@ from ncsolenoid.nadic import (
     multiplicative_order,
     prime_factors,
 )
+from ncsolenoid.sequences import AngleSequence
 
 scales = st.sampled_from([2, 3, 5, 6, 10, 12])
 
@@ -240,15 +241,36 @@ def test_carrier_arithmetic_matches_residues():
         m = 3**k
         assert (a + b).at(k) == (a.at(k) + b.at(k)) % m
         assert (-a).at(k) == (-a.at(k)) % m
-        assert a.scaled(5).at(k) == (5 * a.at(k)) % m
 
 
-def test_prefix_arithmetic_truncates():
+def test_prefix_digits_are_the_recorded_window():
+    J = NadicInteger.from_prefix([1, 0, 2, 1], 3)
+    assert [J.digit(n) for n in range(J.length)] == [1, 0, 2, 1]
+    with pytest.raises(ValueError):
+        J.digit(J.length)
+    with pytest.raises(ValueError):
+        J.digit(-1)
+
+
+def test_prefix_arithmetic_raises():
+    # a prefix is a read-only window: sums and negatives need the whole tower
     a = NadicInteger.from_prefix([1, 1, 1], 2)
     b = NadicInteger.iota(1, 2)
-    s = a + b
-    assert s.length == 3
-    assert [s.at(k) for k in range(4)] == [0, 0, 0, 0]
+    for op in (lambda: a + b, lambda: b + a, lambda: a - b, lambda: b - a, lambda: -a):
+        with pytest.raises(ValueError, match="undecidable from a finite prefix"):
+            op()
+    seq = AngleSequence(2, Fraction(1, 3), a)
+    exact = AngleSequence.constant(2, Fraction(1, 3))
+    for op in (
+        lambda: seq + exact,
+        lambda: exact + seq,
+        lambda: seq - exact,
+        lambda: exact - seq,
+        lambda: -seq,
+        lambda: seq.shift(1),
+    ):
+        with pytest.raises(ValueError, match="exact carrier"):
+            op()
 
 
 @given(
