@@ -1,14 +1,16 @@
-"""JSON element files.
+"""JSON element files; this module is their only reader.
 
 All rationals travel as strings 'a' or 'a/b'; floats are rejected
-outright.  An angle-sequence file looks like
+outright.  An element file holds exactly the keys N, alpha0 and carrier:
 
     {"N": 3, "alpha0": "1/2", "carrier": {"value": "-1/2"}}
 
-with the carrier either {"value": "a/b"} or {"prefix": [j0, j1, ...]}.
-A standalone carrier file adds the scale: {"N": 3, "value": "-1/2"}.
-Files holding an angle sequence are also accepted wherever a carrier is
-needed (the carrier is extracted).
+A carrier object holds exactly one of {"value": "a/b"} and
+{"prefix": [j0, j1, ...]}.  A standalone carrier file adds the scale and
+nothing else: {"N": 3, "value": "-1/2"}.  An element file is also
+accepted wherever a carrier is needed (its carrier is read).  Any other
+set of keys raises ValueError naming the file; a bad value under the
+right key raises the ValueError of the constructor that checks it.
 """
 
 from __future__ import annotations
@@ -17,6 +19,8 @@ import json
 
 from .nadic import NadicInteger
 from .sequences import AngleSequence
+
+_ELEMENT_KEYS = {"N", "alpha0", "carrier"}
 
 
 def _reject_float(text):
@@ -34,10 +38,23 @@ def load_json(path):
             raise ValueError("%s: JSON nested too deeply" % path) from None
 
 
+def _carrier(obj, modulus, path):
+    """The NadicInteger of a carrier object holding exactly one of value and prefix."""
+    if not isinstance(obj, dict) or len(obj) != 1 or not obj.keys() <= {"value", "prefix"}:
+        raise ValueError("%s: a carrier holds exactly one of value and prefix" % path)
+    return NadicInteger(modulus, **obj)
+
+
+def _sequence(obj, path):
+    """The AngleSequence of an element object holding exactly N, alpha0 and carrier."""
+    if not isinstance(obj, dict) or obj.keys() != _ELEMENT_KEYS:
+        raise ValueError("%s: an element file holds exactly N, alpha0 and carrier" % path)
+    return AngleSequence(obj["N"], obj["alpha0"], _carrier(obj["carrier"], obj["N"], path))
+
+
 def sequence_from_file(path):
     """Read an AngleSequence from an element file."""
-    obj = load_json(path)
-    return AngleSequence.from_json(obj)
+    return _sequence(load_json(path), path)
 
 
 def carrier_from_file(path):
@@ -46,10 +63,8 @@ def carrier_from_file(path):
     if not isinstance(obj, dict) or "N" not in obj:
         raise ValueError("%s: carrier files need an N field" % path)
     if "carrier" in obj:
-        return AngleSequence.from_json(obj).carrier
-    return NadicInteger.from_json(
-        {k: v for k, v in obj.items() if k in ("value", "prefix")}, obj["N"]
-    )
+        return _sequence(obj, path).carrier
+    return _carrier({k: v for k, v in obj.items() if k != "N"}, obj["N"], path)
 
 
 def dump_json(obj):

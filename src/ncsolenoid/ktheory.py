@@ -66,16 +66,10 @@ from math import floor
 from operator import attrgetter
 
 from .nadic import (
-    NadicInteger, QnRational, _Frozen, _Value, as_fraction, check_int, check_point,
-    format_fraction, frac_part,
+    NadicInteger, QnRational, _Frozen, _Value, as_fraction, check_carrier, check_int,
+    check_point, format_fraction, frac_part,
 )
 from .sequences import Angle, AngleSequence, check_sequence
-
-
-def _check_carrier(J):
-    if not isinstance(J, NadicInteger):
-        raise TypeError("expected a NadicInteger carrier")
-    return J
 
 
 def _lift(J, x):
@@ -92,7 +86,7 @@ def xi_cocycle(J, x, y):
     >>> xi_cocycle(J, QnRational(1, 1, 2), QnRational(1, 2, 2))
     0
     """
-    _check_carrier(J)
+    check_carrier(J)
     check_point(x, J.modulus)
     check_point(y, J.modulus)
     if x.exp < y.exp:
@@ -105,7 +99,7 @@ def xi_cocycle(J, x, y):
 
 def prufer_pair(J, x):
     """The pairing  p/N**k |-> frac(p * J_k / N**k)  into Q/Z."""
-    _check_carrier(J)
+    check_carrier(J)
     return Angle(_lift(J, check_point(x, J.modulus)))
 
 
@@ -116,7 +110,7 @@ def mu_cochain(J, x):
     >>> mu_cochain(J, QnRational(3, 1, 2))
     -1
     """
-    _check_carrier(J)
+    check_carrier(J)
     return -floor(_lift(J, check_point(x, J.modulus)))
 
 
@@ -203,8 +197,7 @@ def cohomologous(J, R, depth=8, samples=100, seed=20260817):
     Before returning, the identity is replayed on ``samples`` seeded
     random pairs within the recorded depth.
     """
-    _check_carrier(J)
-    _check_carrier(R)
+    check_carrier(J, R)
     if J.modulus != R.modulus:
         raise ValueError("carriers live at different scales")
     diff = J.exact_value("cohomology") - R.exact_value("cohomology")

@@ -55,6 +55,13 @@ def check_point(x, modulus=None):
     return x
 
 
+def check_carrier(*carriers):
+    """Raise TypeError unless every argument is a NadicInteger."""
+    for J in carriers:
+        if not isinstance(J, NadicInteger):
+            raise TypeError("expected a NadicInteger carrier")
+
+
 def as_fraction(value):
     """Coerce ints, Fractions and 'a/b' strings to Fraction, rejecting floats.
 
@@ -347,6 +354,11 @@ class NadicInteger(_Value):
     every decision that needs the whole tower raise ValueError through
     :meth:`exact_value`.
 
+    Residues have one store and one read path: the deepest residue known,
+    J_K at level K (the whole window of a prefix; for an exact carrier the
+    deepest level asked for so far).  ``at(k)`` for k <= K reads J_K mod
+    N**k, so memory stays one residue however many levels are read.
+
     >>> J = NadicInteger.iota(5, 3)
     >>> [J.at(k) for k in range(5)]
     [0, 2, 5, 5, 5]
@@ -356,7 +368,7 @@ class NadicInteger(_Value):
     252
     """
 
-    __slots__ = ("modulus", "value", "prefix", "_reps")
+    __slots__ = ("modulus", "value", "prefix", "_deep")
     _key = attrgetter("modulus", "value", "prefix")
 
     def __init__(self, modulus, value=None, prefix=None):
@@ -370,15 +382,19 @@ class NadicInteger(_Value):
                     "denominator %d shares a factor with scale %d"
                     % (value.denominator, modulus)
                 )
+            deep = (0, 0)
         else:
+            if not isinstance(prefix, (list, tuple)):
+                raise ValueError("a prefix must be a list of digits")
             prefix = tuple(prefix)
             for j in prefix:
                 if check_int(j, "digit", 0) >= modulus:
                     raise ValueError("digits must lie below %d" % modulus)
+            deep = (len(prefix), sum(j * modulus ** i for i, j in enumerate(prefix)))
         object.__setattr__(self, "modulus", modulus)
         object.__setattr__(self, "value", value)
         object.__setattr__(self, "prefix", prefix)
-        object.__setattr__(self, "_reps", {0: 0})
+        object.__setattr__(self, "_deep", deep)
 
     @classmethod
     def iota(cls, z, modulus):
@@ -403,20 +419,17 @@ class NadicInteger(_Value):
         return None if self.prefix is None else len(self.prefix)
 
     def at(self, k):
-        """The residue J_k in [0, N**k)."""
-        got = self._reps.get(check_int(k, "depth", 0))
-        if got is not None:
-            return got
-        if self.value is not None:
-            m = self.modulus ** k
-            rep = (self.value.numerator * pow(self.value.denominator, -1, m)) % m
-        elif k > len(self.prefix):
-            raise ValueError(
-                "depth %d exceeds recorded prefix of length %d" % (k, len(self.prefix))
-            )
-        else:
-            rep = sum(j * self.modulus ** i for i, j in enumerate(self.prefix[:k]))
-        self._reps[k] = rep
+        """The residue J_k in [0, N**k): the stored deepest residue mod N**k."""
+        level, rep = self._deep
+        if check_int(k, "depth", 0) == level:
+            return rep
+        if k < level:
+            return rep % self.modulus ** k
+        if self.value is None:
+            raise ValueError("depth %d exceeds recorded prefix of length %d" % (k, level))
+        m = self.modulus ** k
+        rep = (self.value.numerator * pow(self.value.denominator, -1, m)) % m
+        object.__setattr__(self, "_deep", (k, rep))
         return rep
 
     def digit(self, n):
@@ -469,14 +482,3 @@ class NadicInteger(_Value):
         if self.value is not None:
             return {"value": format_fraction(self.value)}
         return {"prefix": list(self.prefix)}
-
-    @classmethod
-    def from_json(cls, obj, modulus):
-        if not isinstance(obj, dict):
-            raise ValueError("bad carrier object")
-        if "value" in obj and "prefix" not in obj:
-            return cls(modulus, value=as_fraction(obj["value"]))
-        if "prefix" in obj and "value" not in obj:
-            return cls(modulus, prefix=obj["prefix"])
-        raise ValueError("carrier object needs exactly one of value and prefix")
-

@@ -33,7 +33,7 @@ from .ktheory import (
     zeta_cocycle,
 )
 from .multiplier import bicharacter, psi_phase, theta_phase
-from .nadic import NadicInteger, QnRational, _Frozen
+from .nadic import QnRational, _Frozen, check_carrier
 from .sequences import Angle, AngleSequence, check_sequence
 
 DEFAULT_SEED = 20260817
@@ -320,14 +320,9 @@ def cocycle_fuzz(kind, subject, trials=1000, seed=DEFAULT_SEED):
     "psi_bichar" takes an AngleSequence.  Each law is checked exactly;
     the report lists the first few failures, if any.
     """
-    if kind == "xi":
-        if not isinstance(subject, NadicInteger):
-            raise TypeError("kind 'xi' takes a carrier")
-        return _fuzz_xi(subject, trials, seed)
-    if kind == "zeta":
-        if not isinstance(subject, NadicInteger):
-            raise TypeError("kind 'zeta' takes a carrier")
-        return _fuzz_zeta(subject, trials, seed)
+    if kind in ("xi", "zeta"):
+        check_carrier(subject)
+        return (_fuzz_xi if kind == "xi" else _fuzz_zeta)(subject, trials, seed)
     if kind == "psi_bichar":
         check_sequence(subject)
         return _fuzz_psi_bichar(subject, trials, seed)
@@ -347,6 +342,7 @@ def coboundary_solve(J, R, seed=DEFAULT_SEED):
     Independent of :func:`ncsolenoid.ktheory.cohomologous`, which
     decides via exact carrier arithmetic.
     """
+    check_carrier(J, R)
     if J.modulus != R.modulus:
         raise ValueError("carriers live at different scales")
     N = J.modulus

@@ -26,6 +26,7 @@ from .nadic import (
     NadicInteger,
     _Value,
     as_fraction,
+    check_carrier,
     check_int,
     check_scale,
     format_fraction,
@@ -102,8 +103,7 @@ class AngleSequence(_Value):
         base = as_fraction(base)
         if not 0 <= base < 1:
             raise ValueError("head angle must lie in [0, 1)")
-        if not isinstance(carrier, NadicInteger):
-            raise TypeError("carrier must be a NadicInteger")
+        check_carrier(carrier)
         if carrier.modulus != modulus:
             raise ValueError("carrier scale %d does not match %d" % (carrier.modulus, modulus))
         object.__setattr__(self, "modulus", modulus)
@@ -207,15 +207,6 @@ class AngleSequence(_Value):
             "alpha0": format_fraction(self.base),
             "carrier": self.carrier.to_json(),
         }
-
-    @classmethod
-    def from_json(cls, obj):
-        if not isinstance(obj, dict) or "N" not in obj:
-            raise ValueError("element object needs an N field")
-        modulus = obj["N"]
-        base = as_fraction(obj.get("alpha0", "0"))
-        carrier = NadicInteger.from_json(obj.get("carrier", {"value": "0"}), modulus)
-        return cls(modulus, base, carrier)
 
 
 def check_sequence(*seqs):

@@ -1,4 +1,5 @@
 import json
+from pathlib import Path
 
 import pytest
 
@@ -118,6 +119,42 @@ def test_a_scale_that_is_not_an_integer_is_a_domain_error(capsys, tmp_path, half
     assert "scale must be an integer" in capsys.readouterr().err
     assert main(["cohomologous", str(carrier), half_file]) == 2
     assert "scale must be an integer" in capsys.readouterr().err
+
+
+GOLDEN = Path(__file__).parent / "golden" / "elements"
+HALF3_CARRIER, IOTA0_3 = str(GOLDEN / "half3_carrier.json"), str(GOLDEN / "iota0_3.json")
+
+
+@pytest.mark.parametrize(
+    "command, text",
+    [
+        pytest.param(["info"], None, id="carrier-file-info"),
+        pytest.param(["simple"], None, id="carrier-file-simple"),
+        pytest.param(["iso", IOTA0_3], None, id="carrier-file-iso"),
+        pytest.param(["info"], '{"N": 3, "carrier": {"value": "-1/2"}}', id="missing-alpha0"),
+        pytest.param(["simple"], '{"N": 3, "alpha0": "1/2", "carier": {"value": "-1/2"}}',
+                     id="misspelled-carrier"),
+        pytest.param(["info"], '{"N": 3, "alpha0": "1/2", "carrier": {"value": "0"}, "x": 1}',
+                     id="extra-key"),
+        pytest.param(["info"], '{"N": 3, "alpha0": "0", "carrier": {"prefix": [1], "value": "0"}}',
+                     id="value-and-prefix"),
+        pytest.param(["info"], '{"N": 3, "alpha0": "0", "carrier": {"prefix": 5}}',
+                     id="prefix-int"),
+        pytest.param(["info"], '{"N": 3, "alpha0": "0", "carrier": {"prefix": true}}',
+                     id="prefix-bool"),
+        pytest.param(["cohomologous", IOTA0_3], '{"N": 3, "value": "0", "prefix": [1]}',
+                     id="carrier-file-value-and-prefix"),
+        pytest.param(["cohomologous", IOTA0_3], '{"N": 3, "value": "0", "x": 1}',
+                     id="carrier-file-extra-key"),
+    ],
+)
+def test_a_file_of_another_shape_exits_2_with_empty_stdout(capsys, tmp_path, command, text):
+    path = HALF3_CARRIER
+    if text is not None:
+        path = str(tmp_path / "element.json")
+        Path(path).write_text(text)
+    assert main(command[:1] + [path] + command[1:]) == 2
+    assert capsys.readouterr().out == ""
 
 
 def test_float_literals_rejected(capsys, tmp_path):

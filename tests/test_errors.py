@@ -155,6 +155,15 @@ CASES = (
             ("bicharacter-scale",
              lambda s: multiplier.bicharacter(A3, A3, s, A3, P3, P3), A2, ValueError),
             ("cocycle_fuzz-xi", lambda s: oracle.cocycle_fuzz("xi", s, 1), A3, TypeError),
+            ("cocycle_fuzz-zeta", lambda s: oracle.cocycle_fuzz("zeta", s, 1), A3, TypeError),
+            ("coboundary_solve-J-int", lambda J: oracle.coboundary_solve(J, J3), 5, TypeError),
+            ("coboundary_solve-R-int", lambda R: oracle.coboundary_solve(J3, R), 5, TypeError),
+            ("AngleSequence-carrier-class", lambda J: AngleSequence(3, 0, J), X3, TypeError),
+            # a prefix is a list of digits; anything else is a bad value, not a crash
+            ("NadicInteger-prefix-int", lambda p: NadicInteger.from_prefix(p, 3), 5, ValueError),
+            ("NadicInteger-prefix-bool", lambda p: NadicInteger.from_prefix(p, 3), True,
+             ValueError),
+            ("NadicInteger-prefix-dict", lambda p: NadicInteger.from_prefix(p, 3), {}, ValueError),
             ("rescale-non-divisor", lambda t: classify.rescale(A6, t), 4, ValueError),
             ("block-non-divisor", lambda d: classify.block_shift(A6, d), 4, ValueError),
             ("prime_case-composite", lambda s: classify.prime_case_isomorphic(s, A3), A6,

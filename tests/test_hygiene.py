@@ -16,6 +16,10 @@
   ``.prefix`` is read only in ``nadic``, and only
   ``nadic.NadicInteger.exact_value`` raises the "exact carrier" /
   "finite prefix" error.
+* Element and carrier files have one reader, ``codec``: no class defines
+  ``from_json``.
+* The carrier type check has one home: ``isinstance(x, NadicInteger)``
+  appears only in ``nadic.check_carrier``.
 * Every name in ``ncsolenoid.__all__`` resolves.
 * ``import ncsolenoid`` loads neither ``dataclasses`` nor ``typing``
   (the start-up cost of the CLI and of every library user).
@@ -90,16 +94,21 @@ def test_only_value_defines_require_same_and_sub():
     ]
 
 
-def test_only_the_integer_checks_test_for_bool():
+def _isinstance_scopes(cls):
+    """The scopes of every isinstance(x, ...) call whose classes name cls, sorted."""
     found = []
     for stem, tree in TREES.items():
         for node, scope in _scoped_nodes(tree, stem):
             if not (isinstance(node, ast.Call) and getattr(node.func, "id", None) == "isinstance"):
                 continue
             kinds = node.args[1].elts if isinstance(node.args[1], ast.Tuple) else [node.args[1]]
-            if any(getattr(k, "id", None) == "bool" for k in kinds):
+            if any(getattr(k, "id", None) == cls for k in kinds):
                 found.append(scope)
-    assert sorted(found) == [
+    return sorted(found)
+
+
+def test_only_the_integer_checks_test_for_bool():
+    assert _isinstance_scopes("bool") == [
         "classify.AngleMatrix.__pow__",
         "nadic.as_fraction",
         "nadic.check_int",
@@ -130,6 +139,21 @@ def test_only_exact_value_raises_the_exactness_error():
             ):
                 found.append(scope)
     assert found == ["nadic.NadicInteger.exact_value"]
+
+
+def test_no_class_defines_from_json():
+    found = [
+        "%s.%s" % (stem, node.name)
+        for stem, tree in TREES.items()
+        for node in ast.walk(tree)
+        if isinstance(node, ast.ClassDef)
+        and any(getattr(f, "name", None) == "from_json" for f in node.body)
+    ]
+    assert found == []
+
+
+def test_only_check_carrier_tests_for_a_carrier():
+    assert _isinstance_scopes("NadicInteger") == ["nadic.check_carrier"]
 
 
 def test_every_exported_name_resolves():

@@ -1,9 +1,12 @@
+import json
+import tracemalloc
 from fractions import Fraction
 from math import gcd, isqrt, prod
 
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
+from ncsolenoid.codec import carrier_from_file
 from ncsolenoid.nadic import (
     NadicInteger,
     QnRational,
@@ -297,13 +300,32 @@ def test_tower_coherence(n, z):
         assert 0 <= J.at(k) < n**k
 
 
-def test_carrier_json_round_trip():
+def test_carrier_json_round_trip(tmp_path):
+    path = tmp_path / "carrier.json"
     J = NadicInteger.from_value(Fraction(-1, 62), 5)
     assert J.to_json() == {"value": "-1/62"}
-    assert NadicInteger.from_json(J.to_json(), 5).value == J.value
+    path.write_text(json.dumps(dict(J.to_json(), N=5)))
+    assert carrier_from_file(str(path)) == J
     P = NadicInteger.from_prefix([2, 0, 0, 2], 5)
     assert P.to_json() == {"prefix": [2, 0, 0, 2]}
-    assert NadicInteger.from_json(P.to_json(), 5).at(4) == P.at(4)
+    path.write_text(json.dumps(dict(P.to_json(), N=5)))
+    back = carrier_from_file(str(path))
+    assert back == P
+    assert back.at(4) == P.at(4)
+
+
+def test_reading_many_levels_retains_one_residue():
+    # one stored residue, not one per level read: about 0.5 KB at N = 3
+    J = NadicInteger.from_value(Fraction(-1, 2), 3)
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        for k in range(1, 2001):
+            J.at(k)
+        retained = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert retained < 16 * 1024
 
 
 def test_zeta_inverts_iota():

@@ -1,9 +1,11 @@
+import json
 from fractions import Fraction
 from math import gcd
 
 import pytest
 from hypothesis import given, strategies as st
 
+from ncsolenoid.codec import sequence_from_file
 from ncsolenoid.nadic import NadicInteger
 from ncsolenoid.sequences import Angle, AngleSequence
 
@@ -203,22 +205,28 @@ def test_period_is_minimal_value_recurrence(a):
 # ---------------------------------------------------------------- json
 
 
-def test_sequence_json_round_trip(five_62):
+def _read_back(tmp_path, blob):
+    """Write blob as an element file and read it through codec."""
+    path = tmp_path / "element.json"
+    path.write_text(json.dumps(blob))
+    return sequence_from_file(str(path))
+
+
+def test_sequence_json_round_trip(five_62, tmp_path):
     blob = five_62.to_json()
     assert blob == {"N": 5, "alpha0": "1/62", "carrier": {"value": "-1/62"}}
-    back = AngleSequence.from_json(blob)
-    assert back.base == five_62.base
-    assert back.carrier.value == five_62.carrier.value
+    assert _read_back(tmp_path, blob) == five_62
 
 
 @pytest.mark.parametrize("scale", ["3", True, None, 1])
-def test_from_json_rejects_a_scale_that_is_not_an_integer_above_one(scale):
-    # the scale is validated once, by the constructors that from_json calls
+def test_from_json_rejects_a_scale_that_is_not_an_integer_above_one(scale, tmp_path):
+    # the scale is validated once, by the constructors that codec calls
     with pytest.raises(ValueError, match="scale must be"):
-        AngleSequence.from_json({"N": scale, "alpha0": "1/2", "carrier": {"value": "-1/2"}})
+        _read_back(tmp_path, {"N": scale, "alpha0": "1/2", "carrier": {"value": "-1/2"}})
 
 
-def test_sequence_json_prefix_round_trip():
+def test_sequence_json_prefix_round_trip(tmp_path):
     a = AngleSequence(3, Fraction(1, 2), NadicInteger.from_prefix([0, 2, 1], 3))
-    back = AngleSequence.from_json(a.to_json())
+    back = _read_back(tmp_path, a.to_json())
+    assert back == a
     assert [back.digit(n) for n in range(3)] == [0, 2, 1]
