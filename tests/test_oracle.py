@@ -174,3 +174,83 @@ def test_coboundary_solve_random_integer_pairs():
         a, b = rng.randint(-15, 15), rng.randint(-15, 15)
         psi = coboundary_solve(NadicInteger.iota(a, 5), NadicInteger.iota(b, 5))
         assert psi is not None and psi.psi1() == b - a
+
+
+# ---------------------------------------------------------------- colimit fault injection
+
+
+def test_colimit_report_at_depth_6_with_the_default_windows(three_half):
+    assert colimit_report(three_half) == {
+        "match": True,
+        "stages": 7,
+        "stage_points": 12937,
+        "covered": 8281,
+        "checks": 21482,
+        "failures": [],
+    }
+
+
+def test_colimit_report_at_a_composite_scale():
+    a = AngleSequence(6, Fraction(1, 5), NadicInteger.from_value(Fraction(7, 11), 6))
+    assert colimit_report(a, depth=3, num_window=4, int_window=2) == {
+        "match": True,
+        "stages": 4,
+        "stage_points": 965,
+        "covered": 315,
+        "checks": 1298,
+        "failures": [],
+    }
+
+
+def test_colimit_nesting_fails_on_a_wrong_stage_digit(three_half, monkeypatch):
+    # three_half has r_k = 4; a stand-in digit 5 breaks every nesting step
+    monkeypatch.setattr("ncsolenoid.oracle.r_digit", lambda alpha, k: 5)
+    report = colimit_report(three_half, depth=1, num_window=1, int_window=0)
+    assert report == {
+        "match": False,
+        "stages": 2,
+        "stage_points": 13,
+        "covered": 9,
+        "checks": 24,
+        "failures": [
+            "stage 0 point (0, -3) not nested",
+            "stage 0 point (0, -2) not nested",
+            "stage 0 point (0, -1) not nested",
+            "stage 0 point (0, 1) not nested",
+            "stage 0 point (0, 2) not nested",
+            "stage 0 point (0, 3) not nested",
+        ],
+    }
+
+
+class _OffAtFive(NadicInteger):
+    """A carrier whose residue at level 5 is off by one."""
+
+    __slots__ = ()
+
+    def at(self, k):
+        return super().at(k) + (k == 5)
+
+
+def test_colimit_membership_and_coverage_fail_on_a_wrong_residue():
+    a = AngleSequence(3, Fraction(1, 2), _OffAtFive(3, value=Fraction(-1, 2)))
+    report = colimit_report(a, depth=3, num_window=1, int_window=0)
+    assert report == {
+        "match": False,
+        "stages": 4,
+        "stage_points": 25,
+        "covered": 19,
+        "checks": 52,
+        "failures": [
+            "mirrored connecting identity fails at stage 2",
+            "stage 2 point (0, -3) not nested",
+            "stage 2 point (0, -2) not nested",
+            "stage 2 point (0, -1) not nested",
+            "stage 2 point (0, 1) not nested",
+            "stage 2 point (0, 2) not nested",
+            "stage 2 point (0, 3) not nested",
+            "stage 3 point (0, -3) misses K0",
+            "stage 3 point (0, 3) misses K0",
+            "K0 point (-122/243, -1/243) has no stage preimage",
+        ],
+    }
