@@ -116,14 +116,12 @@ def cmd_selftest(args):
     reports = []
 
     alpha = AngleSequence.constant(3, Fraction(1, 2))
-    for kind in ("xi", "zeta"):
-        rep = oracle.cocycle_fuzz(kind, alpha.carrier, trials=_TRIALS, seed=seed)
-        reports.append(rep.to_json())
-        print("selftest %s: %s" % (kind, "ok" if rep.passed else "FAIL"), file=sys.stderr)
-
-    rep = oracle.cocycle_fuzz("psi_bichar", alpha, trials=_TRIALS // 4, seed=seed)
-    reports.append(rep.to_json())
-    print("selftest psi_bichar: %s" % ("ok" if rep.passed else "FAIL"), file=sys.stderr)
+    for kind, subject, trials in (
+        ("xi", alpha.carrier, _TRIALS),
+        ("zeta", alpha.carrier, _TRIALS),
+        ("psi_bichar", alpha, _TRIALS // 4),
+    ):
+        reports.append(oracle.cocycle_fuzz(kind, subject, trials=trials, seed=seed).to_json())
 
     five = AngleSequence(5, Fraction(1, 62), NadicInteger.from_value(Fraction(-1, 62), 5))
     got = oracle.brute_symmetrizer(
@@ -132,11 +130,9 @@ def cmd_selftest(args):
     described = multiplier.symmetrizer(five)
     brute_ok = all(described.contains(g) for g in got)
     reports.append({"kind": "brute_symmetrizer", "points": len(got), "passed": brute_ok})
-    print("selftest brute_symmetrizer: %s" % ("ok" if brute_ok else "FAIL"), file=sys.stderr)
 
     colimit_ok = oracle.colimit_compare(alpha, depth=_DEPTH, num_window=8, int_window=3)
     reports.append({"kind": "colimit", "passed": colimit_ok})
-    print("selftest colimit: %s" % ("ok" if colimit_ok else "FAIL"), file=sys.stderr)
 
     J = NadicInteger.iota(5, 3)
     R = NadicInteger.iota(0, 3)
@@ -146,9 +142,10 @@ def cmd_selftest(args):
         witness is None or witness.psi1() == direct.psi1()
     )
     reports.append({"kind": "coboundary", "passed": agree})
-    print("selftest coboundary: %s" % ("ok" if agree else "FAIL"), file=sys.stderr)
 
-    passed = all(r.get("passed", False) for r in reports)
+    for r in reports:
+        print("selftest %s: %s" % (r["kind"], "ok" if r["passed"] else "FAIL"), file=sys.stderr)
+    passed = all(r["passed"] for r in reports)
     _emit({"passed": passed, "reports": reports})
     return EXIT_OK if passed else 1
 
@@ -160,17 +157,14 @@ def build_parser():
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("info", help="describe an element file")
-    p.add_argument("file")
-    p.set_defaults(fn=cmd_info)
-
-    p = sub.add_parser("simple", help="simplicity of the twisted algebra")
-    p.add_argument("file")
-    p.set_defaults(fn=cmd_simple)
-
-    p = sub.add_parser("symmetrizer", help="symmetrizer subgroup description")
-    p.add_argument("file")
-    p.set_defaults(fn=cmd_symmetrizer)
+    for name, fn, text in (
+        ("info", cmd_info, "describe an element file"),
+        ("simple", cmd_simple, "simplicity of the twisted algebra"),
+        ("symmetrizer", cmd_symmetrizer, "symmetrizer subgroup description"),
+    ):
+        p = sub.add_parser(name, help=text)
+        p.add_argument("file")
+        p.set_defaults(fn=fn)
 
     k0 = sub.add_parser("k0", help="K0 queries").add_subparsers(
         dest="k0_command", required=True

@@ -100,7 +100,8 @@ def xi_cocycle(J, x, y):
 def prufer_pair(J, x):
     """The pairing  p/N**k |-> frac(p * J_k / N**k)  into Q/Z."""
     check_carrier(J)
-    return Angle(_lift(J, check_point(x, J.modulus)))
+    m = J.modulus ** check_point(x, J.modulus).exp
+    return Angle._of(Fraction(x.num * J.at(x.exp) % m, m))
 
 
 def mu_cochain(J, x):
@@ -111,7 +112,8 @@ def mu_cochain(J, x):
     -1
     """
     check_carrier(J)
-    return -floor(_lift(J, check_point(x, J.modulus)))
+    check_point(x, J.modulus)
+    return -(x.num * J.at(x.exp) // J.modulus ** x.exp)
 
 
 def cross_section_carry(t1, t2):

@@ -117,7 +117,10 @@ def psi_phase(alpha, g, h):
     check_sequence(alpha)
     g1, _g2 = _as_pair(g, alpha.modulus)
     _h1, h2 = _as_pair(h, alpha.modulus)
-    return Angle(alpha.value(g1.exp + h2.exp) * g1.num * h2.num)
+    # alpha_n = (a + b J_n) / (b N**n) with alpha_0 = a/b: one Fraction, reduced mod 1
+    n, a, b = g1.exp + h2.exp, alpha.base.numerator, alpha.base.denominator
+    den = b * alpha.modulus ** n
+    return Angle._of(Fraction((a + b * alpha.carrier.at(n)) * g1.num * h2.num % den, den))
 
 
 def theta_phase(alpha, g, h):

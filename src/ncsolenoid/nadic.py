@@ -284,6 +284,10 @@ class QnRational(_Value):
         modulus = check_scale(modulus)
         check_int(num, "numerator")
         check_int(exp, "exponent", 0)
+        self._store(num, exp, modulus)
+
+    def _store(self, num, exp, modulus):
+        """Set the fields in lowest N-adic terms: cancel trailing factors of N."""
         if num == 0:
             exp = 0
         else:
@@ -293,6 +297,13 @@ class QnRational(_Value):
         object.__setattr__(self, "num", num)
         object.__setattr__(self, "exp", exp)
         object.__setattr__(self, "modulus", modulus)
+
+    @classmethod
+    def _of(cls, num, exp, modulus):
+        """Trusted construction from an int num, an int exp >= 0 and a valid scale."""
+        x = object.__new__(cls)
+        x._store(num, exp, modulus)
+        return x
 
     @classmethod
     def from_fraction(cls, value, modulus):
@@ -314,7 +325,7 @@ class QnRational(_Value):
                 )
             t //= g
             k += 1
-        return cls(q.numerator * (modulus ** k // d), k, modulus)
+        return cls._of(q.numerator * (modulus ** k // d), k, modulus)
 
     @property
     def fraction(self):
@@ -322,14 +333,16 @@ class QnRational(_Value):
 
     def __add__(self, other):
         self._require_same(other, "modulus")
-        return QnRational.from_fraction(self.fraction + other.fraction, self.modulus)
+        N, k, m = self.modulus, self.exp, other.exp
+        e = max(k, m)
+        return QnRational._of(self.num * N ** (e - k) + other.num * N ** (e - m), e, N)
 
     def __neg__(self):
-        return QnRational(-self.num, self.exp, self.modulus)
+        return QnRational._of(-self.num, self.exp, self.modulus)
 
     def scaled(self, m):
         """Multiply by an integer scalar."""
-        return QnRational(self.num * check_int(m, "scalar"), self.exp, self.modulus)
+        return QnRational._of(self.num * check_int(m, "scalar"), self.exp, self.modulus)
 
     def __bool__(self):
         return self.num != 0

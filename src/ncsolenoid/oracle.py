@@ -7,6 +7,10 @@ validate; they may use the definitional formulas (the multiplier, the
 cocycle, the stage matrices) as inputs, because those are the objects
 under test, not the answers.
 
+The window oracles compute in integers: ``colimit_report`` holds each
+point of Q x Q_N as an integer pair over the one denominator
+N**(2 * depth), and ``brute_symmetrizer`` clears term numerators.
+
 Defaults are sized for desk use: windows around 150 numerators and
 exponent 4, depth 6 stages, 1000 fuzz trials on points p/N**k with
 |p| <= 60 and k <= 6.  Every report records the seed that produced it.
@@ -16,7 +20,7 @@ from __future__ import annotations
 
 import random
 from fractions import Fraction
-from math import gcd
+from math import lcm
 
 from .ktheory import (
     MIRROR,
@@ -80,16 +84,6 @@ def sample_qn(rng, scale, max_num, max_exp):
     return QnRational(rng.randint(-max_num, max_num), rng.randint(0, max_exp), scale)
 
 
-def _window_values(alpha, top):
-    """Common denominator and integer numerators of alpha_0..alpha_top."""
-    denom = 1
-    for m in range(top + 1):
-        d = alpha.value(m).denominator
-        denom = denom * d // gcd(denom, d)
-    nums = [int(alpha.value(m) * denom) for m in range(top + 1)]
-    return denom, nums
-
-
 def brute_symmetrizer(alpha, window_num=150, window_exp=4, spot_checks=2000, seed=DEFAULT_SEED):
     """All window points g with Theta_alpha(g, h) == 0 for every window h.
 
@@ -105,30 +99,18 @@ def brute_symmetrizer(alpha, window_num=150, window_exp=4, spot_checks=2000, see
     """
     check_sequence(alpha)
     N = alpha.modulus
-    top = 2 * window_exp
-    denom, nums = _window_values(alpha, top)
+    values = [alpha.value(m) for m in range(2 * window_exp + 1)]
+    denom = lcm(*(v.denominator for v in values))  # common denominator of the terms
+    nums = [v.numerator * (denom // v.denominator) for v in values]
 
-    def reduced(p, k):
-        if p == 0:
-            return 0, 0
-        while k > 0 and p % N == 0:
-            p //= N
-            k -= 1
-        return p, k
-
-    def coord_clears(p, k):
-        # p * alpha_{k+j} integral for every exponent j in the window
-        for j in range(window_exp + 1):
-            if (p * nums[k + j]) % denom:
-                return False
-        return True
-
-    cleared = {}
+    cleared = {}  # (p, k) in lowest terms -> p * alpha_{k+j} integral for every j <= window_exp
     for k in range(window_exp + 1):
         for p in range(-window_num, window_num + 1):
-            key = reduced(p, k)
-            if key not in cleared:
-                cleared[key] = coord_clears(*key)
+            x = QnRational._of(p, k, N)
+            if (x.num, x.exp) not in cleared:
+                cleared[x.num, x.exp] = all(
+                    x.num * nums[x.exp + j] % denom == 0 for j in range(window_exp + 1)
+                )
 
     coords = sorted(cleared)
     good = [c for c in coords if cleared[c]]
@@ -156,9 +138,12 @@ def colimit_report(alpha, depth=6, num_window=24, int_window=6):
     Stage k is the lattice Z^2 embedded in Q x Q_N by
     (z, p) -> (z + p J_2k / N**2k, p / N**2k); representatives at
     different stages are identified exactly when their images agree.
-    The report checks, with everything exact:
+    Every point (first, second) is held as an integer pair (A, B) over
+    the one denominator M = N**(2 * depth); Fractions are built only for
+    failure messages.  The checks are integer products and tests mod M:
 
-    * inclusion: enumerated stage points satisfy the K0 membership test;
+    * inclusion: enumerated stage points satisfy the K0 membership test,
+      A == B * J_k (mod M) for the least k with N**k * second integral;
     * coverage: every enumerated K0 window point has a stage preimage
       (constructed, not searched);
     * nesting: stage k images recur at stage k+1 via (z, p) ->
@@ -169,27 +154,30 @@ def colimit_report(alpha, depth=6, num_window=24, int_window=6):
     """
     check_sequence(alpha)
     N = alpha.modulus
-    at = alpha.carrier.at
     failures = []
     checks = 0
-
-    def image(k, z, p):
-        m = N ** (2 * k)
-        return (z + Fraction(p * at(2 * k), m), Fraction(p, m))
-
-    def member(first, second):
-        k = 0
-        t = second
-        while t.denominator != 1:
-            t *= N
-            k += 1
-        return (first - Fraction(int(t) * at(k), N ** k)).denominator == 1
 
     for k in range(depth):
         mirrored = mat_mul(MIRROR, mat_mul(connecting_matrix(alpha, k), MIRROR))
         checks += 1
         if mat_mul(embedding_matrix(alpha, k + 1), mirrored) != embedding_matrix(alpha, k):
             failures.append("mirrored connecting identity fails at stage %d" % k)
+
+    M = N ** (2 * depth)
+    J = [alpha.carrier.at(k) for k in range(2 * depth + 1)]  # the coherence loop read these
+
+    def image(k, z, p):
+        B = p * N ** (2 * (depth - k))
+        return (z * M + B * J[2 * k], B)
+
+    def shown(A, B):
+        return "(%s, %s)" % (Fraction(A, M), Fraction(B, M))
+
+    def member(A, B):
+        k = 0
+        while B * N ** k % M:
+            k += 1
+        return (A - B * J[k]) % M == 0
 
     stage_points = set()
     for k in range(depth + 1):
@@ -201,28 +189,26 @@ def colimit_report(alpha, depth=6, num_window=24, int_window=6):
                 if not member(*pt):
                     failures.append("stage %d point (%d, %d) misses K0" % (k, z, p))
                 stage_points.add(pt)
-                if k < depth:
-                    # nesting: the same image recurs one stage later
-                    if image(k + 1, z - p * r_k, N ** 2 * p) != pt:
-                        failures.append("stage %d point (%d, %d) not nested" % (k, z, p))
+                # nesting: the same image recurs one stage later
+                if k < depth and image(k + 1, z - p * r_k, N ** 2 * p) != pt:
+                    failures.append("stage %d point (%d, %d) not nested" % (k, z, p))
 
     covered = 0
     for k in range(2 * depth + 1):
+        stage = (k + 1) // 2
         for p in range(-num_window, num_window + 1):
-            x = Fraction(p, N ** k)
+            B = p * N ** (2 * depth - k)
+            pp = p * N ** (2 * stage - k)
             for z in range(-int_window, int_window + 1):
-                first = z + Fraction(p * at(k), N ** k)
+                A = z * M + B * J[k]
                 checks += 1
-                stage = (k + 1) // 2
-                pp = p * N ** (2 * stage - k)
-                zz = first - Fraction(pp * at(2 * stage), N ** (2 * stage))
-                if zz.denominator != 1:
-                    failures.append("K0 point (%s, %s) has no stage preimage" % (first, x))
-                    continue
-                if image(stage, int(zz), pp) != (first, x):
-                    failures.append("constructed preimage mismatch at (%s, %s)" % (first, x))
-                    continue
-                covered += 1
+                zz, rest = divmod(A - B * J[2 * stage], M)
+                if rest:
+                    failures.append("K0 point %s has no stage preimage" % shown(A, B))
+                elif image(stage, zz, pp) != (A, B):
+                    failures.append("constructed preimage mismatch at %s" % shown(A, B))
+                else:
+                    covered += 1
 
     return {
         "match": not failures,
@@ -346,36 +332,24 @@ def coboundary_solve(J, R, seed=DEFAULT_SEED):
     if J.modulus != R.modulus:
         raise ValueError("carriers live at different scales")
     N = J.modulus
-    sigma_digits = []
+    sums, candidates = [], []  # sums: (sigma_0 + ... + N**i sigma_i, N**(i+1))
+    acc, w = 0, 1
     for i in range(_SOLVE_DEPTH):
-        x = QnRational(1, i + 1, N)
-        y = QnRational(N - 1, i + 1, N)
-        sigma_digits.append(xi_cocycle(J, x, y) - xi_cocycle(R, x, y))
-
-    candidates = []
-    acc = 0
-    w = 1
-    for i in range(_SOLVE_DEPTH):
-        acc += w * sigma_digits[i]
+        x, y = QnRational(1, i + 1, N), QnRational(N - 1, i + 1, N)
+        acc += w * (xi_cocycle(J, x, y) - xi_cocycle(R, x, y))
         w *= N
+        sums.append((acc, w))
         rep = (-acc) % w
-        if rep > w // 2:
-            rep -= w
-        candidates.append(rep)
+        candidates.append(rep - w if rep > w // 2 else rep)
     if len(set(candidates[-3:])) != 1:
         return None
     psi1 = candidates[-1]
 
     table = {0: psi1}
-    acc = 0
-    w = 1
-    for k in range(1, _SOLVE_DEPTH + 1):
-        acc += w * sigma_digits[k - 1]
-        w *= N
-        num = psi1 + acc
-        if num % w:
+    for k, (acc, w) in enumerate(sums, 1):
+        if (psi1 + acc) % w:
             return None
-        table[k] = num // w
+        table[k] = (psi1 + acc) // w
     psi = GeneratorCochain(N, table)
 
     rng = random.Random(seed)

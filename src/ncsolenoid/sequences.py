@@ -50,18 +50,33 @@ class Angle(_Value):
     def __init__(self, value):
         object.__setattr__(self, "value", frac_part(as_fraction(value)))
 
+    @classmethod
+    def _of(cls, value):
+        """Trusted construction from a Fraction already in [0, 1)."""
+        a = object.__new__(cls)
+        object.__setattr__(a, "value", value)
+        return a
+
+    def _plus(self, y, sign):
+        """The Angle of value + sign * y for y in [0, 1): the numerator wraps by one turn."""
+        x = self.value
+        den = x.denominator * y.denominator
+        num = x.numerator * y.denominator + sign * y.numerator * x.denominator
+        return Angle._of(Fraction(num % den, den))
+
     def __add__(self, other):
         if not isinstance(other, Angle):
             return NotImplemented
-        return Angle(self.value + other.value)
+        return self._plus(other.value, 1)
 
     def __neg__(self):
-        return Angle(-self.value)
+        x = self.value
+        return Angle._of(Fraction(x.denominator - x.numerator, x.denominator) if x else x)
 
     def __sub__(self, other):
         if not isinstance(other, Angle):
             return NotImplemented
-        return Angle(self.value - other.value)
+        return self._plus(other.value, -1)
 
     def __mul__(self, m):
         if isinstance(m, bool) or not isinstance(m, int):

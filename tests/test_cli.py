@@ -179,3 +179,47 @@ def test_selftest_small(capsys):
     out = json.loads(captured.out)
     assert out["passed"] is True
     assert "selftest" in captured.err
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        pytest.param('{"N": 3, "alpha0": "0", "carrier": {"prefix": 5}}',
+                     "a prefix must be a list of digits", id="prefix-int"),
+        pytest.param('{"N": 3, "alpha0": "0", "carrier": {"prefix": [1, 3]}}',
+                     "digits must lie below 3", id="digit-at-scale"),
+        pytest.param('{"N": 3, "alpha0": "0", "carrier": {"prefix": [1, -1]}}',
+                     "digit must be at least 0", id="negative-digit"),
+        pytest.param('{"N": 3, "alpha0": "1/x", "carrier": {"value": "0"}}',
+                     "not a rational literal", id="bad-head"),
+        pytest.param('{"N": 3, "alpha0": "0", "carrier": {"value": "1/0"}}',
+                     "not a rational literal", id="bad-carrier-value"),
+        pytest.param('{"N": 3, "alpha0": "3/2", "carrier": {"value": "0"}}',
+                     "head angle must lie in [0, 1)", id="head-out-of-range"),
+        pytest.param('{"N": 6, "alpha0": "0", "carrier": {"value": "1/4"}}',
+                     "denominator 4 shares a factor with scale 6", id="carrier-denominator"),
+        pytest.param('{"N": 1, "alpha0": "0", "carrier": {"value": "0"}}',
+                     "scale must be at least 2", id="scale-one"),
+        pytest.param('{"N": "3", "alpha0": "0", "carrier": {"value": "0"}}',
+                     "scale must be an integer", id="scale-string"),
+    ],
+)
+def test_a_bad_value_exits_2_naming_the_file(capsys, tmp_path, text, message):
+    bad = tmp_path / "bad.json"
+    bad.write_text(text)
+    good = str(GOLDEN / "half3.json")
+    for argv in (["info", str(bad)], ["iso", good, str(bad)], ["cohomologous", str(bad), good]):
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: %s: " % bad)
+        assert message in captured.err
+
+
+def test_a_bad_value_in_a_carrier_file_names_the_file(capsys, tmp_path):
+    bad = tmp_path / "carrier.json"
+    bad.write_text('{"N": 3, "prefix": [0, 7]}')
+    assert main(["cohomologous", IOTA0_3, str(bad)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: %s: digits must lie below 3\n" % bad

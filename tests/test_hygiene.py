@@ -20,6 +20,9 @@
   ``from_json``.
 * The carrier type check has one home: ``isinstance(x, NadicInteger)``
   appears only in ``nadic.check_carrier``.
+* The trusted constructors ``_of`` skip the argument checks, so they
+  never run on user input: ``codec`` and ``cli`` do not call them, and
+  no private name enters ``ncsolenoid.__all__``.
 * Every name in ``ncsolenoid.__all__`` resolves.
 * ``import ncsolenoid`` loads neither ``dataclasses`` nor ``typing``
   (the start-up cost of the CLI and of every library user).
@@ -154,6 +157,17 @@ def test_no_class_defines_from_json():
 
 def test_only_check_carrier_tests_for_a_carrier():
     assert _isinstance_scopes("NadicInteger") == ["nadic.check_carrier"]
+
+
+def test_trusted_constructors_stay_off_user_input():
+    found = [
+        "%s.py:%d" % (stem, node.lineno)
+        for stem in ("codec", "cli")
+        for node in ast.walk(TREES[stem])
+        if getattr(node, "attr", getattr(node, "id", None)) == "_of"
+    ]
+    assert found == []
+    assert [name for name in ncsolenoid.__all__ if name.startswith("_")] == []
 
 
 def test_every_exported_name_resolves():

@@ -1,0 +1,121 @@
+"""The integer forms of the value operations agree with the Fraction formulas.
+
+``QnRational`` addition aligns exponents in integers, ``Angle`` wraps
+by one instead of reducing mod 1, and ``psi_phase``, ``prufer_pair`` and
+``mu_cochain`` read one integer residue.  Each test writes the Fraction
+formula out as its oracle, at scales 2 to 30 (composite ones included).
+On prefix carriers read past their window, both forms raise the same
+ValueError.
+"""
+
+from fractions import Fraction
+from math import floor, gcd
+
+from hypothesis import given, strategies as st
+
+from ncsolenoid.ktheory import mu_cochain, prufer_pair
+from ncsolenoid.multiplier import psi_phase
+from ncsolenoid.nadic import NadicInteger, QnRational
+from ncsolenoid.sequences import Angle, AngleSequence
+
+scales = st.integers(min_value=2, max_value=30)
+rationals = st.builds(Fraction, st.integers(-10**4, 10**4), st.integers(1, 60))
+heads = st.integers(1, 60).flatmap(
+    lambda b: st.builds(Fraction, st.integers(0, b - 1), st.just(b))
+)
+
+
+def points(n):
+    return st.builds(QnRational, st.integers(-10**6, 10**6), st.integers(0, 8), st.just(n))
+
+
+@st.composite
+def carriers(draw, n):
+    """An exact carrier, or a prefix of at most six digits."""
+    if draw(st.booleans()):
+        d = draw(st.integers(1, 60))
+        while gcd(d, n) != 1:
+            d //= gcd(d, n)
+        return NadicInteger.from_value(Fraction(draw(st.integers(-10**4, 10**4)), d), n)
+    return NadicInteger.from_prefix(draw(st.lists(st.integers(0, n - 1), max_size=6)), n)
+
+
+def outcome(f, *args):
+    """f(*args), or the text of the ValueError it raises."""
+    try:
+        return f(*args)
+    except ValueError as err:
+        return "ValueError: %s" % err
+
+
+def lowest_terms(q, n):
+    """(p, k) with q = p / n**k, k least: the old from_fraction normal form."""
+    k = 0
+    while (q * n ** k).denominator != 1:
+        k += 1
+    return int(q * n ** k), k
+
+
+def mod_one(q):
+    return q - floor(q)
+
+
+@given(scales.flatmap(lambda n: st.tuples(points(n), points(n))))
+def test_qn_sum_and_difference_match_the_fraction_form(pair):
+    x, y = pair
+    n = x.modulus
+    for got, want in ((x + y, x.fraction + y.fraction), (x - y, x.fraction - y.fraction)):
+        assert (got.num, got.exp) == lowest_terms(want, n)
+        assert got == QnRational(got.num, got.exp, n)
+    assert ((-x).num, (-x).exp) == lowest_terms(-x.fraction, n)
+
+
+@given(rationals, rationals)
+def test_angle_operators_match_the_fraction_form(a, b):
+    x, y = Angle(a), Angle(b)
+    assert (x + y).value == mod_one(a + b)
+    assert (x - y).value == mod_one(a - b)
+    assert (-x).value == mod_one(-a)
+    for got in (x + y, x - y, -x):
+        assert type(got.value) is Fraction
+        assert got == Angle(got.value)
+
+
+@st.composite
+def psi_args(draw):
+    n = draw(scales)
+    alpha = AngleSequence(n, draw(heads), draw(carriers(n)))
+    return alpha, (draw(points(n)), draw(points(n))), (draw(points(n)), draw(points(n)))
+
+
+def old_psi(alpha, g, h):
+    n = g[0].exp + h[1].exp
+    return Angle(mod_one(alpha.value(n) * g[0].num * h[1].num))
+
+
+@given(psi_args())
+def test_psi_phase_matches_the_fraction_form(args):
+    assert outcome(psi_phase, *args) == outcome(old_psi, *args)
+
+
+def old_lift(J, x):
+    return Fraction(x.num * J.at(x.exp), J.modulus ** x.exp)
+
+
+@given(scales.flatmap(lambda n: st.tuples(carriers(n), points(n))))
+def test_prufer_pair_and_mu_match_the_fraction_form(args):
+    J, x = args
+    assert outcome(prufer_pair, J, x) == outcome(lambda: Angle(mod_one(old_lift(J, x))))
+    assert outcome(mu_cochain, J, x) == outcome(lambda: -floor(old_lift(J, x)))
+
+
+def test_a_prefix_past_its_window_raises_the_same_error():
+    J = NadicInteger.from_prefix([1, 2], 3)
+    alpha = AngleSequence(3, Fraction(1, 2), J)
+    x = QnRational(1, 3, 3)
+    g, h = (x, x), (x, x)
+    message = "ValueError: depth 6 exceeds recorded prefix of length 2"
+    assert outcome(psi_phase, alpha, g, h) == outcome(old_psi, alpha, g, h) == message
+    message = "ValueError: depth 3 exceeds recorded prefix of length 2"
+    assert outcome(prufer_pair, J, x) == outcome(lambda: old_lift(J, x)) == message
+    assert outcome(mu_cochain, J, x) == message
