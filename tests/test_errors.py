@@ -57,6 +57,15 @@ CASES = (
     + _ints("NadicInteger.iota", lambda v: NadicInteger.iota(v, 3), negative=False)
     + _ints("NadicInteger.at", J3.at)
     + _ints("AngleSequence.shift", A3.shift)
+    + [
+        pytest.param(call, v, ValueError, id="%s-%s" % (name, kind))
+        for name, call in (
+            ("NadicInteger.segment-k", lambda v: J3.segment(v, 3)),
+            ("NadicInteger.segment-m", lambda v: J3.segment(0, v)),
+            ("NadicInteger.digit", J3.digit),
+        )
+        for kind, v in (("bool", True), ("float", 1.5), ("negative", -2))
+    ]
     + _ints("rescale-target", lambda v: classify.rescale(A6, v))
     + _ints("block_shift", lambda v: classify.block_shift(A6, v))
     + _ints("isomorphic-bound", lambda v: classify.isomorphic(A3, A3, v))

@@ -3,7 +3,8 @@ from fractions import Fraction
 
 import pytest
 
-from ncsolenoid.ktheory import cohomologous, embedding_matrix
+from ncsolenoid.ktheory import cohomologous, embedding_matrix, xi_cocycle, zeta_cocycle
+from ncsolenoid.multiplier import bicharacter, theta_phase
 from ncsolenoid.nadic import NadicInteger, QnRational
 from ncsolenoid.oracle import (
     DEFAULT_SEED,
@@ -15,7 +16,7 @@ from ncsolenoid.oracle import (
     colimit_report,
     sample_qn,
 )
-from ncsolenoid.sequences import AngleSequence
+from ncsolenoid.sequences import Angle, AngleSequence
 
 
 def test_fuzz_report_shape():
@@ -254,3 +255,90 @@ def test_colimit_membership_and_coverage_fail_on_a_wrong_residue():
             "K0 point (-122/243, -1/243) has no stage preimage",
         ],
     }
+
+
+# ---------------------------------------------------------------- fuzz fault injection
+#
+# Each stand-in is wrong on one class of inputs; the fuzz must name every
+# trial where one of its laws sees the fault.  The lists are pinned, so a
+# fuzz that reuses one value across its checks cannot blind any of them.
+
+HALF = Angle(Fraction(1, 2))
+
+FUZZ_FAULTS = [
+    pytest.param(
+        "xi_cocycle", lambda J, x, y: xi_cocycle(J, x, y) + (x.num > 0 > y.num), "xi",
+        ["cocycle identity fails at trial 2", "symmetry fails at trial 5",
+         "cocycle identity fails at trial 5", "pairing-lift route disagrees at trial 5",
+         "symmetry fails at trial 6", "cocycle identity fails at trial 6",
+         "symmetry fails at trial 7", "cocycle identity fails at trial 7"],
+        id="xi-asymmetric",
+    ),
+    pytest.param(
+        "xi_cocycle", lambda J, x, y: xi_cocycle(J, x, y) + (x.exp == y.exp > 0), "xi",
+        ["cocycle identity fails at trial 0", "pairing-lift route disagrees at trial 0",
+         "pairing-lift route disagrees at trial 1"],
+        id="xi-equal-levels",
+    ),
+    pytest.param(
+        "xi_cocycle", lambda J, x, y: xi_cocycle(J, x, y) + (y.num == 0), "xi",
+        ["normalisation fails at trial %d" % t for t in range(4)]
+        + ["symmetry fails at trial 4", "cocycle identity fails at trial 4"]
+        + ["normalisation fails at trial %d" % t for t in range(4, 8)],
+        id="xi-at-zero",
+    ),
+    pytest.param(
+        "xi_cocycle", lambda J, x, y: xi_cocycle(J, x, y) + (x.exp == y.exp > 0), "zeta",
+        ["zeta + d(-mu) != xi at trial 0", "zeta + d(-mu) != xi at trial 1"],
+        id="zeta-fuzz-xi-equal-levels",
+    ),
+    pytest.param(
+        "zeta_cocycle", lambda J, x, y: zeta_cocycle(J, x, y) ^ (x.exp == 0), "zeta",
+        ["zeta disagrees with its carry form at trial 4", "zeta + d(-mu) != xi at trial 4",
+         "zeta disagrees with its carry form at trial 6", "zeta + d(-mu) != xi at trial 6",
+         "zeta disagrees with its carry form at trial 7", "zeta + d(-mu) != xi at trial 7"],
+        id="zeta-flipped-at-level-0",
+    ),
+    pytest.param(
+        "zeta_cocycle", lambda J, x, y: zeta_cocycle(J, x, y) * (1 + (x.num < 0)), "zeta",
+        ["zeta out of range at trial 3", "zeta disagrees with its carry form at trial 3",
+         "zeta + d(-mu) != xi at trial 3"],
+        id="zeta-out-of-range",
+    ),
+    pytest.param(
+        "theta_phase",
+        lambda a, g, h: theta_phase(a, g, h) + (HALF if g[0].exp > h[0].exp else Angle(0)),
+        "psi_bichar",
+        ["theta not antisymmetric at trial 0", "theta not antisymmetric at trial 1",
+         "theta not additive in slot 2 at trial 1", "theta not antisymmetric at trial 2",
+         "theta not antisymmetric at trial 4", "theta not additive in slot 1 at trial 4",
+         "theta not additive in slot 2 at trial 4", "theta not antisymmetric at trial 5"],
+        id="theta-level-ordered",
+    ),
+    pytest.param(
+        "theta_phase", lambda a, g, h: theta_phase(a, g, h) + (HALF if g == h else Angle(0)),
+        "psi_bichar",
+        ["theta not alternating at trial %d" % t for t in range(6)],
+        id="theta-on-the-diagonal",
+    ),
+    pytest.param(
+        "bicharacter",
+        lambda z, x, e, c, g, h: bicharacter(z, x, e, c, g, h) + Angle(Fraction(g[1].num % 2, 3)),
+        "psi_bichar",
+        ["psi disagrees with its bicharacter form at trial %d" % t for t in (1, 2, 3)],
+        id="bicharacter-odd-second-numerator",
+    ),
+]
+
+
+@pytest.mark.parametrize("name, wrong, kind, failures", FUZZ_FAULTS)
+def test_cocycle_fuzz_names_every_trial_a_wrong_formula_fails(
+    three_half, five_62, monkeypatch, name, wrong, kind, failures
+):
+    subject, trials = (five_62, 6) if kind == "psi_bichar" else (three_half.carrier, 8)
+    honest = cocycle_fuzz(kind, subject, trials=trials, seed=5)
+    monkeypatch.setattr("ncsolenoid.oracle." + name, wrong)
+    report = cocycle_fuzz(kind, subject, trials=trials, seed=5)
+    assert honest.passed and not report.passed
+    assert report.checks == honest.checks == trials * {"xi": 4, "zeta": 3, "psi_bichar": 5}[kind]
+    assert report.failures == failures
