@@ -62,7 +62,6 @@ from __future__ import annotations
 
 import random
 from fractions import Fraction
-from math import floor
 from operator import attrgetter
 
 from .nadic import (
@@ -74,7 +73,7 @@ from .sequences import Angle, AngleSequence, check_sequence
 
 def _lift(J, x):
     """The rational p * J_k / N**k for x = p / N**k in lowest terms."""
-    return Fraction(x.num * J.at(x.exp), J.modulus ** x.exp)
+    return Fraction(x.num * J._at(x.exp), J.modulus ** x.exp)
 
 
 def xi_cocycle(J, x, y):
@@ -101,7 +100,7 @@ def prufer_pair(J, x):
     """The pairing  p/N**k |-> frac(p * J_k / N**k)  into Q/Z."""
     check_carrier(J)
     m = J.modulus ** check_point(x, J.modulus).exp
-    return Angle._of(Fraction(x.num * J.at(x.exp) % m, m))
+    return Angle._of(Fraction(x.num * J._at(x.exp) % m, m))
 
 
 def mu_cochain(J, x):
@@ -113,22 +112,42 @@ def mu_cochain(J, x):
     """
     check_carrier(J)
     check_point(x, J.modulus)
-    return -(x.num * J.at(x.exp) // J.modulus ** x.exp)
+    return -(x.num * J._at(x.exp) // J.modulus ** x.exp)
 
 
 def cross_section_carry(t1, t2):
     """Carry cocycle of the section Q/Z -> [0, 1): s(t1)+s(t2)-s(t1+t2).
 
-    Takes Angles (or rationals read mod 1); the result is 0 or 1.
+    Takes Angles (or rationals read mod 1); the result is 0 or 1, the
+    integer floor (n1 d2 + n2 d1) // (d1 d2) of t1 + t2 = n1/d1 + n2/d2.
     """
     a1 = t1.value if isinstance(t1, Angle) else frac_part(as_fraction(t1))
     a2 = t2.value if isinstance(t2, Angle) else frac_part(as_fraction(t2))
-    return floor(a1 + a2)
+    d1, d2 = a1.denominator, a2.denominator
+    return (a1.numerator * d2 + a2.numerator * d1) // (d1 * d2)
 
 
 def zeta_cocycle(J, x, y):
-    """The pullback of the carry cocycle along the pairing (values 0 or 1)."""
-    return cross_section_carry(prufer_pair(J, x), prufer_pair(J, y))
+    """The pullback of the carry cocycle along the pairing (values 0 or 1).
+
+    Computed in integers from the two residues, without building the
+    pairing angles: with a_i = p_i * J_{k_i} mod N**k_i and e = max(k1, k2),
+    the carry is (a1 * N**(e - k1) + a2 * N**(e - k2)) // N**e.  So it is
+    a route independent of ``cross_section_carry(prufer_pair(J, x),
+    prufer_pair(J, y))``, which ``oracle.cocycle_fuzz`` compares it with.
+
+    >>> J = NadicInteger.iota(1, 2)
+    >>> zeta_cocycle(J, QnRational(1, 1, 2), QnRational(1, 1, 2))
+    1
+    """
+    check_carrier(J)
+    check_point(x, J.modulus)
+    check_point(y, J.modulus)
+    N, k1, k2 = J.modulus, x.exp, y.exp
+    e = max(k1, k2)
+    a1 = x.num * J._at(k1) % N ** k1
+    a2 = y.num * J._at(k2) % N ** k2
+    return (a1 * N ** (e - k1) + a2 * N ** (e - k2)) // N ** e
 
 
 def coboundary(c, x, y):

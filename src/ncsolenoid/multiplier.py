@@ -26,6 +26,7 @@ from __future__ import annotations
 
 import enum
 from fractions import Fraction
+from math import lcm
 from operator import attrgetter
 
 from .nadic import QnRational, _Value, check_int, check_point
@@ -117,15 +118,41 @@ def psi_phase(alpha, g, h):
     check_sequence(alpha)
     g1, _g2 = _as_pair(g, alpha.modulus)
     _h1, h2 = _as_pair(h, alpha.modulus)
-    # alpha_n = (a + b J_n) / (b N**n) with alpha_0 = a/b: one Fraction, reduced mod 1
-    n, a, b = g1.exp + h2.exp, alpha.base.numerator, alpha.base.denominator
-    den = b * alpha.modulus ** n
-    return Angle._of(Fraction((a + b * alpha.carrier.at(n)) * g1.num * h2.num % den, den))
+    n, b = g1.exp + h2.exp, alpha.base.denominator
+    return _angle(_numerator(alpha, n, b) * g1.num * h2.num, b * alpha.modulus ** n)
+
+
+def _numerator(alpha, n, b):
+    """The integer alpha_n * b * N**n, for a multiple b of alpha_0's denominator.
+
+    With alpha_0 = a/c, alpha_n = (a + c J_n) / (c N**n), so the numerator
+    is a * (b // c) + b * J_n.
+    """
+    a, c = alpha.base.numerator, alpha.base.denominator
+    return a * (b // c) + b * alpha.carrier._at(n)
+
+
+def _angle(num, den):
+    """The Angle num/den mod 1, for integers num and den > 0."""
+    return Angle._of(Fraction(num % den, den))
 
 
 def theta_phase(alpha, g, h):
-    """The skew bicharacter Theta_alpha(g, h) = Psi(g, h) - Psi(h, g)."""
-    return psi_phase(alpha, g, h) - psi_phase(alpha, h, g)
+    """The skew bicharacter Theta_alpha(g, h) = Psi(g, h) - Psi(h, g).
+
+    One Fraction over b * N**max(n, m), where b is alpha_0's denominator,
+    n = k1 + k4 and m = k3 + k2 are the levels of Psi(g, h) and Psi(h, g).
+    """
+    check_sequence(alpha)
+    g1, g2 = _as_pair(g, alpha.modulus)
+    h1, h2 = _as_pair(h, alpha.modulus)
+    N, n, m, b = alpha.modulus, g1.exp + h2.exp, h1.exp + g2.exp, alpha.base.denominator
+    e = max(n, m)
+    num = (
+        _numerator(alpha, n, b) * g1.num * h2.num * N ** (e - n)
+        - _numerator(alpha, m, b) * h1.num * g2.num * N ** (e - m)
+    )
+    return _angle(num, b * N ** e)
 
 
 def bicharacter(zeta, xi, eta, chi, g, h):
@@ -135,19 +162,25 @@ def bicharacter(zeta, xi, eta, chi, g, h):
 
         zeta_{k1+k3} p1 p3 + eta_{k2+k3} p2 p3
         + chi_{k2+k4} p2 p4 + xi_{k1+k4} p1 p4   (mod 1).
+
+    The sum is one integer numerator over lcm(b_i) * N**e, where the b_i
+    are the head denominators and e is the deepest of the four levels.
     """
     check_sequence(zeta, xi, eta, chi)
     if not zeta.modulus == xi.modulus == eta.modulus == chi.modulus:
         raise ValueError("mismatched scales")
     g1, g2 = _as_pair(g, zeta.modulus)
     h1, h2 = _as_pair(h, zeta.modulus)
-    total = (
-        zeta.value(g1.exp + h1.exp) * g1.num * h1.num
-        + eta.value(g2.exp + h1.exp) * g2.num * h1.num
-        + chi.value(g2.exp + h2.exp) * g2.num * h2.num
-        + xi.value(g1.exp + h2.exp) * g1.num * h2.num
+    terms = (
+        (zeta, g1.exp + h1.exp, g1.num * h1.num),
+        (eta, g2.exp + h1.exp, g2.num * h1.num),
+        (chi, g2.exp + h2.exp, g2.num * h2.num),
+        (xi, g1.exp + h2.exp, g1.num * h2.num),
     )
-    return Angle(total)
+    N, b = zeta.modulus, lcm(*(s.base.denominator for s, _, _ in terms))
+    e = max(n for _, n, _ in terms)
+    num = sum(_numerator(s, n, b) * p * N ** (e - n) for s, n, p in terms)
+    return _angle(num, b * N ** e)
 
 
 def symmetrizer(alpha):

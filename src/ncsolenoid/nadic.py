@@ -433,8 +433,12 @@ class NadicInteger(_Value):
 
     def at(self, k):
         """The residue J_k in [0, N**k): the stored deepest residue mod N**k."""
+        return self._at(check_int(k, "depth", 0))
+
+    def _at(self, k):
+        """:meth:`at` without the argument check, for depths the library computed."""
         level, rep = self._deep
-        if check_int(k, "depth", 0) == level:
+        if k == level:
             return rep
         if k < level:
             return rep % self.modulus ** k
@@ -447,7 +451,8 @@ class NadicInteger(_Value):
 
     def digit(self, n):
         """The base-N digit j_n in [0, N)."""
-        return (self.at(n + 1) - self.at(n)) // self.modulus ** n
+        check_int(n, "depth", 0)
+        return (self._at(n + 1) - self._at(n)) // self.modulus ** n
 
     def segment(self, k, m):
         """The integer (J_m - J_k) / N**k for k <= m.
@@ -455,9 +460,9 @@ class NadicInteger(_Value):
         >>> NadicInteger.from_value(Fraction(-1, 2), 3).segment(1, 3)
         4
         """
-        if not 0 <= k <= m:
+        if check_int(k, "depth", 0) > check_int(m, "depth", 0):
             raise ValueError("need 0 <= k <= m")
-        return (self.at(m) - self.at(k)) // self.modulus ** k
+        return (self._at(m) - self._at(k)) // self.modulus ** k
 
     def exact_value(self, what):
         """The exact value a/b; on a prefix, ValueError naming the operation what."""

@@ -7,9 +7,12 @@ validate; they may use the definitional formulas (the multiplier, the
 cocycle, the stage matrices) as inputs, because those are the objects
 under test, not the answers.
 
-The window oracles compute in integers: ``colimit_report`` holds each
-point of Q x Q_N as an integer pair over the one denominator
-N**(2 * depth), and ``brute_symmetrizer`` clears term numerators.
+The oracles compute in integers.  ``colimit_report`` holds each point
+of Q x Q_N as an integer pair over the one denominator N**(2 * depth),
+and ``brute_symmetrizer`` clears term numerators.  The fuzzes draw
+points through the trusted constructor, evaluate each shared value
+(xi(x, y), Theta(g, h)) once per trial, and check the pairing-lift
+route of xi as an integer identity over N**max(k1, k2).
 
 Defaults are sized for desk use: windows around 150 numerators and
 exponent 4, depth 6 stages, 1000 fuzz trials on points p/N**k with
@@ -37,7 +40,7 @@ from .ktheory import (
     zeta_cocycle,
 )
 from .multiplier import bicharacter, psi_phase, theta_phase
-from .nadic import QnRational, _Frozen, check_carrier
+from .nadic import QnRational, _Frozen, check_carrier, check_scale
 from .sequences import Angle, AngleSequence, check_sequence
 
 DEFAULT_SEED = 20260817
@@ -80,8 +83,12 @@ class FuzzReport(_Frozen):
 
 
 def sample_qn(rng, scale, max_num, max_exp):
-    """A random Q_N element with bounded numerator and exponent."""
-    return QnRational(rng.randint(-max_num, max_num), rng.randint(0, max_exp), scale)
+    """A random Q_N element with bounded numerator and exponent.
+
+    ``randrange(a, b + 1)`` is the draw of ``randint(a, b)``.
+    """
+    num, exp = rng.randrange(-max_num, max_num + 1), rng.randrange(0, max_exp + 1)
+    return QnRational._of(num, exp, check_scale(scale))
 
 
 def brute_symmetrizer(alpha, window_num=150, window_exp=4, spot_checks=2000, seed=DEFAULT_SEED):
@@ -164,7 +171,7 @@ def colimit_report(alpha, depth=6, num_window=24, int_window=6):
             failures.append("mirrored connecting identity fails at stage %d" % k)
 
     M = N ** (2 * depth)
-    J = [alpha.carrier.at(k) for k in range(2 * depth + 1)]  # the coherence loop read these
+    J = [alpha.carrier._at(k) for k in range(2 * depth + 1)]  # the coherence loop read these
 
     def image(k, z, p):
         B = p * N ** (2 * (depth - k))
@@ -237,21 +244,27 @@ def _fuzz_xi(carrier, trials, seed):
     failures = []
     checks = 0
     zero = QnRational(0, 0, N)
+
+    def lift(u, e):
+        """N**e times the pairing lift u.num * J_k / N**k of u = p / N**k, k <= e."""
+        return u.num * carrier._at(u.exp) * N ** (e - u.exp)
+
     for t in range(trials):
         x, y, z = draw(), draw(), draw()
+        s = x + y
+        xy = xi_cocycle(carrier, x, y)
         checks += 4
-        if xi_cocycle(carrier, x, y) != xi_cocycle(carrier, y, x):
+        if xy != xi_cocycle(carrier, y, x):
             failures.append("symmetry fails at trial %d" % t)
-        if xi_cocycle(carrier, x + y, z) + xi_cocycle(carrier, x, y) != xi_cocycle(
-            carrier, y + z, x
-        ) + xi_cocycle(carrier, y, z):
+        if xi_cocycle(carrier, s, z) + xy != xi_cocycle(carrier, y + z, x) + xi_cocycle(
+            carrier, y, z
+        ):
             failures.append("cocycle identity fails at trial %d" % t)
         if xi_cocycle(carrier, x, zero) != 0:
             failures.append("normalisation fails at trial %d" % t)
         # independent route: xi as the coboundary defect of the pairing lift
-        def lift(u):
-            return Fraction(u.num * carrier.at(u.exp), N ** u.exp)
-        if lift(x) + lift(y) - lift(x + y) != xi_cocycle(carrier, x, y):
+        e = max(x.exp, y.exp)  # the level of x + y is at most e
+        if lift(x, e) + lift(y, e) - lift(s, e) != xy * N ** e:
             failures.append("pairing-lift route disagrees at trial %d" % t)
     return FuzzReport("xi", trials, seed, checks, failures)
 
@@ -260,16 +273,17 @@ def _fuzz_zeta(carrier, trials, seed):
     draw = _sampler(seed, carrier.modulus)
     failures = []
     checks = 0
+    neg_mu = lambda u: -mu_cochain(carrier, u)
     for t in range(trials):
         x, y = draw(), draw()
         checks += 3
         zc = zeta_cocycle(carrier, x, y)
         if zc not in (0, 1):
             failures.append("zeta out of range at trial %d" % t)
+        # independent route: zeta_cocycle works on integer residues, not on Angles
         carry = cross_section_carry(prufer_pair(carrier, x), prufer_pair(carrier, y))
         if zc != carry:
             failures.append("zeta disagrees with its carry form at trial %d" % t)
-        neg_mu = lambda u: -mu_cochain(carrier, u)
         if zc + coboundary(neg_mu, x, y) != xi_cocycle(carrier, x, y):
             failures.append("zeta + d(-mu) != xi at trial %d" % t)
     return FuzzReport("zeta", trials, seed, checks, failures)
@@ -285,14 +299,15 @@ def _fuzz_psi_bichar(alpha, trials, seed):
         g, g2, h = (draw(), draw()), (draw(), draw()), (draw(), draw())
         gg2 = (g[0] + g2[0], g[1] + g2[1])
         checks += 5
-        if theta_phase(alpha, g, h) + theta_phase(alpha, h, g) != zero_angle:
+        gh = theta_phase(alpha, g, h)
+        if gh + theta_phase(alpha, h, g) != zero_angle:
             failures.append("theta not antisymmetric at trial %d" % t)
         if theta_phase(alpha, g, g) != zero_angle:
             failures.append("theta not alternating at trial %d" % t)
-        if theta_phase(alpha, gg2, h) != theta_phase(alpha, g, h) + theta_phase(alpha, g2, h):
+        if theta_phase(alpha, gg2, h) != gh + theta_phase(alpha, g2, h):
             failures.append("theta not additive in slot 1 at trial %d" % t)
         hg2 = (h[0] + g2[0], h[1] + g2[1])
-        if theta_phase(alpha, g, hg2) != theta_phase(alpha, g, h) + theta_phase(alpha, g, g2):
+        if theta_phase(alpha, g, hg2) != gh + theta_phase(alpha, g, g2):
             failures.append("theta not additive in slot 2 at trial %d" % t)
         if bicharacter(zero_seq, alpha, zero_seq, zero_seq, g, h) != psi_phase(alpha, g, h):
             failures.append("psi disagrees with its bicharacter form at trial %d" % t)

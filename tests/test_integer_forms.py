@@ -1,20 +1,22 @@
 """The integer forms of the value operations agree with the Fraction formulas.
 
 ``QnRational`` addition aligns exponents in integers, ``Angle`` wraps
-by one instead of reducing mod 1, and ``psi_phase``, ``prufer_pair`` and
-``mu_cochain`` read one integer residue.  Each test writes the Fraction
-formula out as its oracle, at scales 2 to 30 (composite ones included).
-On prefix carriers read past their window, both forms raise the same
-ValueError.
+by one instead of reducing mod 1, ``psi_phase``, ``prufer_pair``,
+``mu_cochain`` and ``zeta_cocycle`` read integer residues,
+``cross_section_carry`` floors one integer quotient, and ``theta_phase``
+and ``bicharacter`` form one numerator over a common denominator.  Each
+test writes the Fraction formula out as its oracle, at scales 2 to 30
+(composite ones included).  On prefix carriers read past their window,
+both forms raise the same ValueError.
 """
 
 from fractions import Fraction
 from math import floor, gcd
 
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
-from ncsolenoid.ktheory import mu_cochain, prufer_pair
-from ncsolenoid.multiplier import psi_phase
+from ncsolenoid.ktheory import cross_section_carry, mu_cochain, prufer_pair, zeta_cocycle
+from ncsolenoid.multiplier import bicharacter, psi_phase, theta_phase
 from ncsolenoid.nadic import NadicInteger, QnRational
 from ncsolenoid.sequences import Angle, AngleSequence
 
@@ -109,13 +111,75 @@ def test_prufer_pair_and_mu_match_the_fraction_form(args):
     assert outcome(mu_cochain, J, x) == outcome(lambda: -floor(old_lift(J, x)))
 
 
+def old_zeta(J, x, y):
+    return floor(mod_one(old_lift(J, x)) + mod_one(old_lift(J, y)))
+
+
+@given(scales.flatmap(lambda n: st.tuples(carriers(n), points(n), points(n))))
+def test_zeta_cocycle_matches_the_fraction_form(args):
+    got = outcome(zeta_cocycle, *args)
+    assert got == outcome(old_zeta, *args)
+    assert type(got) in (int, str)  # an int, or the text of a ValueError
+
+
+@given(rationals, rationals)
+@example(Fraction(1, 3), Fraction(2, 3))  # the sum is exactly 1
+@example(Fraction(-1, 4), Fraction(1, 4))
+def test_cross_section_carry_matches_the_fraction_form(a, b):
+    want = floor(mod_one(a) + mod_one(b))
+    assert cross_section_carry(a, b) == cross_section_carry(Angle(a), Angle(b)) == want
+
+
+def old_theta(alpha, g, h):
+    n, m = g[0].exp + h[1].exp, h[0].exp + g[1].exp
+    psi_gh = alpha.value(n) * g[0].num * h[1].num
+    return Angle(mod_one(psi_gh - alpha.value(m) * h[0].num * g[1].num))
+
+
+@given(psi_args())
+def test_theta_phase_matches_the_fraction_form_and_psi(args):
+    alpha, g, h = args
+    want = outcome(old_theta, alpha, g, h)
+    assert outcome(theta_phase, alpha, g, h) == want
+    assert outcome(lambda: psi_phase(alpha, g, h) - psi_phase(alpha, h, g)) == want
+
+
+@st.composite
+def bicharacter_args(draw):
+    """Four sequences at one scale, each with its own head denominator."""
+    n = draw(scales)
+    seqs = [AngleSequence(n, draw(heads), draw(carriers(n))) for _ in range(4)]
+    return (*seqs, (draw(points(n)), draw(points(n))), (draw(points(n)), draw(points(n))))
+
+
+def old_bicharacter(zeta, xi, eta, chi, g, h):
+    (g1, g2), (h1, h2) = g, h
+    return Angle(mod_one(
+        zeta.value(g1.exp + h1.exp) * g1.num * h1.num
+        + eta.value(g2.exp + h1.exp) * g2.num * h1.num
+        + chi.value(g2.exp + h2.exp) * g2.num * h2.num
+        + xi.value(g1.exp + h2.exp) * g1.num * h2.num
+    ))
+
+
+@given(bicharacter_args())
+def test_bicharacter_matches_the_fraction_form(args):
+    assert outcome(bicharacter, *args) == outcome(old_bicharacter, *args)
+
+
 def test_a_prefix_past_its_window_raises_the_same_error():
     J = NadicInteger.from_prefix([1, 2], 3)
     alpha = AngleSequence(3, Fraction(1, 2), J)
-    x = QnRational(1, 3, 3)
+    x, y = QnRational(1, 3, 3), QnRational(1, 0, 3)
     g, h = (x, x), (x, x)
     message = "ValueError: depth 6 exceeds recorded prefix of length 2"
     assert outcome(psi_phase, alpha, g, h) == outcome(old_psi, alpha, g, h) == message
+    assert outcome(theta_phase, alpha, g, h) == outcome(old_theta, alpha, g, h) == message
+    exact = AngleSequence.constant(3, Fraction(1, 4))
+    args = (exact, alpha, exact, exact, g, h)
+    assert outcome(bicharacter, *args) == outcome(old_bicharacter, *args) == message
     message = "ValueError: depth 3 exceeds recorded prefix of length 2"
     assert outcome(prufer_pair, J, x) == outcome(lambda: old_lift(J, x)) == message
     assert outcome(mu_cochain, J, x) == message
+    for pair in ((x, y), (y, x)):
+        assert outcome(zeta_cocycle, J, *pair) == outcome(old_zeta, J, *pair) == message

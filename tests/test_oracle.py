@@ -225,12 +225,12 @@ def test_colimit_nesting_fails_on_a_wrong_stage_digit(three_half, monkeypatch):
 
 
 class _OffAtFive(NadicInteger):
-    """A carrier whose residue at level 5 is off by one."""
+    """A carrier whose residue at level 5 is off by one, on every read path."""
 
     __slots__ = ()
 
-    def at(self, k):
-        return super().at(k) + (k == 5)
+    def _at(self, k):
+        return super()._at(k) + (k == 5)
 
 
 def test_colimit_membership_and_coverage_fail_on_a_wrong_residue():
