@@ -312,8 +312,9 @@ class AngleMatrix(_Value):
     phases, so equal matrices have equal fields.  A product composes the
     permutations and adds numerators; multiplying entries means adding
     angles.  ``@``, ``scaled``, ``==`` and ``hash`` cost O(n) integer
-    operations and ``m ** k`` takes O(log k) products by repeated
-    squaring.  The dense view ``rows`` and ``to_json`` cost O(n**2).
+    operations, and so does ``m ** k`` for every k: one walk over the
+    cycles of the permutation.  The dense view ``rows`` and ``to_json``
+    cost O(n**2).
 
     >>> v = AngleMatrix.cyclic(3)
     >>> v ** 3 == AngleMatrix.identity(3)
@@ -341,9 +342,12 @@ class AngleMatrix(_Value):
         """Set the canonical fields: numerators mod den over the least den."""
         num = [a % den for a in num]
         g = gcd(den, *num)
+        if g > 1:
+            num = [a // g for a in num]
+            den //= g
         object.__setattr__(self, "perm", tuple(perm))
-        object.__setattr__(self, "num", tuple(a // g for a in num))
-        object.__setattr__(self, "den", den // g)
+        object.__setattr__(self, "num", tuple(num))
+        object.__setattr__(self, "den", den)
 
     @classmethod
     def _of(cls, perm, num, den):
@@ -392,18 +396,36 @@ class AngleMatrix(_Value):
         )
 
     def __pow__(self, m):
-        """The m-th power by repeated squaring; a square larger than m is never formed."""
+        """The m-th power in one walk over the cycles of the permutation.
+
+        On a cycle (i_0 ... i_{L-1}), row i_r of the power has its entry in
+        column i_{(r+m) mod L}, and its numerator is (m // L) times the
+        cycle's sum plus the next m mod L numerators from i_r on.
+        """
         if isinstance(m, bool) or not isinstance(m, int) or m < 0:
             return NotImplemented
-        out = AngleMatrix.identity(self.size)
-        square = self
-        while m:
-            if m & 1:
-                out = out @ square
-            m >>= 1
-            if m:
-                square = square @ square
-        return out
+        n, P, A = self.size, self.perm, self.num
+        perm, num, seen = list(P), list(A), [False] * n
+        for start in range(n):
+            if seen[start]:
+                continue
+            if P[start] == start:  # a fixed point, as on every row of a diagonal
+                num[start] = m * A[start]
+                continue
+            cycle, i = [], start
+            while not seen[i]:
+                seen[i] = True
+                cycle.append(i)
+                i = P[i]
+            L = len(cycle)
+            k, w = divmod(m, L)
+            a = [A[i] for i in cycle]
+            window = k * sum(a) + sum(a[:w])  # the m numerators met from i_0 on
+            for i, j, x, y in zip(cycle, cycle[w:] + cycle[:w], a, a[w:] + a[:w]):
+                perm[i] = j
+                num[i] = window
+                window += y - x
+        return AngleMatrix._of(perm, num, self.den)
 
     def scaled(self, angle):
         """Multiply every nonzero entry by a global phase."""
@@ -458,7 +480,7 @@ def bundle_data(alpha):
     Writing alpha_0 = p/q in lowest terms, the fibre is the monomial
     pair u = diag(e(j p/q)) and v = the cyclic shift, both q x q, with
     v u = e(p/q) u v and u**q = v**q = 1; the three relations are
-    checked on the built matrices in O(q log q) integer operations.  The
+    checked on the built matrices in O(q) integer operations.  The
     base is the square of the solenoid at scale N**k, k the
     multiplicative order of N mod q.  Raises for aperiodic input.
 

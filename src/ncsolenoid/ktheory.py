@@ -89,11 +89,11 @@ def xi_cocycle(J, x, y):
     check_point(x, J.modulus)
     check_point(y, J.modulus)
     if x.exp < y.exp:
-        return -x.num * J.segment(x.exp, y.exp)
+        return -x.num * J._segment(x.exp, y.exp)
     if y.exp < x.exp:
-        return -y.num * J.segment(y.exp, x.exp)
+        return -y.num * J._segment(y.exp, x.exp)
     s = x + y
-    return s.num * J.segment(s.exp, x.exp)
+    return s.num * J._segment(s.exp, x.exp)
 
 
 def prufer_pair(J, x):

@@ -462,6 +462,10 @@ class NadicInteger(_Value):
         """
         if check_int(k, "depth", 0) > check_int(m, "depth", 0):
             raise ValueError("need 0 <= k <= m")
+        return self._segment(k, m)
+
+    def _segment(self, k, m):
+        """:meth:`segment` without the argument checks, for depths the library computed."""
         return (self._at(m) - self._at(k)) // self.modulus ** k
 
     def exact_value(self, what):

@@ -40,7 +40,7 @@ from .ktheory import (
     zeta_cocycle,
 )
 from .multiplier import bicharacter, psi_phase, theta_phase
-from .nadic import QnRational, _Frozen, check_carrier, check_scale
+from .nadic import QnRational, _Frozen, check_carrier, check_int, check_scale
 from .sequences import Angle, AngleSequence, check_sequence
 
 DEFAULT_SEED = 20260817
@@ -105,6 +105,9 @@ def brute_symmetrizer(alpha, window_num=150, window_exp=4, spot_checks=2000, see
     Returns a frozenset of pairs of QnRationals.
     """
     check_sequence(alpha)
+    check_int(window_num, "window_num", 0)
+    check_int(window_exp, "window_exp", 0)
+    check_int(spot_checks, "spot_checks", 0)
     N = alpha.modulus
     values = [alpha.value(m) for m in range(2 * window_exp + 1)]
     denom = lcm(*(v.denominator for v in values))  # common denominator of the terms
@@ -160,6 +163,9 @@ def colimit_report(alpha, depth=6, num_window=24, int_window=6):
       ``connecting_matrix`` and ``MIRROR``).
     """
     check_sequence(alpha)
+    check_int(depth, "depth", 0)
+    check_int(num_window, "num_window", 0)
+    check_int(int_window, "int_window", 0)
     N = alpha.modulus
     failures = []
     checks = 0
@@ -319,8 +325,10 @@ def cocycle_fuzz(kind, subject, trials=1000, seed=DEFAULT_SEED):
 
     kind "xi" and "zeta" take a carrier (NadicInteger); kind
     "psi_bichar" takes an AngleSequence.  Each law is checked exactly;
-    the report lists the first few failures, if any.
+    the report lists the first few failures, if any.  A report rests on
+    at least one trial.
     """
+    check_int(trials, "trials", 1)
     if kind in ("xi", "zeta"):
         check_carrier(subject)
         return (_fuzz_xi if kind == "xi" else _fuzz_zeta)(subject, trials, seed)

@@ -3,7 +3,7 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from ncsolenoid.classify import (
     AngleMatrix,
@@ -327,9 +327,66 @@ def test_matrix_product_matches_the_dense_loop(pair):
     assert got == rebuilt and hash(got) == hash(rebuilt)
 
 
-@given(sizes.flatmap(monomial_matrices), st.integers(0, 9))
-def test_power_matches_repeated_products(x, m):
-    assert (x**m).rows == _dense_power(x.rows, m)
+def _power_by_products(x, m):
+    """The m-fold product identity @ x @ ... @ x."""
+    out = AngleMatrix.identity(x.size)
+    for _ in range(m):
+        out = out @ x
+    return out
+
+
+#: Rows 0, 1, 2 form a 3-cycle with phase sum 1/12 + 5/12 + 7/12 = 13/12; row 3
+#: is fixed with phase 11/12.
+CYCLE_AND_FIXED = AngleMatrix([1, 2, 0, 3], [Angle(Fraction(k, 12)) for k in (1, 5, 7, 11)])
+
+
+# m runs past 3 * size, so powers at m >= L and at m = 0 (mod L) occur for every
+# cycle length L; the examples pin both for a 3-cycle beside a fixed point.
+@given(sizes.flatmap(lambda n: st.tuples(monomial_matrices(n), st.integers(0, 3 * n + 2))))
+@example((CYCLE_AND_FIXED, 6))
+@example((CYCLE_AND_FIXED, 8))
+def test_power_matches_repeated_products(pair):
+    x, m = pair
+    got, want = x**m, _power_by_products(x, m)
+    assert (got.perm, got.num, got.den) == (want.perm, want.num, want.den)
+    assert got.rows == _dense_power(x.rows, m)
+
+
+def _patch_of(monkeypatch, hook):
+    """Route every AngleMatrix._of(perm, num, den) through hook, which returns the arguments."""
+    real = AngleMatrix._of.__func__
+    monkeypatch.setattr(AngleMatrix, "_of", classmethod(lambda cls, *args: real(cls, *hook(*args))))
+
+
+@pytest.mark.parametrize("m", [0, 1, 7, 10**18])
+def test_power_builds_one_matrix_whatever_the_exponent(monkeypatch, m):
+    q = 1009
+    u = AngleMatrix._of(range(q), [5 * j for j in range(q)], q)
+    v = AngleMatrix.cyclic(q)
+    rng = random.Random(m)
+    perm = list(range(q))
+    rng.shuffle(perm)
+    w = AngleMatrix._of(perm, [rng.randrange(q) for _ in range(q)], q)
+    calls = []
+    _patch_of(monkeypatch, lambda *args: calls.append(args) or args)
+    powers = []
+    for x in (u, v, w):
+        powers.append(x**m)
+        assert len(calls) == len(powers)
+    monkeypatch.undo()
+    assert powers[0] == AngleMatrix._of(range(q), [5 * j * m for j in range(q)], q)
+    assert powers[1] == AngleMatrix._of([(i + m) % q for i in range(q)], [0] * q, 1)
+    if m < 10:  # the large exponent is pinned in closed form below
+        assert powers[2] == _power_by_products(w, m)
+
+
+def test_power_at_a_large_exponent_reduces_by_the_cycle_sums():
+    m = 3 * 10**18 + 1
+    got = CYCLE_AND_FIXED**m
+    assert got.perm == (1, 2, 0, 3)
+    shift = (m // 3) * 13  # m // 3 full turns of the cycle
+    assert got.num == tuple((shift + k) % 12 for k in (1, 5, 7)) + ((m * 11) % 12,)
+    assert got.den == 12
 
 
 def test_scaled_and_dense_round_trip():
@@ -357,6 +414,46 @@ def test_bundle_frozen_small(thirds_2):
     assert data.v @ data.u == (data.u @ data.v).scaled(data.lam)
     assert data.u**3 == AngleMatrix.identity(3)
     assert data.v**3 == AngleMatrix.identity(3)
+
+
+def _skew_first_build(monkeypatch, skew):
+    """Send the first matrix AngleMatrix._of builds, bundle_data's u, through skew."""
+    first = [True]
+
+    def hook(perm, num, den):
+        if first:
+            first.pop()
+            return skew(list(perm), list(num), den)
+        return perm, num, den
+
+    _patch_of(monkeypatch, hook)
+
+
+def _cyclic_with_phase(n):
+    """The cyclic shift with phase 1/(2n) on row 0: (this v)**n = e(1/(2n)), not 1."""
+    return AngleMatrix(
+        [(i + 1) % n for i in range(n)], [Angle(Fraction(1, 2 * n))] + [Angle(0)] * (n - 1)
+    )
+
+
+def test_bundle_relation_checks_fire_on_the_built_matrices(monkeypatch, fifths_2):
+    # one wrong phase on row 0 of u: u_1 - u_0 is no longer p/q
+    _skew_first_build(monkeypatch, lambda perm, num, den: (perm, [num[0] + 1] + num[1:], den))
+    with pytest.raises(ValueError, match="v u = lam u v"):
+        bundle_data(fifths_2)
+    monkeypatch.undo()
+    # u times the global phase 1/q**2 keeps v u = lam u v, and u**q = e(1/q)
+    _skew_first_build(monkeypatch, lambda perm, num, den: (perm, [a * den + 1 for a in num], den**2))
+    with pytest.raises(ValueError, match=r"u\*\*q = 1"):
+        bundle_data(fifths_2)
+    monkeypatch.undo()
+    # v u = lam u v does not read the phases of v
+    monkeypatch.setattr(AngleMatrix, "cyclic", classmethod(lambda cls, n: _cyclic_with_phase(n)))
+    with pytest.raises(ValueError, match=r"v\*\*q = 1"):
+        bundle_data(fifths_2)
+    monkeypatch.undo()
+    data = bundle_data(fifths_2)
+    assert data.u**data.q == data.v**data.q == AngleMatrix.identity(data.q)
 
 
 def test_bundle_frozen_62(five_62):

@@ -66,6 +66,27 @@ CASES = (
         )
         for kind, v in (("bool", True), ("float", 1.5), ("negative", -2))
     ]
+    + [
+        case
+        for name, call in (
+            ("brute_symmetrizer-window_num", lambda v: oracle.brute_symmetrizer(A3, window_num=v)),
+            ("brute_symmetrizer-window_exp", lambda v: oracle.brute_symmetrizer(A3, window_exp=v)),
+            ("brute_symmetrizer-spot_checks",
+             lambda v: oracle.brute_symmetrizer(A3, spot_checks=v)),
+            ("colimit_report-depth", lambda v: oracle.colimit_report(A3, depth=v)),
+            ("colimit_report-num_window", lambda v: oracle.colimit_report(A3, num_window=v)),
+            ("colimit_report-int_window", lambda v: oracle.colimit_report(A3, int_window=v)),
+            ("colimit_compare-depth", lambda v: oracle.colimit_compare(A3, depth=v)),
+            ("colimit_compare-num_window", lambda v: oracle.colimit_compare(A3, num_window=v)),
+            ("colimit_compare-int_window", lambda v: oracle.colimit_compare(A3, int_window=v)),
+            ("cocycle_fuzz-xi-trials", lambda v: oracle.cocycle_fuzz("xi", J3, trials=v)),
+            ("cocycle_fuzz-zeta-trials", lambda v: oracle.cocycle_fuzz("zeta", J3, trials=v)),
+            ("cocycle_fuzz-psi-trials", lambda v: oracle.cocycle_fuzz("psi_bichar", A3, trials=v)),
+        )
+        for case in _ints(name, call)
+    ]
+    + [pytest.param(lambda v: oracle.cocycle_fuzz("xi", J3, trials=v), 0, ValueError,
+                    id="cocycle_fuzz-xi-trials-0")]
     + _ints("rescale-target", lambda v: classify.rescale(A6, v))
     + _ints("block_shift", lambda v: classify.block_shift(A6, v))
     + _ints("isomorphic-bound", lambda v: classify.isomorphic(A3, A3, v))

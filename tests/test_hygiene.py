@@ -20,10 +20,10 @@
   ``from_json``.
 * The carrier type check has one home: ``isinstance(x, NadicInteger)``
   appears only in ``nadic.check_carrier``.
-* The trusted constructors ``_of`` and the trusted residue read
-  ``NadicInteger._at`` skip the argument checks, so they never run on
-  user input: ``codec`` and ``cli`` do not call them, and no private
-  name enters ``ncsolenoid.__all__``.
+* The trusted constructors ``_of`` and the trusted residue reads
+  ``NadicInteger._at`` and ``NadicInteger._segment`` skip the argument
+  checks, so they never run on user input: ``codec`` and ``cli`` do not
+  call them, and no private name enters ``ncsolenoid.__all__``.
 * Every name in ``ncsolenoid.__all__`` resolves.
 * ``import ncsolenoid`` loads neither ``dataclasses`` nor ``typing``
   (the start-up cost of the CLI and of every library user).
@@ -165,7 +165,7 @@ def test_trusted_constructors_stay_off_user_input():
         "%s.py:%d" % (stem, node.lineno)
         for stem in ("codec", "cli")
         for node in ast.walk(TREES[stem])
-        if getattr(node, "attr", getattr(node, "id", None)) in ("_of", "_at")
+        if getattr(node, "attr", getattr(node, "id", None)) in ("_of", "_at", "_segment")
     ]
     assert found == []
     assert [name for name in ncsolenoid.__all__ if name.startswith("_")] == []

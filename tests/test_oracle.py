@@ -342,3 +342,36 @@ def test_cocycle_fuzz_names_every_trial_a_wrong_formula_fails(
     assert honest.passed and not report.passed
     assert report.checks == honest.checks == trials * {"xi": 4, "zeta": 3, "psi_bichar": 5}[kind]
     assert report.failures == failures
+
+
+@pytest.mark.parametrize(
+    "call, name",
+    [
+        pytest.param(lambda a: colimit_report(a, depth=-1), "depth", id="colimit-depth"),
+        pytest.param(lambda a: colimit_report(a, depth=0, num_window=-3), "num_window",
+                     id="colimit-num_window"),
+        pytest.param(lambda a: colimit_compare(a, int_window=-1), "int_window",
+                     id="colimit_compare-int_window"),
+        pytest.param(lambda a: cocycle_fuzz("xi", a.carrier, trials=-5), "trials", id="xi-trials"),
+        pytest.param(lambda a: cocycle_fuzz("zeta", a.carrier, trials=0), "trials",
+                     id="zeta-trials-0"),
+        pytest.param(lambda a: brute_symmetrizer(a, window_num=-1, window_exp=-1), "window_num",
+                     id="symmetrizer-windows"),
+        pytest.param(lambda a: brute_symmetrizer(a, window_exp=-1), "window_exp",
+                     id="symmetrizer-window_exp"),
+        pytest.param(lambda a: brute_symmetrizer(a, spot_checks=-1), "spot_checks",
+                     id="symmetrizer-spot_checks"),
+    ],
+)
+def test_oracle_sizes_that_would_check_nothing_raise_and_name_the_argument(three_half, call, name):
+    # each of these once reported a pass with 0 checks, or died with IndexError
+    with pytest.raises(ValueError, match="^%s must be at least" % name):
+        call(three_half)
+
+
+def test_oracle_sizes_at_their_least_still_check(three_half):
+    a = three_half
+    report = colimit_report(a, depth=0, num_window=0, int_window=0)
+    assert report["match"] and report["checks"] == 2
+    assert len(brute_symmetrizer(a, window_num=0, window_exp=0, spot_checks=0)) == 1
+    assert cocycle_fuzz("xi", a.carrier, trials=1).checks == 4
