@@ -35,12 +35,10 @@ from .classify import (
     AngleMatrix,
     BundleData,
     IsoVerdict,
-    block_shift,
     bundle_data,
     isomorphic,
     prime_case_isomorphic,
     replay_witness,
-    rescale,
 )
 from .oracle import (
     DEFAULT_SEED,
@@ -70,7 +68,6 @@ __all__ = [
     "SequenceKind",
     "Symmetrizer",
     "bicharacter",
-    "block_shift",
     "brute_symmetrizer",
     "bundle_data",
     "classify_type",
@@ -90,7 +87,6 @@ __all__ = [
     "prime_factors",
     "psi_phase",
     "replay_witness",
-    "rescale",
     "symmetrizer",
     "theta_phase",
     "trace",

@@ -2,25 +2,25 @@
 
 Two twisted algebras, given by angle sequences alpha over N and beta
 over M, can only be isomorphic when N and M have the same prime
-support.  Writing R = gcd(N, M), mu = N/R, nu = M/R, both sequences are
-first rescaled to the common scale R:
+support.  Writing R = gcd(N, M), mu = N/R, nu = M/R, both sides are read
+at the common scale R as their exact pairs (h, w) of head and carrier
+value, alpha_n = (h + J_n)/N**n with J_n = w mod N**n; rescaling keeps
+the pair verbatim, frac(mu**n * alpha_n) = (h + J_n mod R**n)/R**n.
+Equal pairs at one scale are equal sequences.  The known sufficient
+condition for isomorphism is that one pair equals the other moved by a
+shift, an optional block shift and an optional sign (:func:`_move`):
 
-    rescale(alpha, R)_n = frac(mu**n * alpha_n),
-
-which keeps the head and reinterprets the exact carrier value at scale
-R verbatim.  After rescaling, the known sufficient condition for
-isomorphism is that one side equals the other transformed by a shift,
-an optional block shift, and an optional global sign:
-
-* ``shift(q)`` drops the first q terms;
-* ``block_shift(d)``, for a proper divisor d of R, interleaves the
-  division by R so that the sequence is read d slots into each block:
-  delta_n = (beta_n + (m_n mod d)) / d with m_n the n-th digit.  Spread
-  over the prime ladder of R, a block of single-prime divisions can be
-  entered at any intermediate point; which primes come first only
-  enters through their product d, so enumerating proper divisors
-  enumerates all interleavings.  The divisors are built from the prime
-  factorisation of R and tried in ascending order.
+* the shift q drops the first q terms: (h + J_q, w - J_q) / R**q;
+* the block shift by a proper divisor d of R interleaves the division
+  by R so that the sequence is read d slots into each block:
+  (h + c, w - c) / d with c = J_1 mod d, i.e. delta_n = (beta_n +
+  (m_n mod d)) / d with m_n the n-th digit.  Spread over the prime
+  ladder of R, a block of single-prime divisions can be entered at any
+  intermediate point; which primes come first only enters through their
+  product d, so enumerating proper divisors enumerates all
+  interleavings.  They are built from the prime factorisation of R and
+  tried in ascending order;
+* the sign negates with a carry c = 1 if h > 0 else 0: (c - h, -w - c).
 
 The search tries both directions and both signs.  A hit is returned as
 a replayable witness.  Exact invariants preserved by every move (and
@@ -28,7 +28,7 @@ by rescaling) give sound No verdicts:
 
 * the reduced denominator of the carrier value;
 * the prime-to-R part of the denominator of the head;
-* periodicity, and with it simplicity of the algebra.
+* periodicity (w = -h), and with it simplicity of the algebra.
 
 For a periodic sequence the shift moves cycle with the period, so the
 search space is finite.  Exhausting it upgrades the result from Unknown
@@ -46,15 +46,14 @@ from math import gcd, lcm
 from operator import attrgetter
 
 from .nadic import (
-    NadicInteger,
     _Frozen,
     _Value,
     check_int,
-    check_scale,
     format_fraction,
     is_prime,
     multiplicative_order,
     prime_factors,
+    residue,
 )
 from .sequences import Angle, AngleSequence, check_sequence
 
@@ -125,47 +124,6 @@ def _common_factors(n, m):
     return None
 
 
-def rescale(alpha, target):
-    """Rewrite alpha over a divisor scale: n -> frac((N/R)**n * alpha_n).
-
-    The head is unchanged and the exact carrier value carries over
-    verbatim (only its residues are now read mod R**n).  A prefix
-    carrier raises, unless the scale is unchanged.
-
-    >>> a = AngleSequence.constant(4, Fraction(1, 3))
-    >>> [rescale(a, 2).value(n) for n in range(4)]
-    [Fraction(1, 3), Fraction(2, 3), Fraction(1, 3), Fraction(2, 3)]
-    """
-    check_sequence(alpha)
-    target = check_scale(target)
-    if alpha.modulus % target:
-        raise ValueError("%d does not divide the scale %d" % (target, alpha.modulus))
-    if target == alpha.modulus:
-        return alpha
-    carrier = NadicInteger.from_value(alpha.carrier.exact_value("rescaling"), target)
-    return AngleSequence(target, alpha.base, carrier)
-
-
-def block_shift(alpha, block):
-    """Enter each division block d slots in: n -> (alpha_n + (m_n mod d))/d.
-
-    Requires a proper divisor d of the scale (d == 1 is the identity).
-    Exact carriers only; the carrier value becomes (w - c0)/d with
-    c0 = (first digit) mod d.
-    """
-    check_sequence(alpha)
-    d = check_int(block, "block", 1)
-    if alpha.modulus % d or d == alpha.modulus:
-        raise ValueError("block must be a proper divisor of the scale %d" % alpha.modulus)
-    if d == 1:
-        return alpha
-    w = alpha.carrier.exact_value("a block shift")
-    c0 = alpha.digit(0) % d
-    head = (alpha.base + c0) / d
-    value = (w - c0) / d
-    return AngleSequence(alpha.modulus, head, NadicInteger.from_value(value, alpha.modulus))
-
-
 def _coprime_part(n, primes):
     """Strip every prime in primes out of n."""
     for p in primes:
@@ -175,14 +133,11 @@ def _coprime_part(n, primes):
 
 
 def _obstruction(a, b, primes):
-    """A reason string if an exact invariant separates a and b, else None."""
-    if a.carrier.value.denominator != b.carrier.value.denominator:
-        return "carrier denominators differ (%d vs %d)" % (
-            a.carrier.value.denominator,
-            b.carrier.value.denominator,
-        )
-    da = _coprime_part(a.base.denominator, primes)
-    db = _coprime_part(b.base.denominator, primes)
+    """A reason string if an exact invariant separates the pairs a and b, else None."""
+    if a[1].denominator != b[1].denominator:
+        return "carrier denominators differ (%d vs %d)" % (a[1].denominator, b[1].denominator)
+    da = _coprime_part(a[0].denominator, primes)
+    db = _coprime_part(b[0].denominator, primes)
     if da != db:
         return "prime-to-scale parts of the head denominators differ (%d vs %d)" % (da, db)
     return None
@@ -203,64 +158,80 @@ def _proper_divisors(factors):
     return divisors[:-1]
 
 
+def _move(pair, scale, shift, block, sign):
+    """The pair (h, w) at the given scale moved by shift, block and sign, in that order."""
+    h, w = pair
+    if shift:
+        m = scale ** shift
+        j = residue(w, m)
+        h, w = (h + j) / m, (w - j) / m
+    if block > 1:
+        c = residue(w, scale) % block
+        h, w = (h + c) / block, (w - c) / block
+    if sign < 0:
+        c = 1 if h else 0
+        h, w = c - h, -w - c
+    return h, w
+
+
+def _witness(alpha, beta, scale, direction, shift, block, sign, image):
+    """The JSON witness of a hit: the moves and the pair they reach."""
+    return {
+        "R": scale,
+        "mu": alpha.modulus // scale,
+        "nu": beta.modulus // scale,
+        "direction": direction,
+        "shift": shift,
+        "block": block,
+        "sign": sign,
+        "matched": {"alpha0": format_fraction(image[0]), "carrier": format_fraction(image[1])},
+    }
+
+
 def isomorphic(alpha, beta, bound=32):
     """Decide *-isomorphism of the twisted algebras where possible.
 
-    Yes verdicts carry a replayable witness (see :func:`replay_witness`);
-    No verdicts cite either a prime-support mismatch, a separating
-    invariant, or an exhausted periodic search at a prime-power R;
-    everything else is Unknown at the given shift bound.
+    Works on the exact pairs (head, carrier value) at R = gcd(N, M) and
+    builds no sequence or carrier.  Yes verdicts carry a replayable
+    witness (see :func:`replay_witness`); No verdicts cite either a
+    prime-support mismatch, a separating invariant, or an exhausted
+    periodic search at a prime-power R; everything else, prefix
+    carriers included, is Unknown at the given shift bound.
     """
     check_sequence(alpha, beta)
     check_int(bound, "bound", 0)
     factors = _common_factors(alpha.modulus, beta.modulus)
     if factors is None:
-        return IsoVerdict.no(
-            "prime supports differ (%d vs %d)" % (alpha.modulus, beta.modulus)
-        )
+        return IsoVerdict.no("prime supports differ (%d vs %d)" % (alpha.modulus, beta.modulus))
     if not (alpha.carrier.is_exact and beta.carrier.is_exact):
         return IsoVerdict.unknown(bound)
     scale = gcd(alpha.modulus, beta.modulus)
-    a = rescale(alpha, scale)
-    b = rescale(beta, scale)
+    a, b = (alpha.base, alpha.carrier.value), (beta.base, beta.carrier.value)
     reason = _obstruction(a, b, set(factors))
     if reason is not None:
         return IsoVerdict.no(reason)
-    pa, pb = a.period(), b.period()
-    if (pa is None) != (pb is None):
+    periodic = a[1] == -a[0]
+    if periodic != (b[1] == -b[0]):
         return IsoVerdict.no("exactly one side is periodic")
-    if pa is not None and pa != pb:
-        return IsoVerdict.no("periods differ (%d vs %d)" % (pa, pb))
-
+    # Periodic pairs have w = -h, so equal carrier denominators give equal
+    # head denominators q and equal periods, the order of R mod q.
+    period = multiplicative_order(scale, a[0].denominator) if periodic else None
     blocks = _proper_divisors(factors)
-    exhaustive = pa is not None  # periods agree by now, shifts then cycle
-    shift_top = min(bound, pa - 1) if exhaustive else bound
+    shift_top = bound if period is None else min(bound, period - 1)
     for label, x, y in (("forward", a, b), ("reverse", b, a)):
         for q in range(shift_top + 1):
-            moved = y.shift(q)
+            moved = _move(y, scale, q, 1, 1)
             for d in blocks:
-                candidate = block_shift(moved, d)
                 for sign in (1, -1):
-                    image = candidate if sign == 1 else -candidate
-                    if x == image:
-                        witness = {
-                            "R": scale,
-                            "mu": alpha.modulus // scale,
-                            "nu": beta.modulus // scale,
-                            "direction": label,
-                            "shift": q,
-                            "block": d,
-                            "sign": sign,
-                            "matched": {
-                                "alpha0": format_fraction(image.base),
-                                "carrier": format_fraction(image.carrier.value),
-                            },
-                        }
-                        return IsoVerdict.yes(witness)
-    if exhaustive and pa - 1 <= bound and len(set(factors)) == 1:
+                    image = _move(moved, scale, 0, d, sign)
+                    if image == x:
+                        return IsoVerdict.yes(
+                            _witness(alpha, beta, scale, label, q, d, sign, image)
+                        )
+    if period is not None and period - 1 <= bound and len(set(factors)) == 1:
         return IsoVerdict.no(
             "periodic search exhausted (period %d, both directions, all blocks, both signs)"
-            % pa
+            % period
         )
     return IsoVerdict.unknown(bound)
 
@@ -275,32 +246,36 @@ def prime_case_isomorphic(alpha, beta, bound=32):
     if not (is_prime(alpha.modulus) and is_prime(beta.modulus)):
         raise ValueError("prime scales only; use isomorphic() for composites")
     if alpha.modulus != beta.modulus:
-        return IsoVerdict.no(
-            "distinct primes %d and %d" % (alpha.modulus, beta.modulus)
-        )
+        return IsoVerdict.no("distinct primes %d and %d" % (alpha.modulus, beta.modulus))
     return isomorphic(alpha, beta, bound)
 
 
 def replay_witness(alpha, beta, verdict):
-    """Recompute a Yes witness and compare the two sides term by term.
+    """Apply the moves of a Yes witness again and compare the pairs exactly.
 
-    Compares terms 0..3 * (pa + pb) when both rescaled sides are periodic
-    with periods pa and pb, and terms 0..30 otherwise.  Returns True when
-    every compared term matches; raises on a verdict that is not a Yes.
+    Equal pairs at one scale mean equal sequences, so every term matches.
+    True only when every field is the one the moves give: R = gcd(N, M),
+    mu = N/R, nu = M/R, a direction "forward" or "reverse", an integer
+    shift >= 0, a proper divisor of R as block, a sign of +-1, and the
+    moved pair as ``matched``.  Raises on a verdict that is not a Yes and
+    on a prefix carrier.
     """
     if not isinstance(verdict, IsoVerdict) or not verdict.is_yes:
         raise ValueError("only Yes verdicts can be replayed")
+    check_sequence(alpha, beta)
+    scale = gcd(alpha.modulus, beta.modulus)
+    a, b = ((s.base, s.carrier.exact_value("replaying a witness")) for s in (alpha, beta))
     w = verdict.witness
-    scale = w["R"]
-    a = rescale(alpha, scale)
-    b = rescale(beta, scale)
-    x, y = (a, b) if w["direction"] == "forward" else (b, a)
-    image = block_shift(y.shift(w["shift"]), w["block"])
-    if w["sign"] == -1:
-        image = -image
-    pa, pb = a.period(), b.period()
-    depth = 3 * (pa + pb) if (pa is not None and pb is not None) else 30
-    return all(x.value(n) == image.value(n) for n in range(depth + 1))
+    try:
+        x, y = {"forward": (a, b), "reverse": (b, a)}[w["direction"]]
+        got = {k: check_int(w[k], k) for k in ("R", "mu", "nu", "shift", "block", "sign")}
+    except (KeyError, TypeError, ValueError):
+        return False
+    q, d, sign = got["shift"], got["block"], got["sign"]
+    if q < 0 or d < 1 or scale % d or d == scale or sign not in (1, -1):
+        return False
+    image = _move(y, scale, q, d, sign)
+    return image == x and w == _witness(alpha, beta, scale, w["direction"], q, d, sign, image)
 
 
 class AngleMatrix(_Value):

@@ -104,6 +104,15 @@ def frac_part(q):
     return q - (q.numerator // q.denominator)
 
 
+def residue(value, m):
+    """J mod m for the N-adic integer of an exact value a/b with gcd(b, m) == 1: a * b**-1 mod m.
+
+    >>> residue(Fraction(-1, 62), 5 ** 4)
+    252
+    """
+    return value.numerator * pow(value.denominator, -1, m) % m
+
+
 def prime_factors(n):
     """Prime factors of n >= 2 in ascending order with multiplicity.
 
@@ -444,8 +453,7 @@ class NadicInteger(_Value):
             return rep % self.modulus ** k
         if self.value is None:
             raise ValueError("depth %d exceeds recorded prefix of length %d" % (k, level))
-        m = self.modulus ** k
-        rep = (self.value.numerator * pow(self.value.denominator, -1, m)) % m
+        rep = residue(self.value, self.modulus ** k)
         object.__setattr__(self, "_deep", (k, rep))
         return rep
 

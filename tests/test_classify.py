@@ -8,13 +8,12 @@ from hypothesis import example, given, settings, strategies as st
 from ncsolenoid.classify import (
     AngleMatrix,
     IsoVerdict,
+    _move,
     _proper_divisors,
-    block_shift,
     bundle_data,
     isomorphic,
     prime_case_isomorphic,
     replay_witness,
-    rescale,
 )
 from ncsolenoid.multiplier import classify_type, is_simple, symmetrizer, theta_phase
 from ncsolenoid.nadic import NadicInteger, QnRational, prime_factors
@@ -49,48 +48,78 @@ def test_proper_divisors_match_the_range_scan(n):
     assert _proper_divisors(prime_factors(n)) == [d for d in range(1, n) if n % d == 0]
 
 
-def test_rescale_frozen(thirds_4, thirds_2):
-    got = rescale(thirds_4, 2)
-    assert got == thirds_2
-    assert [got.value(n) for n in range(4)] == [
-        Fraction(1, 3),
-        Fraction(2, 3),
-        Fraction(1, 3),
-        Fraction(2, 3),
-    ]
+@st.composite
+def exact_sequences(draw, scales=(2, 3, 4, 6, 10, 12)):
+    """An exact sequence at a scale n: periodic (carrier value -head), or aperiodic.
+
+    An aperiodic head is a/(p**e * b) and its carrier value c/d, with p | n and b, d prime to n.
+    """
+    n = draw(st.sampled_from(scales))
+    prime_to = st.integers(1, 30).filter(lambda d: math.gcd(d, n) == 1)
+    periodic = draw(st.booleans())
+    smooth = 1 if periodic else draw(st.sampled_from(prime_factors(n))) ** draw(st.integers(0, 3))
+    den = smooth * draw(prime_to)
+    head = Fraction(draw(st.integers(0, den - 1)), den)
+    w = -head if periodic else Fraction(draw(st.integers(-200, 200)), draw(prime_to))
+    return AngleSequence(n, head, NadicInteger.from_value(w, n))
 
 
-def test_rescale_validates_divisor(thirds_4):
-    with pytest.raises(ValueError):
-        rescale(thirds_4, 3)
-    assert rescale(thirds_4, 4) is thirds_4
+def _pair(seq):
+    return seq.base, seq.carrier.value
 
 
-def test_rescale_prefix_carrier():
-    a = AngleSequence(4, Fraction(1, 3), NadicInteger.from_prefix([2, 3], 4))
-    with pytest.raises(ValueError, match="exact carrier"):
-        rescale(a, 2)
-    assert rescale(a, 4) is a
+def _from_pair(pair, scale):
+    """The sequence of a moved pair; its constructor checks that the pair is canonical."""
+    return AngleSequence(scale, pair[0], NadicInteger.from_value(pair[1], scale))
 
 
-def test_block_shift_reverses_one_division():
-    a = AngleSequence(6, Fraction(1, 5), NadicInteger.from_value(Fraction(-1, 5), 6))
-    for d in (2, 3):
-        b = block_shift(a, d)
-        # d * beta_0 recovers alpha_0 on the circle
-        assert (d * b.value(0) - a.value(0)).denominator == 1
-        assert b.modulus == a.modulus
-    with pytest.raises(ValueError):
-        block_shift(a, 6)
-    with pytest.raises(ValueError):
-        block_shift(a, 4)
-    assert block_shift(a, 1) is a
+@given(exact_sequences(), st.integers(0, 6), st.data())
+def test_moves_agree_with_shift_negation_and_the_block_rule(seq, q, data):
+    n = seq.modulus
+    d = data.draw(st.sampled_from(_proper_divisors(prime_factors(n))))
+    assert _move(_pair(seq), n, q, 1, 1) == _pair(seq.shift(q))
+    assert _move(_pair(seq), n, 0, 1, -1) == _pair(-seq)
+    blocked = _from_pair(_move(_pair(seq), n, 0, d, 1), n)
+    for k in range(8):
+        assert blocked.value(k) == (seq.value(k) + seq.digit(k) % d) / d
+    # one call applies the shift, then the block, then the sign
+    for sign in (1, -1):
+        moved = _move(_move(_pair(seq), n, q, 1, 1), n, 0, d, 1)
+        assert _move(_pair(seq), n, q, d, sign) == _move(moved, n, 0, 1, sign)
 
 
-def test_block_shift_needs_exact_carrier():
-    a = AngleSequence(6, 0, NadicInteger.from_prefix([5, 2], 6))
-    with pytest.raises(ValueError):
-        block_shift(a, 2)
+@given(exact_sequences(), st.data())
+def test_rescaling_keeps_the_pair_verbatim(seq, data):
+    """The pair of alpha at scale R * mu, read at scale R, has terms frac(mu**n * alpha_n)."""
+    n, mu = seq.modulus, 1
+    for p in set(prime_factors(seq.modulus)):
+        mu *= p ** data.draw(st.integers(0, 2))
+    wide = _from_pair(_pair(seq), n * mu)
+    assert [seq.value(k) for k in range(6)] == [mu ** k * wide.value(k) % 1 for k in range(6)]
+
+
+def test_isomorphic_builds_no_sequence_or_carrier(monkeypatch, thirds_2, thirds_4, five_62):
+    a6 = AngleSequence(6, Fraction(1, 2), NadicInteger.from_value(Fraction(1, 5), 6))
+    pairs = [(thirds_2, thirds_4), (five_62, five_62), (a6.shift(3), -a6), (a6, -a6.shift(1)),
+             (a6, thirds_2), (AngleSequence.constant(12, Fraction(1, 13)),
+                              AngleSequence.constant(12, Fraction(8, 13)))]
+    built = []
+
+    def counted(real):
+        def init(self, *args, **kwargs):
+            built.append(type(self).__name__)
+            real(self, *args, **kwargs)
+        return init
+
+    for cls in (AngleSequence, NadicInteger):
+        monkeypatch.setattr(cls, "__init__", counted(cls.__init__))
+    kinds = []
+    for a, b in pairs:
+        verdict = isomorphic(a, b, bound=8)
+        kinds.append(verdict.kind)
+        assert not verdict.is_yes or replay_witness(a, b, verdict)
+    assert built == []
+    assert kinds == ["yes", "yes", "yes", "yes", "no", "unknown"]
 
 
 # ---------------------------------------------------------------- verdicts
@@ -184,6 +213,65 @@ def test_replay_rejects_non_yes(thirds_2, fifths_2):
     verdict = isomorphic(thirds_2, fifths_2)
     with pytest.raises(ValueError):
         replay_witness(thirds_2, fifths_2, verdict)
+
+
+def _thirds_witness(**forged):
+    """a = b = constant(4, 1/3), its Yes witness with the given fields forged, and the replay."""
+    a = AngleSequence.constant(4, Fraction(1, 3))
+    verdict = isomorphic(a, a)
+    return replay_witness(a, a, IsoVerdict.yes(dict(verdict.witness, **forged)))
+
+
+def test_replay_accepts_the_true_witness():
+    assert _thirds_witness()
+    a = AngleSequence.constant(4, Fraction(1, 3))
+    assert isomorphic(a, a).witness == {
+        "R": 4, "mu": 1, "nu": 1, "direction": "forward", "shift": 0, "block": 1, "sign": 1,
+        "matched": {"alpha0": "1/3", "carrier": "-1/3"},
+    }
+
+
+@pytest.mark.parametrize(
+    "forged",
+    [
+        {"R": 2, "mu": 7, "nu": 9},
+        {"R": 4.0},
+        {"mu": 5},
+        {"nu": 5},
+        {"direction": "sideways"},
+        {"direction": ["forward"]},
+        {"shift": -1},
+        {"shift": True},
+        {"shift": 1.0},
+        {"block": 4},  # R itself is not a proper divisor
+        {"block": 3},
+        {"block": 0},
+        {"sign": 5},
+        {"sign": -1},
+        {"matched": {"alpha0": "1/2", "carrier": "0"}},
+        {"matched": {"alpha0": "1/3", "carrier": "-1/3", "extra": 0}},
+    ],
+    ids=lambda forged: ",".join("%s=%r" % kv for kv in forged.items()),
+)
+def test_replay_rejects_a_forged_field(forged):
+    assert not _thirds_witness(**forged)
+
+
+def test_replay_rejects_a_witness_at_a_divisor_of_R():
+    a = AngleSequence.constant(6, Fraction(1, 5))
+    verdict = isomorphic(a, a)
+    assert replay_witness(a, a, verdict)
+    assert not replay_witness(a, a, IsoVerdict.yes(dict(verdict.witness, R=2, mu=3, nu=3)))
+    assert not replay_witness(a, a, IsoVerdict.yes({"R": 6}))
+    assert not replay_witness(a, a, IsoVerdict.yes("forward"))
+
+
+def test_replay_needs_exact_carriers(thirds_4):
+    prefix = AngleSequence(4, Fraction(1, 3), NadicInteger.from_prefix([2, 3], 4))
+    assert isomorphic(prefix, thirds_4).is_unknown
+    verdict = isomorphic(thirds_4, thirds_4)
+    with pytest.raises(ValueError, match="exact carrier"):
+        replay_witness(prefix, thirds_4, verdict)
 
 
 # ---------------------------------------------------------------- composite-scale units

@@ -87,8 +87,6 @@ CASES = (
     ]
     + [pytest.param(lambda v: oracle.cocycle_fuzz("xi", J3, trials=v), 0, ValueError,
                     id="cocycle_fuzz-xi-trials-0")]
-    + _ints("rescale-target", lambda v: classify.rescale(A6, v))
-    + _ints("block_shift", lambda v: classify.block_shift(A6, v))
     + _ints("isomorphic-bound", lambda v: classify.isomorphic(A3, A3, v))
     + _ints("Symmetrizer-b", lambda v: multiplier.Symmetrizer("ScaledLattice", v))
     + [pytest.param(multiplier.Symmetrizer.scaled_lattice, 1, ValueError, id="Symmetrizer-b-1")]
@@ -98,8 +96,6 @@ CASES = (
        pytest.param(lambda v: ktheory.GeneratorCochain(3, {0: 0, v: 0}), "1", ValueError,
                     id="GeneratorCochain-level-str")]
     + _ints("ExtensionElement-z", lambda v: ktheory.ExtensionElement(A3, v, X3), False)
-    + _sequence_args("rescale", lambda s: classify.rescale(s, 3))
-    + _sequence_args("block_shift", lambda s: classify.block_shift(s, 1))
     + _sequence_args("isomorphic", lambda s: classify.isomorphic(A3, s))
     + _sequence_args("prime_case_isomorphic", lambda s: classify.prime_case_isomorphic(s, A3))
     + _sequence_args("bundle_data", classify.bundle_data)
@@ -194,8 +190,6 @@ CASES = (
             ("NadicInteger-prefix-bool", lambda p: NadicInteger.from_prefix(p, 3), True,
              ValueError),
             ("NadicInteger-prefix-dict", lambda p: NadicInteger.from_prefix(p, 3), {}, ValueError),
-            ("rescale-non-divisor", lambda t: classify.rescale(A6, t), 4, ValueError),
-            ("block-non-divisor", lambda d: classify.block_shift(A6, d), 4, ValueError),
             ("prime_case-composite", lambda s: classify.prime_case_isomorphic(s, A3), A6,
              ValueError),
         ]

@@ -24,6 +24,9 @@
   ``NadicInteger._at`` and ``NadicInteger._segment`` skip the argument
   checks, so they never run on user input: ``codec`` and ``cli`` do not
   call them, and no private name enters ``ncsolenoid.__all__``.
+* The N-adic residue has one home: ``pow(x, -1, m)`` appears only in
+  ``nadic.residue``, which ``NadicInteger._at`` and the isomorphism
+  moves both call.
 * Every name in ``ncsolenoid.__all__`` resolves.
 * ``import ncsolenoid`` loads neither ``dataclasses`` nor ``typing``
   (the start-up cost of the CLI and of every library user).
@@ -169,6 +172,19 @@ def test_trusted_constructors_stay_off_user_input():
     ]
     assert found == []
     assert [name for name in ncsolenoid.__all__ if name.startswith("_")] == []
+
+
+def test_the_nadic_residue_has_one_home():
+    found = [
+        scope
+        for stem, tree in TREES.items()
+        for node, scope in _scoped_nodes(tree, stem)
+        if isinstance(node, ast.Call)
+        and getattr(node.func, "id", None) == "pow"
+        and len(node.args) == 3
+        and ast.unparse(node.args[1]) == "-1"
+    ]
+    assert found == ["nadic.residue"]
 
 
 def test_every_exported_name_resolves():
