@@ -223,3 +223,85 @@ def test_a_bad_value_in_a_carrier_file_names_the_file(capsys, tmp_path):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == "error: %s: digits must lie below 3\n" % bad
+
+
+TOP_USAGE = (
+    "usage: ncsolenoid [-h]\n"
+    "                  {info,simple,symmetrizer,k0,cohomologous,iso,bundle,selftest}\n"
+    "                  ...\n"
+)
+TOP_HELP = TOP_USAGE + """
+Exact invariants of twisted solenoid algebras over Q_N.
+
+positional arguments:
+  {info,simple,symmetrizer,k0,cohomologous,iso,bundle,selftest}
+    info                describe an element file
+    simple              simplicity of the twisted algebra
+    symmetrizer         symmetrizer subgroup description
+    k0                  K0 queries
+    cohomologous        compare two carrier cocycles
+    iso                 isomorphism classification
+    bundle              bundle data of a periodic element
+    selftest            run the oracle suite at reduced sizes
+
+options:
+  -h, --help            show this help message and exit
+"""
+K0_USAGE = "usage: ncsolenoid k0 [-h] {trace,member,add} ...\n"
+K0_TRACE_HELP = """usage: ncsolenoid k0 trace [-h] --z Z --x X file
+
+positional arguments:
+  file
+
+options:
+  -h, --help  show this help message and exit
+  --z Z
+  --x X       Q_N element as a fraction, e.g. 2/9
+"""
+INFO_HELP = """usage: ncsolenoid info [-h] file
+
+positional arguments:
+  file
+
+options:
+  -h, --help  show this help message and exit
+"""
+REQUIRED = "ncsolenoid: error: the following arguments are required: command\n"
+UNRECOGNIZED = "ncsolenoid: error: unrecognized arguments: extra\n"
+
+
+@pytest.mark.parametrize(
+    "argv, code, out, err",
+    [
+        pytest.param([], 2, "", TOP_USAGE + REQUIRED, id="empty"),
+        pytest.param(["-h"], 0, TOP_HELP, "", id="help"),
+        pytest.param(["nope"], 2, "", TOP_USAGE + "ncsolenoid: error: argument command: invalid "
+                     "choice: 'nope' (choose from 'info', 'simple', 'symmetrizer', 'k0', "
+                     "'cohomologous', 'iso', 'bundle', 'selftest')\n", id="unknown-command"),
+        pytest.param(["--version"], 2, "", TOP_USAGE + REQUIRED, id="version"),
+        pytest.param(["k0"], 2, "", K0_USAGE + "ncsolenoid k0: error: the following arguments "
+                     "are required: k0_command\n", id="k0-alone"),
+        pytest.param(["k0", "nope"], 2, "", K0_USAGE + "ncsolenoid k0: error: argument "
+                     "k0_command: invalid choice: 'nope' (choose from 'trace', 'member', 'add')\n",
+                     id="k0-unknown"),
+        pytest.param(["k0", "trace", "-h"], 0, K0_TRACE_HELP, "", id="k0-trace-help"),
+        pytest.param(["info", "-h"], 0, INFO_HELP, "", id="info-help"),
+        pytest.param(["info", "FILE", "extra"], 2, "", TOP_USAGE + UNRECOGNIZED, id="info-extra"),
+        pytest.param(["k0", "trace", "--z", "1", "--x", "1/3", "FILE", "extra"], 2, "",
+                     TOP_USAGE + UNRECOGNIZED, id="k0-trace-extra"),
+        pytest.param(["iso", "A", "B", "--bound", "x"], 2, "",
+                     "usage: ncsolenoid iso [-h] [--bound BOUND] file_a file_b\n"
+                     "ncsolenoid iso: error: argument --bound: invalid int value: 'x'\n",
+                     id="iso-bound"),
+        pytest.param(["selftest", "--seed", "x"], 2, "",
+                     "usage: ncsolenoid selftest [-h] [--seed SEED]\n"
+                     "ncsolenoid selftest: error: argument --seed: invalid int value: 'x'\n",
+                     id="selftest-seed"),
+    ],
+)
+def test_usage_help_and_error_text(capsys, monkeypatch, argv, code, out, err):
+    # the golden corpus pins stdout and exit codes; this pins argparse's own text
+    monkeypatch.setenv("COLUMNS", "80")
+    assert main(argv) == code
+    captured = capsys.readouterr()
+    assert (captured.out, captured.err) == (out, err)
