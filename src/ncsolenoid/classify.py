@@ -334,15 +334,20 @@ class AngleMatrix(_Value):
     def size(self):
         return len(self.perm)
 
+    def _dense(self, cell):
+        """Rows as lists: cell(a, d) in column perm[i], a/d = num[i]/den in lowest terms."""
+        n, out = self.size, []
+        for j, a in zip(self.perm, self.num):
+            g = gcd(a, self.den)
+            row = [None] * n
+            row[j] = cell(a // g, self.den // g)
+            out.append(row)
+        return out
+
     @property
     def rows(self):
         """The dense form: a tuple of rows, each a tuple of Angle or None."""
-        n, out = self.size, []
-        for j, a in zip(self.perm, self.num):
-            row = [None] * n
-            row[j] = Angle(Fraction(a, self.den))
-            out.append(tuple(row))
-        return tuple(out)
+        return tuple(tuple(row) for row in self._dense(lambda a, d: Angle._of(Fraction(a, d))))
 
     @classmethod
     def identity(cls, n):
@@ -415,9 +420,8 @@ class AngleMatrix(_Value):
         return "AngleMatrix(perm=%r, num=%r, den=%d)" % (self.perm, self.num, self.den)
 
     def to_json(self):
-        return [
-            [None if e is None else e.to_json() for e in row] for row in self.rows
-        ]
+        """The dense form: each phase in the wire form of ``format_fraction``, null elsewhere."""
+        return self._dense(lambda a, d: "%d/%d" % (a, d) if d > 1 else str(a))
 
 
 class BundleData(_Frozen):

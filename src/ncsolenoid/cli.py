@@ -4,6 +4,9 @@ Results go to stdout as one deterministic JSON document; diagnostics go
 to stderr.  Exit codes: 0 on success, 1 when a selftest oracle fails, 2
 on domain or input errors, 3 when a query comes back Unknown.
 
+The subcommands are one table.  A call builds only the parsers its
+arguments name; help or an unknown or missing name builds them all.
+
     ncsolenoid info n5.json
     ncsolenoid symmetrizer n5.json
     ncsolenoid k0 trace --z 1 --x 0/1 a.json
@@ -150,67 +153,57 @@ def cmd_selftest(args):
     return EXIT_OK if passed else 1
 
 
-def build_parser():
+_FILE, _REQ, _REQ_INT = ("file", {}), {"required": True}, {"type": int, "required": True}
+#: name -> (handler, help, arguments); k0 has no handler, and its own table as arguments
+_COMMANDS = {
+    "info": (cmd_info, "describe an element file", (_FILE,)),
+    "simple": (cmd_simple, "simplicity of the twisted algebra", (_FILE,)),
+    "symmetrizer": (cmd_symmetrizer, "symmetrizer subgroup description", (_FILE,)),
+    "k0": (None, "K0 queries", {
+        "trace": (cmd_k0_trace, "trace of (z, x)", (_FILE, ("--z", _REQ_INT),
+                  ("--x", dict(_REQ, help="Q_N element as a fraction, e.g. 2/9")))),
+        "member": (cmd_k0_member, "membership of (first, second) in K0",
+                   (_FILE, ("--first", _REQ), ("--second", _REQ))),
+        "add": (cmd_k0_add, "twisted sum of (az, ax) and (bz, bx)",
+                (_FILE, ("--az", _REQ_INT), ("--ax", _REQ), ("--bz", _REQ_INT), ("--bx", _REQ))),
+    }),
+    "cohomologous": (cmd_cohomologous, "compare two carrier cocycles",
+                     (("file_j", {}), ("file_r", {}))),
+    "iso": (cmd_iso, "isomorphism classification",
+            (("file_a", {}), ("file_b", {}), ("--bound", {"type": int, "default": 32}))),
+    "bundle": (cmd_bundle, "bundle data of a periodic element", (_FILE,)),
+    "selftest": (cmd_selftest, "run the oracle suite at reduced sizes",
+                 (("--seed", {"type": int, "default": oracle.DEFAULT_SEED}),)),
+}
+
+
+def _add_commands(parser, table, dest, argv):
+    """Give parser the subcommands of table: only the one argv[0] names, else all.
+
+    A lone subparser lists every name in usage lines through the metavar;
+    the full build sets none, so that its errors name ``dest``.
+    """
+    one = bool(argv) and argv[0] in table
+    sub = parser.add_subparsers(dest=dest, required=True,
+                                metavar="{%s}" % ",".join(table) if one else None)
+    for name in argv[:1] if one else table:
+        fn, text, arguments = table[name]
+        p = sub.add_parser(name, help=text)
+        if fn is None:
+            _add_commands(p, arguments, name + "_command", argv[1:] if one else ())
+            continue
+        for flag, options in arguments:
+            p.add_argument(flag, **options)
+        p.set_defaults(fn=fn)
+
+
+def main(argv=None):
+    argv = sys.argv[1:] if argv is None else list(argv)
     parser = argparse.ArgumentParser(
         prog="ncsolenoid",
         description="Exact invariants of twisted solenoid algebras over Q_N.",
     )
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    for name, fn, text in (
-        ("info", cmd_info, "describe an element file"),
-        ("simple", cmd_simple, "simplicity of the twisted algebra"),
-        ("symmetrizer", cmd_symmetrizer, "symmetrizer subgroup description"),
-    ):
-        p = sub.add_parser(name, help=text)
-        p.add_argument("file")
-        p.set_defaults(fn=fn)
-
-    k0 = sub.add_parser("k0", help="K0 queries").add_subparsers(
-        dest="k0_command", required=True
-    )
-    p = k0.add_parser("trace", help="trace of (z, x)")
-    p.add_argument("file")
-    p.add_argument("--z", type=int, required=True)
-    p.add_argument("--x", required=True, help="Q_N element as a fraction, e.g. 2/9")
-    p.set_defaults(fn=cmd_k0_trace)
-    p = k0.add_parser("member", help="membership of (first, second) in K0")
-    p.add_argument("file")
-    p.add_argument("--first", required=True)
-    p.add_argument("--second", required=True)
-    p.set_defaults(fn=cmd_k0_member)
-    p = k0.add_parser("add", help="twisted sum of (az, ax) and (bz, bx)")
-    p.add_argument("file")
-    p.add_argument("--az", type=int, required=True)
-    p.add_argument("--ax", required=True)
-    p.add_argument("--bz", type=int, required=True)
-    p.add_argument("--bx", required=True)
-    p.set_defaults(fn=cmd_k0_add)
-
-    p = sub.add_parser("cohomologous", help="compare two carrier cocycles")
-    p.add_argument("file_j")
-    p.add_argument("file_r")
-    p.set_defaults(fn=cmd_cohomologous)
-
-    p = sub.add_parser("iso", help="isomorphism classification")
-    p.add_argument("file_a")
-    p.add_argument("file_b")
-    p.add_argument("--bound", type=int, default=32)
-    p.set_defaults(fn=cmd_iso)
-
-    p = sub.add_parser("bundle", help="bundle data of a periodic element")
-    p.add_argument("file")
-    p.set_defaults(fn=cmd_bundle)
-
-    p = sub.add_parser("selftest", help="run the oracle suite at reduced sizes")
-    p.add_argument("--seed", type=int, default=oracle.DEFAULT_SEED)
-    p.set_defaults(fn=cmd_selftest)
-
-    return parser
-
-
-def main(argv=None):
-    parser = build_parser()
+    _add_commands(parser, _COMMANDS, "command", argv)
     try:
         args = parser.parse_args(argv)
     except SystemExit as err:

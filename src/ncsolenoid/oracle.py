@@ -12,7 +12,8 @@ of Q x Q_N as an integer pair over the one denominator N**(2 * depth),
 and ``brute_symmetrizer`` clears term numerators.  The fuzzes draw
 points through the trusted constructor, evaluate each shared value
 (xi(x, y), Theta(g, h)) once per trial, and check the pairing-lift
-route of xi as an integer identity over N**max(k1, k2).
+route of xi as an integer identity over N**max(k1, k2).  On points they
+drew themselves they call ``ktheory._xi``: xi without its argument checks.
 
 Defaults are sized for desk use: windows around 150 numerators and
 exponent 4, depth 6 stages, 1000 fuzz trials on points p/N**k with
@@ -28,6 +29,7 @@ from math import lcm
 from .ktheory import (
     MIRROR,
     GeneratorCochain,
+    _xi,
     coboundary,
     connecting_matrix,
     cross_section_carry,
@@ -36,7 +38,6 @@ from .ktheory import (
     mu_cochain,
     prufer_pair,
     r_digit,
-    xi_cocycle,
     zeta_cocycle,
 )
 from .multiplier import bicharacter, psi_phase, theta_phase
@@ -83,12 +84,8 @@ class FuzzReport(_Frozen):
 
 
 def sample_qn(rng, scale, max_num, max_exp):
-    """A random Q_N element with bounded numerator and exponent.
-
-    ``randrange(a, b + 1)`` is the draw of ``randint(a, b)``.
-    """
-    num, exp = rng.randrange(-max_num, max_num + 1), rng.randrange(0, max_exp + 1)
-    return QnRational._of(num, exp, check_scale(scale))
+    """A random Q_N element with bounded numerator and exponent."""
+    return _sampler(rng, scale, max_num, max_exp)()
 
 
 def brute_symmetrizer(alpha, window_num=150, window_exp=4, spot_checks=2000, seed=DEFAULT_SEED):
@@ -176,11 +173,12 @@ def colimit_report(alpha, depth=6, num_window=24, int_window=6):
         if mat_mul(embedding_matrix(alpha, k + 1), mirrored) != embedding_matrix(alpha, k):
             failures.append("mirrored connecting identity fails at stage %d" % k)
 
-    M = N ** (2 * depth)
+    P = [N ** e for e in range(2 * depth + 1)]  # every power of N the checks use
+    M = P[-1]
     J = [alpha.carrier._at(k) for k in range(2 * depth + 1)]  # the coherence loop read these
 
     def image(k, z, p):
-        B = p * N ** (2 * (depth - k))
+        B = p * P[2 * (depth - k)]
         return (z * M + B * J[2 * k], B)
 
     def shown(A, B):
@@ -188,7 +186,7 @@ def colimit_report(alpha, depth=6, num_window=24, int_window=6):
 
     def member(A, B):
         k = 0
-        while B * N ** k % M:
+        while B * P[k] % M:
             k += 1
         return (A - B * J[k]) % M == 0
 
@@ -203,15 +201,15 @@ def colimit_report(alpha, depth=6, num_window=24, int_window=6):
                     failures.append("stage %d point (%d, %d) misses K0" % (k, z, p))
                 stage_points.add(pt)
                 # nesting: the same image recurs one stage later
-                if k < depth and image(k + 1, z - p * r_k, N ** 2 * p) != pt:
+                if k < depth and image(k + 1, z - p * r_k, P[2] * p) != pt:
                     failures.append("stage %d point (%d, %d) not nested" % (k, z, p))
 
     covered = 0
     for k in range(2 * depth + 1):
         stage = (k + 1) // 2
         for p in range(-num_window, num_window + 1):
-            B = p * N ** (2 * depth - k)
-            pp = p * N ** (2 * stage - k)
+            B = p * P[2 * depth - k]
+            pp = p * P[2 * stage - k]
             for z in range(-int_window, int_window + 1):
                 A = z * M + B * J[k]
                 checks += 1
@@ -238,14 +236,17 @@ def colimit_compare(alpha, depth=6, num_window=24, int_window=6):
     return colimit_report(alpha, depth, num_window, int_window)["match"]
 
 
-def _sampler(seed, scale):
-    """Seeded draws of fuzz points at the given scale."""
-    rng = random.Random(seed)
-    return lambda: sample_qn(rng, scale, _FUZZ_NUM, _FUZZ_EXP)
+def _sampler(rng, scale, max_num=_FUZZ_NUM, max_exp=_FUZZ_EXP):
+    """Draws of points p/N**k with |p| <= max_num and k <= max_exp; the scale is checked once.
+
+    ``randrange(a, b + 1)`` is the draw of ``randint(a, b)``.
+    """
+    draw, scale = rng.randrange, check_scale(scale)
+    return lambda: QnRational._of(draw(-max_num, max_num + 1), draw(0, max_exp + 1), scale)
 
 
 def _fuzz_xi(carrier, trials, seed):
-    draw = _sampler(seed, carrier.modulus)
+    draw = _sampler(random.Random(seed), carrier.modulus)
     N = carrier.modulus
     failures = []
     checks = 0
@@ -258,15 +259,13 @@ def _fuzz_xi(carrier, trials, seed):
     for t in range(trials):
         x, y, z = draw(), draw(), draw()
         s = x + y
-        xy = xi_cocycle(carrier, x, y)
+        xy = _xi(carrier, x, y)
         checks += 4
-        if xy != xi_cocycle(carrier, y, x):
+        if xy != _xi(carrier, y, x):
             failures.append("symmetry fails at trial %d" % t)
-        if xi_cocycle(carrier, s, z) + xy != xi_cocycle(carrier, y + z, x) + xi_cocycle(
-            carrier, y, z
-        ):
+        if _xi(carrier, s, z) + xy != _xi(carrier, y + z, x) + _xi(carrier, y, z):
             failures.append("cocycle identity fails at trial %d" % t)
-        if xi_cocycle(carrier, x, zero) != 0:
+        if _xi(carrier, x, zero) != 0:
             failures.append("normalisation fails at trial %d" % t)
         # independent route: xi as the coboundary defect of the pairing lift
         e = max(x.exp, y.exp)  # the level of x + y is at most e
@@ -276,7 +275,7 @@ def _fuzz_xi(carrier, trials, seed):
 
 
 def _fuzz_zeta(carrier, trials, seed):
-    draw = _sampler(seed, carrier.modulus)
+    draw = _sampler(random.Random(seed), carrier.modulus)
     failures = []
     checks = 0
     neg_mu = lambda u: -mu_cochain(carrier, u)
@@ -290,13 +289,13 @@ def _fuzz_zeta(carrier, trials, seed):
         carry = cross_section_carry(prufer_pair(carrier, x), prufer_pair(carrier, y))
         if zc != carry:
             failures.append("zeta disagrees with its carry form at trial %d" % t)
-        if zc + coboundary(neg_mu, x, y) != xi_cocycle(carrier, x, y):
+        if zc + coboundary(neg_mu, x, y) != _xi(carrier, x, y):
             failures.append("zeta + d(-mu) != xi at trial %d" % t)
     return FuzzReport("zeta", trials, seed, checks, failures)
 
 
 def _fuzz_psi_bichar(alpha, trials, seed):
-    draw = _sampler(seed, alpha.modulus)
+    draw = _sampler(random.Random(seed), alpha.modulus)
     failures = []
     checks = 0
     zero_seq = AngleSequence.zero(alpha.modulus)
@@ -358,8 +357,8 @@ def coboundary_solve(J, R, seed=DEFAULT_SEED):
     sums, candidates = [], []  # sums: (sigma_0 + ... + N**i sigma_i, N**(i+1))
     acc, w = 0, 1
     for i in range(_SOLVE_DEPTH):
-        x, y = QnRational(1, i + 1, N), QnRational(N - 1, i + 1, N)
-        acc += w * (xi_cocycle(J, x, y) - xi_cocycle(R, x, y))
+        x, y = QnRational._of(1, i + 1, N), QnRational._of(N - 1, i + 1, N)
+        acc += w * (_xi(J, x, y) - _xi(R, x, y))
         w *= N
         sums.append((acc, w))
         rep = (-acc) % w
@@ -375,11 +374,10 @@ def coboundary_solve(J, R, seed=DEFAULT_SEED):
         table[k] = (psi1 + acc) // w
     psi = GeneratorCochain(N, table)
 
-    rng = random.Random(seed)
+    draw = _sampler(random.Random(seed), N, 40, _SOLVE_DEPTH - 1)
     for _ in range(_SOLVE_SAMPLES):
-        x = sample_qn(rng, N, 40, _SOLVE_DEPTH - 1)
-        y = sample_qn(rng, N, 40, _SOLVE_DEPTH - 1)
-        want = xi_cocycle(J, x, y) - xi_cocycle(R, x, y)
+        x, y = draw(), draw()
+        want = _xi(J, x, y) - _xi(R, x, y)
         if coboundary(psi, x, y) != want:
             return None
     return psi

@@ -305,3 +305,30 @@ def test_usage_help_and_error_text(capsys, monkeypatch, argv, code, out, err):
     assert main(argv) == code
     captured = capsys.readouterr()
     assert (captured.out, captured.err) == (out, err)
+
+
+@pytest.mark.parametrize(
+    "argv, most",
+    [
+        pytest.param(["info", "FILE"], 2, id="info"),
+        pytest.param(["k0", "trace", "--z", "1", "--x", "1/3", "FILE"], 3, id="k0-trace"),
+    ],
+)
+def test_a_call_builds_only_the_parsers_of_its_subcommand(monkeypatch, capsys, argv, most):
+    import argparse
+
+    built = []
+    init = argparse.ArgumentParser.__init__
+
+    def counting(self, *args, **kwargs):
+        built.append(1)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting)
+    counts = []
+    for _ in range(2):
+        built.clear()
+        assert main(argv) == 2  # FILE does not exist
+        counts.append(len(built))
+    assert counts[0] == counts[1] <= most  # the same on a second call: nothing is cached
+    assert "FILE" in capsys.readouterr().err

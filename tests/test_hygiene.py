@@ -20,13 +20,16 @@
   ``from_json``.
 * The carrier type check has one home: ``isinstance(x, NadicInteger)``
   appears only in ``nadic.check_carrier``.
-* The trusted constructors ``_of`` and the trusted residue reads
-  ``NadicInteger._at`` and ``NadicInteger._segment`` skip the argument
-  checks, so they never run on user input: ``codec`` and ``cli`` do not
-  call them, and no private name enters ``ncsolenoid.__all__``.
+* The trusted constructors ``_of``, the trusted residue reads
+  ``NadicInteger._at`` and ``NadicInteger._segment`` and the cocycle
+  ``ktheory._xi`` skip the argument checks, so they never run on user
+  input: ``codec`` and ``cli`` do not call them, and no private name
+  enters ``ncsolenoid.__all__``.
 * The N-adic residue has one home: ``pow(x, -1, m)`` appears only in
   ``nadic.residue``, which ``NadicInteger._at`` and the isomorphism
   moves both call.
+* The CLI's subcommands are declared in one table: ``add_parser(`` and
+  ``add_subparsers(`` each appear once in ``cli.py``.
 * Every name in ``ncsolenoid.__all__`` resolves.
 * ``import ncsolenoid`` loads neither ``dataclasses`` nor ``typing``
   (the start-up cost of the CLI and of every library user).
@@ -168,7 +171,7 @@ def test_trusted_constructors_stay_off_user_input():
         "%s.py:%d" % (stem, node.lineno)
         for stem in ("codec", "cli")
         for node in ast.walk(TREES[stem])
-        if getattr(node, "attr", getattr(node, "id", None)) in ("_of", "_at", "_segment")
+        if getattr(node, "attr", getattr(node, "id", None)) in ("_of", "_at", "_segment", "_xi")
     ]
     assert found == []
     assert [name for name in ncsolenoid.__all__ if name.startswith("_")] == []
@@ -185,6 +188,11 @@ def test_the_nadic_residue_has_one_home():
         and ast.unparse(node.args[1]) == "-1"
     ]
     assert found == ["nadic.residue"]
+
+
+def test_subcommands_are_declared_only_in_the_table():
+    text = (Path(ncsolenoid.__file__).parent / "cli.py").read_text()
+    assert (text.count("add_parser("), text.count("add_subparsers(")) == (1, 1)
 
 
 def test_every_exported_name_resolves():

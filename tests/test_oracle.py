@@ -267,7 +267,7 @@ HALF = Angle(Fraction(1, 2))
 
 FUZZ_FAULTS = [
     pytest.param(
-        "xi_cocycle", lambda J, x, y: xi_cocycle(J, x, y) + (x.num > 0 > y.num), "xi",
+        "_xi", lambda J, x, y: xi_cocycle(J, x, y) + (x.num > 0 > y.num), "xi",
         ["cocycle identity fails at trial 2", "symmetry fails at trial 5",
          "cocycle identity fails at trial 5", "pairing-lift route disagrees at trial 5",
          "symmetry fails at trial 6", "cocycle identity fails at trial 6",
@@ -275,20 +275,20 @@ FUZZ_FAULTS = [
         id="xi-asymmetric",
     ),
     pytest.param(
-        "xi_cocycle", lambda J, x, y: xi_cocycle(J, x, y) + (x.exp == y.exp > 0), "xi",
+        "_xi", lambda J, x, y: xi_cocycle(J, x, y) + (x.exp == y.exp > 0), "xi",
         ["cocycle identity fails at trial 0", "pairing-lift route disagrees at trial 0",
          "pairing-lift route disagrees at trial 1"],
         id="xi-equal-levels",
     ),
     pytest.param(
-        "xi_cocycle", lambda J, x, y: xi_cocycle(J, x, y) + (y.num == 0), "xi",
+        "_xi", lambda J, x, y: xi_cocycle(J, x, y) + (y.num == 0), "xi",
         ["normalisation fails at trial %d" % t for t in range(4)]
         + ["symmetry fails at trial 4", "cocycle identity fails at trial 4"]
         + ["normalisation fails at trial %d" % t for t in range(4, 8)],
         id="xi-at-zero",
     ),
     pytest.param(
-        "xi_cocycle", lambda J, x, y: xi_cocycle(J, x, y) + (x.exp == y.exp > 0), "zeta",
+        "_xi", lambda J, x, y: xi_cocycle(J, x, y) + (x.exp == y.exp > 0), "zeta",
         ["zeta + d(-mu) != xi at trial 0", "zeta + d(-mu) != xi at trial 1"],
         id="zeta-fuzz-xi-equal-levels",
     ),
