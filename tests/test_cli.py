@@ -1,3 +1,4 @@
+import argparse
 import json
 from pathlib import Path
 
@@ -315,8 +316,6 @@ def test_usage_help_and_error_text(capsys, monkeypatch, argv, code, out, err):
     ],
 )
 def test_a_call_builds_only_the_parsers_of_its_subcommand(monkeypatch, capsys, argv, most):
-    import argparse
-
     built = []
     init = argparse.ArgumentParser.__init__
 
