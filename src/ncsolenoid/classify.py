@@ -424,6 +424,37 @@ class AngleMatrix(_Value):
         return self._dense(lambda a, d: "%d/%d" % (a, d) if d > 1 else str(a))
 
 
+def _twisted_commute(m, n, phase):
+    """Whether m @ n == (n @ m).scaled(Angle(phase)), row by row on the fields:
+    row i of m @ n is in column n.perm[m.perm[i]] with phase m_i + n_{m.perm[i]}."""
+    P, A, Q, B = m.perm, m.num, n.perm, n.num
+    den = lcm(m.den, n.den, phase.denominator)
+    s, t, c = den // m.den, den // n.den, phase.numerator * (den // phase.denominator)
+    for j, a, k, b in zip(P, A, Q, B):
+        if Q[j] != P[k] or ((a - A[k]) * s + (B[j] - b) * t - c) % den:
+            return False
+    return True
+
+
+def _power_is_one(m, e):
+    """Whether m ** e is the identity: every cycle of m.perm has a length L
+    dividing e, and (e / L) times its numerator sum is a multiple of den."""
+    P, A, den = m.perm, m.num, m.den
+    seen = [False] * len(P)
+    for start, j in enumerate(P):
+        if j == start:  # a fixed point, as on every row of a diagonal
+            if e * A[start] % den:
+                return False
+        elif not seen[start]:
+            total, L, i = 0, 0, start
+            while not seen[i]:
+                seen[i] = True
+                total, L, i = total + A[i], L + 1, P[i]
+            if e % L or e // L * total % den:
+                return False
+    return True
+
+
 class BundleData(_Frozen):
     """Flat-bundle presentation data for a periodic sequence.
 
@@ -474,14 +505,14 @@ def bundle_data(alpha):
         raise ValueError("bundle data is defined for periodic sequences only")
     p, q = alpha.base.numerator, alpha.base.denominator
     k = multiplicative_order(alpha.modulus, q)
-    lam = Angle(alpha.base)
+    lam = Angle._of(alpha.base)
     u = AngleMatrix._of(range(q), [j * p for j in range(q)], q)
     v = AngleMatrix.cyclic(q)
-    if v @ u != (u @ v).scaled(lam):
+    if not _twisted_commute(v, u, alpha.base):
         raise ValueError("bundle relation v u = lam u v fails")
-    if u ** q != AngleMatrix.identity(q):
+    if not _power_is_one(u, q):
         raise ValueError("bundle relation u**q = 1 fails")
-    if v ** q != AngleMatrix.identity(q):
+    if not _power_is_one(v, q):
         raise ValueError("bundle relation v**q = 1 fails")
     label = "S_{%d^%d} x S_{%d^%d}" % (alpha.modulus, k, alpha.modulus, k)
     return BundleData(alpha.modulus, q, p, k, lam, u, v, label)

@@ -5,8 +5,10 @@ K0 group of the attached algebra is the subgroup of Q x Q_N
 
     K_alpha = { (z + p * J_k / N**k,  p / N**k) : z, p integers, k >= 0 },
 
-ordered by the first coordinate, and the unique trace sends
-(z + p J_k / N**k, p / N**k) to z + p * alpha_k.
+and the unique trace sends (z + p J_k / N**k, p / N**k) to z + p * alpha_k.
+In the simple case the trace orders K_0 (a point is positive when its trace
+is); the first coordinate does not: at N = 3 and head 1/2, the point (1, -3)
+has first coordinate 1 and trace -1/2.
 
 The same group has a cocycle presentation on the set Z x Q_N with the
 twisted sum
@@ -263,13 +265,13 @@ class ExtensionElement(_Value):
 
     def __add__(self, other):
         self._require_same(other, "alpha")
-        z = self.z + other.z + xi_cocycle(self.alpha.carrier, self.x, other.x)
+        z = self.z + other.z + _xi(self.alpha.carrier, self.x, other.x)
         return ExtensionElement(self.alpha, z, self.x + other.x)
 
     def __neg__(self):
         mx = -self.x
         return ExtensionElement(
-            self.alpha, -self.z - xi_cocycle(self.alpha.carrier, self.x, mx), mx
+            self.alpha, -self.z - _xi(self.alpha.carrier, self.x, mx), mx
         )
 
     def __repr__(self):
@@ -353,7 +355,10 @@ def trace(elem):
         elem = as_extension(elem)
     if not isinstance(elem, ExtensionElement):
         raise TypeError("expected a K0 element")
-    return elem.z + elem.alpha.value(elem.x.exp) * elem.x.num
+    # with the head a/b, alpha_k = (a + b * J_k) / (b * N**k)
+    (a, b), x = elem.alpha.base.as_integer_ratio(), elem.x
+    d = b * elem.alpha.modulus ** x.exp
+    return Fraction(elem.z * d + x.num * (a + b * elem.alpha.carrier._at(x.exp)), d)
 
 
 def r_digit(alpha, k):

@@ -187,10 +187,11 @@ class AngleSequence(_Value):
     def has_finite_range(self):
         """Whether {alpha_n} is a finite set, i.e. whether alpha is periodic.
 
-        Read off the storage in one comparison: the carrier value equals
-        -alpha_0.  No multiplicative order is computed.
+        Read off the integer fields: the carrier value equals -alpha_0.
+        No multiplicative order is computed.
         """
-        return self.carrier.exact_value("periodicity") == -self.base
+        w, h = self.carrier.exact_value("periodicity"), self.base
+        return w.numerator == -h.numerator and w.denominator == h.denominator
 
     def __add__(self, other):
         if not isinstance(other, AngleSequence):

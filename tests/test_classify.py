@@ -9,7 +9,9 @@ from ncsolenoid.classify import (
     AngleMatrix,
     IsoVerdict,
     _move,
+    _power_is_one,
     _proper_divisors,
+    _twisted_commute,
     bundle_data,
     isomorphic,
     prime_case_isomorphic,
@@ -438,6 +440,77 @@ def test_power_matches_repeated_products(pair):
     got, want = x**m, _power_by_products(x, m)
     assert (got.perm, got.num, got.den) == (want.perm, want.num, want.den)
     assert got.rows == _dense_power(x.rows, m)
+
+
+dens = st.sampled_from((1, 2, 3, 6, 7, 12))
+phases = dens.flatmap(lambda d: st.builds(Fraction, st.integers(0, d - 1), st.just(d)))
+
+
+@st.composite
+def phased_matrices(draw, size):
+    """Monomial matrices of the given size with phases k/den, one den from ``dens``."""
+    perm = draw(st.permutations(range(size)))
+    den = draw(dens)
+    return AngleMatrix(perm, [Angle(Fraction(draw(st.integers(0, den - 1)), den)) for _ in range(size)])
+
+
+@st.composite
+def twisted_triples(draw):
+    """(m, n, phase): a random pair, or n = a power of m times a phase, so that the
+    relation m @ n == (n @ m).scaled(phase) holds in some draws and fails in others."""
+    size = draw(sizes)
+    m = draw(phased_matrices(size))
+    if draw(st.booleans()):
+        n = draw(phased_matrices(size))
+    else:
+        n = (m ** draw(st.integers(0, size))).scaled(Angle(draw(phases)))
+    return m, n, draw(st.one_of(st.just(Fraction(0)), phases))
+
+
+#: v, u and lam of the bundle at q = 6, p = 1, and the same u with one row off.
+BUNDLE_6 = (AngleMatrix.cyclic(6), AngleMatrix._of(range(6), range(6), 6), Fraction(1, 6))
+SKEWED_U_6 = AngleMatrix._of(range(6), [1, 1, 2, 3, 4, 5], 6)
+
+
+@given(twisted_triples())
+@example(BUNDLE_6)
+@example((BUNDLE_6[0], SKEWED_U_6, BUNDLE_6[2]))  # columns agree, one phase does not
+@example((BUNDLE_6[0], AngleMatrix._of([1, 0, 2, 3, 4, 5], [0] * 6, 1), Fraction(0)))  # columns differ
+def test_twisted_commute_matches_the_operators(triple):
+    m, n, phase = triple
+    assert _twisted_commute(m, n, phase) == (m @ n == (n @ m).scaled(Angle(phase)))
+
+
+def _order(perm):
+    """The order of a permutation: the lcm of its cycle lengths."""
+    seen, out = set(), 1
+    for start in range(len(perm)):
+        length, i = 0, start
+        while i not in seen:
+            seen.add(i)
+            length, i = length + 1, perm[i]
+        out = math.lcm(out, length or 1)
+    return out
+
+
+@st.composite
+def matrix_exponents(draw):
+    """(m, e): e any small exponent, so cycle lengths often fail to divide it, or a
+    multiple of the order of m.perm, so that only the phase sums decide."""
+    size = draw(sizes)
+    m = draw(phased_matrices(size))
+    e = draw(st.one_of(st.integers(0, 3 * size + 2),
+                       st.integers(1, 13).map(lambda c: c * _order(m.perm))))
+    return m, e
+
+
+@given(matrix_exponents())
+@example((AngleMatrix.cyclic(3), 2))  # phase sum 0, but the length 3 does not divide 2
+@example((CYCLE_AND_FIXED, 12))  # lengths divide 12, but 4 * 13/12 is not an integer
+@example((CYCLE_AND_FIXED, 36))  # the identity
+def test_power_is_one_matches_the_operators(pair):
+    m, e = pair
+    assert _power_is_one(m, e) == (m ** e == AngleMatrix.identity(m.size))
 
 
 def _patch_of(monkeypatch, hook):

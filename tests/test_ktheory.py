@@ -1,3 +1,4 @@
+import math
 from fractions import Fraction
 
 import pytest
@@ -185,6 +186,44 @@ def test_extension_group_laws(three_half):
 def test_trace_frozen(three_half):
     assert trace(ExtensionElement(three_half, 1, QnRational(1, 1, 3))) == Fraction(3, 2)
     assert trace(ExtensionElement(three_half, 0, QnRational(1, 1, 3))) == Fraction(1, 2)
+
+
+@st.composite
+def trace_points(draw):
+    """(alpha, z, p, k): an exact periodic or aperiodic sequence at N in {2, 3, 6, 10, 12}."""
+    n = draw(st.sampled_from((2, 3, 6, 10, 12)))
+    prime_to = st.integers(1, 40).filter(lambda d: math.gcd(d, n) == 1)
+    periodic = draw(st.booleans())
+    den = draw(prime_to) * (1 if periodic else draw(st.sampled_from((1, n, n**3))))
+    head = Fraction(draw(st.integers(0, den - 1)), den)
+    w = -head if periodic else Fraction(draw(st.integers(-300, 300)), draw(prime_to))
+    alpha = AngleSequence(n, head, NadicInteger.from_value(w, n))
+    return alpha, draw(st.integers(-50, 50)), draw(st.integers(-500, 500)), draw(st.integers(0, 8))
+
+
+@given(trace_points())
+def test_trace_is_z_plus_p_times_the_term(point):
+    alpha, z, p, k = point
+    e = ExtensionElement(alpha, z, QnRational(p, k, alpha.modulus))
+    x = e.x  # in lowest terms: p / N**k may cancel to a lower level
+    want = z + x.num * alpha.value(x.exp)
+    assert trace(e) == want
+    assert trace(as_pair(e)) == want
+    assert type(trace(e)) is Fraction
+
+
+@pytest.mark.parametrize("head", [Fraction(0), Fraction(1, 2)])
+def test_trace_past_a_prefix_window_raises_as_the_definition_does(head):
+    alpha = AngleSequence(3, head, NadicInteger.from_prefix([1, 2], 3))
+    e = ExtensionElement(alpha, 1, QnRational(2, 4, 3))
+    with pytest.raises(ValueError) as by_trace:
+        trace(e)
+    with pytest.raises(ValueError) as by_definition:
+        e.z + e.x.num * alpha.value(e.x.exp)
+    assert str(by_trace.value) == str(by_definition.value)
+    assert "exceeds recorded prefix" in str(by_trace.value)
+    inside = ExtensionElement(alpha, 1, QnRational(2, 2, 3))
+    assert trace(inside) == trace(as_pair(inside)) == 1 + 2 * alpha.value(2)
 
 
 def test_trace_additive(three_half):

@@ -186,6 +186,21 @@ def test_aperiodic_examples():
     assert b.period() is None
 
 
+@pytest.mark.parametrize(
+    "head, w",
+    [
+        (Fraction(0), Fraction(0)),
+        (Fraction(1, 3), Fraction(-1, 3)),
+        (Fraction(1, 3), Fraction(-1, 7)),  # numerators agree, denominators differ
+        (Fraction(2, 7), Fraction(-3, 7)),  # denominators agree, numerators differ
+        (Fraction(2, 7), Fraction(2, 7)),
+    ],
+)
+def test_finite_range_is_carrier_value_minus_head(head, w):
+    a = AngleSequence(2, head, NadicInteger.from_value(w, 2))
+    assert a.has_finite_range() == (w == -head)
+
+
 def test_period_raises_on_prefix_carrier():
     a = AngleSequence(3, 0, NadicInteger.from_prefix([1, 2], 3))
     with pytest.raises(ValueError):
