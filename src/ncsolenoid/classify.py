@@ -48,6 +48,7 @@ from operator import attrgetter
 from .nadic import (
     _Frozen,
     _Value,
+    _slot_setters,
     check_int,
     format_fraction,
     is_prime,
@@ -197,9 +198,22 @@ def isomorphic(alpha, beta, bound=32):
     prime-support mismatch, a separating invariant, or an exhausted
     periodic search at a prime-power R; everything else, prefix
     carriers included, is Unknown at the given shift bound.
+
+    Equal exact pairs at one scale answer Yes before anything is
+    factored, with the witness of the search's first step: the zero move.
     """
     check_sequence(alpha, beta)
     check_int(bound, "bound", 0)
+    N = alpha.modulus
+    if N == beta.modulus and alpha.carrier.is_exact and beta.carrier.is_exact:
+        pair = (alpha.base, alpha.carrier.value)
+        if pair == (beta.base, beta.carrier.value):
+            return IsoVerdict.yes(_witness(alpha, beta, N, "forward", 0, 1, 1, pair))
+    return _search(alpha, beta, bound)
+
+
+def _search(alpha, beta, bound):
+    """The search of :func:`isomorphic`, past its argument checks and the zero move."""
     factors = _common_factors(alpha.modulus, beta.modulus)
     if factors is None:
         return IsoVerdict.no("prime supports differ (%d vs %d)" % (alpha.modulus, beta.modulus))
@@ -466,8 +480,8 @@ class BundleData(_Frozen):
     __slots__ = ("modulus", "q", "p", "k", "lam", "u", "v", "base_label")
 
     def __init__(self, modulus, q, p, k, lam, u, v, base_label):
-        for name, value in zip(self.__slots__, (modulus, q, p, k, lam, u, v, base_label)):
-            object.__setattr__(self, name, value)
+        for set_slot, value in zip(_BUNDLE_SLOTS, (modulus, q, p, k, lam, u, v, base_label)):
+            set_slot(self, value)
 
     def __repr__(self):
         return "BundleData(q=%d, k=%d, lam=%r)" % (self.q, self.k, self.lam)
@@ -482,6 +496,9 @@ class BundleData(_Frozen):
             "u": self.u.to_json(),
             "v": self.v.to_json(),
         }
+
+
+_BUNDLE_SLOTS = _slot_setters(BundleData)
 
 
 def bundle_data(alpha):

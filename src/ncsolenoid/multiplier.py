@@ -116,8 +116,12 @@ def psi_phase(alpha, g, h):
     Angle(1/2)
     """
     check_sequence(alpha)
-    g1, _g2 = _as_pair(g, alpha.modulus)
-    _h1, h2 = _as_pair(h, alpha.modulus)
+    return _psi(alpha, _as_pair(g, alpha.modulus), _as_pair(h, alpha.modulus))
+
+
+def _psi(alpha, g, h):
+    """psi_phase without the argument checks, on pairs the caller built at alpha's scale."""
+    g1, h2 = g[0], h[1]
     n, b = g1.exp + h2.exp, alpha.base.denominator
     return _angle(_numerator(alpha, n, b) * g1.num * h2.num, b * alpha.modulus ** n)
 
@@ -144,8 +148,12 @@ def theta_phase(alpha, g, h):
     n = k1 + k4 and m = k3 + k2 are the levels of Psi(g, h) and Psi(h, g).
     """
     check_sequence(alpha)
-    g1, g2 = _as_pair(g, alpha.modulus)
-    h1, h2 = _as_pair(h, alpha.modulus)
+    return _theta(alpha, _as_pair(g, alpha.modulus), _as_pair(h, alpha.modulus))
+
+
+def _theta(alpha, g, h):
+    """theta_phase without the argument checks, on pairs the caller built at alpha's scale."""
+    (g1, g2), (h1, h2) = g, h
     N, n, m, b = alpha.modulus, g1.exp + h2.exp, h1.exp + g2.exp, alpha.base.denominator
     e = max(n, m)
     num = (
@@ -169,8 +177,12 @@ def bicharacter(zeta, xi, eta, chi, g, h):
     check_sequence(zeta, xi, eta, chi)
     if not zeta.modulus == xi.modulus == eta.modulus == chi.modulus:
         raise ValueError("mismatched scales")
-    g1, g2 = _as_pair(g, zeta.modulus)
-    h1, h2 = _as_pair(h, zeta.modulus)
+    return _bichar(zeta, xi, eta, chi, _as_pair(g, zeta.modulus), _as_pair(h, zeta.modulus))
+
+
+def _bichar(zeta, xi, eta, chi, g, h):
+    """bicharacter without the argument checks, on sequences and pairs at one scale."""
+    (g1, g2), (h1, h2) = g, h
     terms = (
         (zeta, g1.exp + h1.exp, g1.num * h1.num),
         (eta, g2.exp + h1.exp, g2.num * h1.num),

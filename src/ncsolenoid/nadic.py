@@ -231,8 +231,17 @@ def multiplicative_order(n, m):
     return t
 
 
+def _slot_setters(cls):
+    """The ``__set__`` of each slot of cls, in slot order, bound once.
+
+    Trusted construction sets slots through them: ``object.__setattr__``
+    would look the slot up by name on every call.
+    """
+    return tuple(cls.__dict__[name].__set__ for name in cls.__slots__)
+
+
 class _Frozen:
-    """Base of the package's classes: attributes are set once, in __init__.
+    """Base of the package's classes: attributes are set once, at construction.
 
     IsoVerdict, BundleData, FuzzReport and GeneratorCochain derive from it
     directly and compare by identity; the value classes use :class:`_Value`.
@@ -289,29 +298,28 @@ class QnRational(_Value):
     __slots__ = ("num", "exp", "modulus")
     _key = attrgetter("modulus", "num", "exp")
 
-    def __init__(self, num, exp, modulus):
+    def __new__(cls, num, exp, modulus):
         modulus = check_scale(modulus)
         check_int(num, "numerator")
         check_int(exp, "exponent", 0)
-        self._store(num, exp, modulus)
+        return cls._of(num, exp, modulus)
 
-    def _store(self, num, exp, modulus):
-        """Set the fields in lowest N-adic terms: cancel trailing factors of N."""
+    @classmethod
+    def _of(cls, num, exp, modulus):
+        """Trusted construction from an int num, an int exp >= 0 and a valid scale.
+
+        Sets the fields in lowest N-adic terms: trailing factors of N cancel.
+        """
         if num == 0:
             exp = 0
         else:
             while exp > 0 and num % modulus == 0:
                 num //= modulus
                 exp -= 1
-        object.__setattr__(self, "num", num)
-        object.__setattr__(self, "exp", exp)
-        object.__setattr__(self, "modulus", modulus)
-
-    @classmethod
-    def _of(cls, num, exp, modulus):
-        """Trusted construction from an int num, an int exp >= 0 and a valid scale."""
         x = object.__new__(cls)
-        x._store(num, exp, modulus)
+        _set_num(x, num)
+        _set_exp(x, exp)
+        _set_modulus(x, modulus)
         return x
 
     @classmethod
@@ -341,8 +349,10 @@ class QnRational(_Value):
         return Fraction(self.num, self.modulus ** self.exp)
 
     def __add__(self, other):
-        self._require_same(other, "modulus")
-        N, k, m = self.modulus, self.exp, other.exp
+        N = self.modulus
+        if type(other) is not QnRational or other.modulus != N:
+            self._require_same(other, "modulus")
+        k, m = self.exp, other.exp
         e = max(k, m)
         return QnRational._of(self.num * N ** (e - k) + other.num * N ** (e - m), e, N)
 
@@ -361,6 +371,9 @@ class QnRational(_Value):
 
     def to_json(self):
         return {"num": str(self.num), "exp": self.exp}
+
+
+_set_num, _set_exp, _set_modulus = _slot_setters(QnRational)
 
 
 class NadicInteger(_Value):

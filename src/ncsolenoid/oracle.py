@@ -13,7 +13,10 @@ and ``brute_symmetrizer`` clears term numerators.  The fuzzes draw
 points through the trusted constructor, evaluate each shared value
 (xi(x, y), Theta(g, h)) once per trial, and check the pairing-lift
 route of xi as an integer identity over N**max(k1, k2).  On points they
-drew themselves they call ``ktheory._xi``: xi without its argument checks.
+drew themselves, they and ``coboundary_solve`` call the cores that the
+public formulas run after their argument checks: ``ktheory._xi``,
+``_zeta``, ``_prufer``, ``_mu`` and ``GeneratorCochain._eval``, and
+``multiplier._theta``, ``_psi`` and ``_bichar``.
 
 Defaults are sized for desk use: windows around 150 numerators and
 exponent 4, depth 6 stages, 1000 fuzz trials on points p/N**k with
@@ -29,18 +32,18 @@ from math import lcm
 from .ktheory import (
     MIRROR,
     GeneratorCochain,
+    _mu,
+    _prufer,
     _xi,
+    _zeta,
     coboundary,
     connecting_matrix,
     cross_section_carry,
     embedding_matrix,
     mat_mul,
-    mu_cochain,
-    prufer_pair,
     r_digit,
-    zeta_cocycle,
 )
-from .multiplier import bicharacter, psi_phase, theta_phase
+from .multiplier import _bichar, _psi, _theta
 from .nadic import QnRational, _Frozen, check_carrier, check_int, check_scale
 from .sequences import Angle, AngleSequence, check_sequence
 
@@ -177,31 +180,39 @@ def colimit_report(alpha, depth=6, num_window=24, int_window=6):
     M = P[-1]
     J = [alpha.carrier._at(k) for k in range(2 * depth + 1)]  # the coherence loop read these
 
-    def image(k, z, p):
+    def image(k, p):
+        """The image (A, B) of (0, p) at stage k; the image of (z, p) adds z * M to A."""
         B = p * P[2 * (depth - k)]
-        return (z * M + B * J[2 * k], B)
+        return B * J[2 * k], B
 
     def shown(A, B):
         return "(%s, %s)" % (Fraction(A, M), Fraction(B, M))
 
-    def member(A, B):
-        k = 0
-        while B * P[k] % M:
-            k += 1
-        return (A - B * J[k]) % M == 0
-
+    zs = range(-int_window, int_window + 1)
     stage_points = set()
     for k in range(depth + 1):
         r_k = r_digit(alpha, k) if k < depth else None
-        for z in range(-int_window, int_window + 1):
-            for p in range(-num_window * N, num_window * N + 1):
-                pt = image(k, z, p)
+        row = []  # per p, all that z does not change
+        for p in range(-num_window * N, num_window * N + 1):
+            BJ, B = image(k, p)
+            level = 0  # membership reads J at the least level with N**level * B / M integral
+            while B * P[level] % M:
+                level += 1
+            nested = None
+            if k < depth:  # (z, p) -> (z - p r_k, N**2 p) at stage k + 1
+                A1, B1 = image(k + 1, P[2] * p)
+                nested = (A1 - p * r_k * M, B1)
+            row.append((p, B, BJ, B * J[level], nested))
+        for z in zs:
+            zM = z * M
+            for p, B, BJ, BJ_level, nested in row:
+                A = zM + BJ
                 checks += 1
-                if not member(*pt):
+                if (A - BJ_level) % M:
                     failures.append("stage %d point (%d, %d) misses K0" % (k, z, p))
-                stage_points.add(pt)
+                stage_points.add((A, B))
                 # nesting: the same image recurs one stage later
-                if k < depth and image(k + 1, z - p * r_k, P[2] * p) != pt:
+                if nested is not None and (zM + nested[0] != A or nested[1] != B):
                     failures.append("stage %d point (%d, %d) not nested" % (k, z, p))
 
     covered = 0
@@ -209,14 +220,15 @@ def colimit_report(alpha, depth=6, num_window=24, int_window=6):
         stage = (k + 1) // 2
         for p in range(-num_window, num_window + 1):
             B = p * P[2 * depth - k]
-            pp = p * P[2 * stage - k]
-            for z in range(-int_window, int_window + 1):
-                A = z * M + B * J[k]
+            BJ, BJ_stage = B * J[k], B * J[2 * stage]
+            pre_A, pre_B = image(stage, p * P[2 * stage - k])
+            for z in zs:
+                A = z * M + BJ
                 checks += 1
-                zz, rest = divmod(A - B * J[2 * stage], M)
+                zz, rest = divmod(A - BJ_stage, M)
                 if rest:
                     failures.append("K0 point %s has no stage preimage" % shown(A, B))
-                elif image(stage, zz, pp) != (A, B):
+                elif zz * M + pre_A != A or pre_B != B:
                     failures.append("constructed preimage mismatch at %s" % shown(A, B))
                 else:
                     covered += 1
@@ -278,15 +290,15 @@ def _fuzz_zeta(carrier, trials, seed):
     draw = _sampler(random.Random(seed), carrier.modulus)
     failures = []
     checks = 0
-    neg_mu = lambda u: -mu_cochain(carrier, u)
+    neg_mu = lambda u: -_mu(carrier, u)
     for t in range(trials):
         x, y = draw(), draw()
         checks += 3
-        zc = zeta_cocycle(carrier, x, y)
+        zc = _zeta(carrier, x, y)
         if zc not in (0, 1):
             failures.append("zeta out of range at trial %d" % t)
         # independent route: zeta_cocycle works on integer residues, not on Angles
-        carry = cross_section_carry(prufer_pair(carrier, x), prufer_pair(carrier, y))
+        carry = cross_section_carry(_prufer(carrier, x), _prufer(carrier, y))
         if zc != carry:
             failures.append("zeta disagrees with its carry form at trial %d" % t)
         if zc + coboundary(neg_mu, x, y) != _xi(carrier, x, y):
@@ -304,17 +316,17 @@ def _fuzz_psi_bichar(alpha, trials, seed):
         g, g2, h = (draw(), draw()), (draw(), draw()), (draw(), draw())
         gg2 = (g[0] + g2[0], g[1] + g2[1])
         checks += 5
-        gh = theta_phase(alpha, g, h)
-        if gh + theta_phase(alpha, h, g) != zero_angle:
+        gh = _theta(alpha, g, h)
+        if gh + _theta(alpha, h, g) != zero_angle:
             failures.append("theta not antisymmetric at trial %d" % t)
-        if theta_phase(alpha, g, g) != zero_angle:
+        if _theta(alpha, g, g) != zero_angle:
             failures.append("theta not alternating at trial %d" % t)
-        if theta_phase(alpha, gg2, h) != gh + theta_phase(alpha, g2, h):
+        if _theta(alpha, gg2, h) != gh + _theta(alpha, g2, h):
             failures.append("theta not additive in slot 1 at trial %d" % t)
         hg2 = (h[0] + g2[0], h[1] + g2[1])
-        if theta_phase(alpha, g, hg2) != gh + theta_phase(alpha, g, g2):
+        if _theta(alpha, g, hg2) != gh + _theta(alpha, g, g2):
             failures.append("theta not additive in slot 2 at trial %d" % t)
-        if bicharacter(zero_seq, alpha, zero_seq, zero_seq, g, h) != psi_phase(alpha, g, h):
+        if _bichar(zero_seq, alpha, zero_seq, zero_seq, g, h) != _psi(alpha, g, h):
             failures.append("psi disagrees with its bicharacter form at trial %d" % t)
     return FuzzReport("psi_bichar", trials, seed, checks, failures)
 
@@ -378,6 +390,6 @@ def coboundary_solve(J, R, seed=DEFAULT_SEED):
     for _ in range(_SOLVE_SAMPLES):
         x, y = draw(), draw()
         want = _xi(J, x, y) - _xi(R, x, y)
-        if coboundary(psi, x, y) != want:
+        if coboundary(psi._eval, x, y) != want:
             return None
     return psi

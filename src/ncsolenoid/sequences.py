@@ -25,6 +25,7 @@ from operator import attrgetter
 from .nadic import (
     NadicInteger,
     _Value,
+    _slot_setters,
     as_fraction,
     check_carrier,
     check_int,
@@ -48,13 +49,13 @@ class Angle(_Value):
     _key = attrgetter("value")
 
     def __init__(self, value):
-        object.__setattr__(self, "value", frac_part(as_fraction(value)))
+        _set_value(self, frac_part(as_fraction(value)))
 
     @classmethod
     def _of(cls, value):
         """Trusted construction from a Fraction already in [0, 1)."""
         a = object.__new__(cls)
-        object.__setattr__(a, "value", value)
+        _set_value(a, value)
         return a
 
     def _plus(self, y, sign):
@@ -93,6 +94,9 @@ class Angle(_Value):
 
     def to_json(self):
         return format_fraction(self.value)
+
+
+(_set_value,) = _slot_setters(Angle)
 
 
 class AngleSequence(_Value):

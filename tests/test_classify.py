@@ -11,6 +11,7 @@ from ncsolenoid.classify import (
     _move,
     _power_is_one,
     _proper_divisors,
+    _search,
     _twisted_commute,
     bundle_data,
     isomorphic,
@@ -73,6 +74,17 @@ def _pair(seq):
 def _from_pair(pair, scale):
     """The sequence of a moved pair; its constructor checks that the pair is canonical."""
     return AngleSequence(scale, pair[0], NadicInteger.from_value(pair[1], scale))
+
+
+@given(exact_sequences(scales=tuple(range(2, 31))), st.integers(0, 40))
+def test_identical_inputs_answer_with_the_witness_of_the_search(seq, bound):
+    twin = _from_pair(_pair(seq), seq.modulus)
+    verdict = isomorphic(seq, twin, bound)
+    assert verdict.is_yes and replay_witness(seq, twin, verdict)
+    assert verdict.witness == _search(seq, twin, bound).witness
+    assert (verdict.witness["R"], verdict.witness["shift"], verdict.witness["block"]) == (
+        seq.modulus, 0, 1
+    )
 
 
 @given(exact_sequences(), st.integers(0, 6), st.data())

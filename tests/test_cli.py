@@ -1,10 +1,13 @@
 import argparse
 import json
+import time
 from pathlib import Path
 
 import pytest
 
+from ncsolenoid.classify import isomorphic, replay_witness
 from ncsolenoid.cli import main
+from ncsolenoid.codec import sequence_from_file
 
 
 @pytest.fixture
@@ -98,6 +101,35 @@ def test_iso_unknown_exit_code(capsys, tmp_path):
     code, out = run(capsys, ["iso", str(a), str(b), "--bound", "4"])
     assert code == 3
     assert out["verdict"] == "Unknown"
+
+
+BIG = 10 ** 30 + 57  # past the Miller-Rabin proof bound, so factoring it raises
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        pytest.param('{"N": 2, "alpha0": "1/%d", "carrier": {"value": "-1/%d"}}' % (BIG, BIG),
+                     id="periodic-head-denominator"),
+        pytest.param('{"N": %d, "alpha0": "1/2", "carrier": {"value": "0"}}' % BIG,
+                     id="aperiodic-scale"),
+    ],
+)
+def test_iso_of_a_file_with_itself_answers_yes_before_factoring(capsys, tmp_path, text):
+    # both files once exited 2 with "cannot prove ... prime"
+    path = tmp_path / "a.json"
+    path.write_text(text)
+    start = time.process_time()
+    code, out = run(capsys, ["iso", str(path), str(path)])
+    assert time.process_time() - start < 0.05
+    raw = json.loads(text)
+    assert (code, out) == (0, {"verdict": "Yes", "witness": {
+        "R": raw["N"], "mu": 1, "nu": 1, "direction": "forward", "shift": 0, "block": 1, "sign": 1,
+        "matched": {"alpha0": raw["alpha0"], "carrier": raw["carrier"]["value"]},
+    }})
+    a, b = sequence_from_file(str(path)), sequence_from_file(str(path))
+    verdict = isomorphic(a, b)
+    assert verdict.witness == out["witness"] and replay_witness(a, b, verdict)
 
 
 def test_bundle(capsys, thirds2_file):

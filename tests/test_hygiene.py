@@ -21,10 +21,12 @@
 * The carrier type check has one home: ``isinstance(x, NadicInteger)``
   appears only in ``nadic.check_carrier``.
 * The trusted constructors ``_of``, the trusted residue reads
-  ``NadicInteger._at`` and ``NadicInteger._segment`` and the cocycle
-  ``ktheory._xi`` skip the argument checks, so they never run on user
-  input: ``codec`` and ``cli`` do not call them, and no private name
-  enters ``ncsolenoid.__all__``.
+  ``NadicInteger._at`` and ``NadicInteger._segment``, the cores
+  ``ktheory._xi``, ``_zeta``, ``_prufer``, ``_mu`` and
+  ``GeneratorCochain._eval``, ``multiplier._psi``, ``_theta`` and
+  ``_bichar``, and the isomorphism search ``classify._search`` skip the
+  argument checks, so they never run on user input: ``codec`` and ``cli``
+  do not call them, and no private name enters ``ncsolenoid.__all__``.
 * The N-adic residue has one home: ``pow(x, -1, m)`` appears only in
   ``nadic.residue``, which ``NadicInteger._at`` and the isomorphism
   moves both call.
@@ -166,12 +168,16 @@ def test_only_check_carrier_tests_for_a_carrier():
     assert _isinstance_scopes("NadicInteger") == ["nadic.check_carrier"]
 
 
+UNCHECKED = ("_of", "_at", "_segment", "_xi", "_zeta", "_prufer", "_mu", "_eval",
+             "_psi", "_theta", "_bichar", "_search")
+
+
 def test_trusted_constructors_stay_off_user_input():
     found = [
         "%s.py:%d" % (stem, node.lineno)
         for stem in ("codec", "cli")
         for node in ast.walk(TREES[stem])
-        if getattr(node, "attr", getattr(node, "id", None)) in ("_of", "_at", "_segment", "_xi")
+        if getattr(node, "attr", getattr(node, "id", None)) in UNCHECKED
     ]
     assert found == []
     assert [name for name in ncsolenoid.__all__ if name.startswith("_")] == []
