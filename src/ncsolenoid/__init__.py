@@ -25,7 +25,6 @@ from .ktheory import (
     cohomologous,
     coboundary,
     k_member,
-    k_project,
     mu_cochain,
     trace,
     xi_cocycle,
@@ -80,7 +79,6 @@ __all__ = [
     "isomorphic",
     "is_simple",
     "k_member",
-    "k_project",
     "mu_cochain",
     "multiplicative_order",
     "prime_case_isomorphic",

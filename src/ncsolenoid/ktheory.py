@@ -339,15 +339,6 @@ class KPairElement(_Value):
         return {"first": format_fraction(self.first), "second": self.second.to_json()}
 
 
-def k_project(elem):
-    """Projection of a K0 point to its Q_N coordinate."""
-    if isinstance(elem, KPairElement):
-        return elem.second
-    if isinstance(elem, ExtensionElement):
-        return elem.x
-    raise TypeError("expected a K0 element")
-
-
 def as_pair(elem):
     """Convert (z, x) from the cocycle presentation to a concrete K0 point."""
     if not isinstance(elem, ExtensionElement):
@@ -371,8 +362,11 @@ def trace(elem):
     >>> trace(ExtensionElement(a, 1, QnRational(1, 1, 3)))
     Fraction(3, 2)
     """
-    if isinstance(elem, KPairElement):
-        elem = as_extension(elem)
+    if isinstance(elem, KPairElement):  # first + p * alpha_0 / N**k: no carrier read
+        (a, b), (f, g) = elem.alpha.base.as_integer_ratio(), elem.first.as_integer_ratio()
+        x = elem.second
+        d = b * elem.alpha.modulus ** x.exp
+        return Fraction(f * d + a * x.num * g, g * d)
     if not isinstance(elem, ExtensionElement):
         raise TypeError("expected a K0 element")
     # with the head a/b, alpha_k = (a + b * J_k) / (b * N**k)

@@ -37,3 +37,13 @@ def thirds_4():
 def fifths_2():
     """The period-4 element of Xi_2 with values (1/5, 3/5, 4/5, 2/5)."""
     return AngleSequence(2, Fraction(1, 5), NadicInteger.from_value(Fraction(-1, 5), 2))
+
+
+@pytest.fixture
+def refuse_the_order(monkeypatch):
+    """Fail fast, before any list of length q, if bundle_data gets as far as the order."""
+
+    def period(self):
+        raise AssertionError("bundle_data reached the order")
+
+    monkeypatch.setattr(AngleSequence, "period", period)

@@ -1,15 +1,19 @@
 import math
 import random
+import time
 from fractions import Fraction
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+from ncsolenoid import classify, nadic, sequences
 from ncsolenoid.classify import (
     AngleMatrix,
     IsoVerdict,
     _move,
+    MAX_BUNDLE_Q,
     _power_is_one,
+    _prime_to,
     _proper_divisors,
     _search,
     _twisted_commute,
@@ -44,6 +48,15 @@ def test_same_prime_support_compares_the_prime_sets(n, m):
     assert _support_differs(n, m) == (set(prime_factors(n)) != set(prime_factors(m)))
     assert _support_differs(n, n * m) == (not set(prime_factors(m)) <= set(prime_factors(n)))
     assert not _support_differs(n * m, m * n * n)
+
+
+@given(st.integers(min_value=1, max_value=5000), st.integers(min_value=1, max_value=5000))
+def test_gcd_stripping_removes_exactly_the_primes_of_r(n, r):
+    want = n
+    for p in set(prime_factors(r)) if r > 1 else ():
+        while want % p == 0:
+            want //= p
+    assert _prime_to(n, r) == want
 
 
 @given(st.integers(min_value=2, max_value=5000))
@@ -134,6 +147,110 @@ def test_isomorphic_builds_no_sequence_or_carrier(monkeypatch, thirds_2, thirds_
         assert not verdict.is_yes or replay_witness(a, b, verdict)
     assert built == []
     assert kinds == ["yes", "yes", "yes", "yes", "no", "unknown"]
+
+
+# ---------------------------------------------------------------- what the search factors
+
+
+def test_isomorphic_factors_only_r_and_only_past_the_invariants(
+    monkeypatch, thirds_2, thirds_4, five_62, fifths_2
+):
+    factored = []
+
+    def counted(n):
+        factored.append(n)
+        return prime_factors(n)
+
+    def no_order(*args):
+        raise AssertionError("multiplicative_order%r" % (args,))
+
+    monkeypatch.setattr(classify, "prime_factors", counted)
+    for module in (nadic, sequences, classify):
+        monkeypatch.setattr(module, "multiplicative_order", no_order, raising=False)
+    third, fifth = Fraction(1, 3), Fraction(1, 5)
+    cases = [
+        # a No from an invariant factors nothing
+        (AngleSequence.zero(6), AngleSequence.zero(10), "no", []),
+        (thirds_2, fifths_2, "no", []),
+        (_from_pair((Fraction(1, 14), fifth), 6), _from_pair((Fraction(1, 22), fifth), 6), "no", []),
+        (thirds_2, _from_pair((third, third), 2), "no", []),
+        # equal pairs and prefix carriers factor nothing either
+        (five_62, five_62, "yes", []),
+        (AngleSequence(4, third, NadicInteger.from_prefix([2, 3], 4)), thirds_4, "unknown", []),
+        # everything else factors R once, and nothing else
+        (thirds_2, thirds_4, "yes", [2]),
+        (five_62, AngleSequence.constant(5, Fraction(3, 62)), "no", [5]),  # exhausted
+        (*_units_pair(), "unknown", [12]),
+        (_from_pair((third, fifth), 6).shift(2), _from_pair((third, fifth), 6), "yes", [6]),
+    ]
+    for a, b, kind, calls in cases:
+        factored.clear()
+        assert (isomorphic(a, b, bound=16).kind, factored) == (kind, calls)
+
+
+BIG = 10 ** 30 + 57  # past the Miller-Rabin proof bound, so factoring it raises
+
+
+@pytest.mark.parametrize(
+    "a, b, want",
+    [
+        pytest.param(
+            _from_pair((Fraction(1, 2), Fraction(0)), 2 * BIG),
+            _from_pair((Fraction(1, 2), Fraction(0)), 3 * BIG),
+            {"verdict": "No", "reason": "prime supports differ (%d vs %d)" % (2 * BIG, 3 * BIG)},
+            id="support",
+        ),
+        pytest.param(
+            _from_pair((Fraction(1, 2), Fraction(1, 3)), BIG),
+            _from_pair((Fraction(1, 2), Fraction(1, 7)), BIG),
+            {"verdict": "No", "reason": "carrier denominators differ (3 vs 7)"},
+            id="carrier",
+        ),
+        pytest.param(
+            AngleSequence.constant(2, Fraction(1, BIG)),
+            AngleSequence.constant(2, Fraction(3, BIG)),
+            {"verdict": "Unknown", "bound": 32},
+            id="period",
+        ),
+    ],
+)
+def test_isomorphic_answers_at_an_unprovable_scale_or_period_without_factoring_it(a, b, want):
+    # each raised "cannot prove ... prime" while R and the period were factored first
+    start = time.process_time()
+    verdict = isomorphic(a, b)
+    assert time.process_time() - start < 0.05
+    assert verdict.to_json() == want
+
+
+@st.composite
+def prime_power_periodic_pairs(draw):
+    """Two periodic sequences with one head denominator q at a prime-power scale, and a bound."""
+    n = draw(st.sampled_from([2, 3, 4, 5, 7, 8, 9, 25, 27]))
+    q = draw(st.integers(2, 60).filter(lambda q: math.gcd(q, n) == 1))
+    units = st.integers(1, q - 1).filter(lambda c: math.gcd(c, q) == 1)
+    a, b = (AngleSequence.constant(n, Fraction(draw(units), q)) for _ in "ab")
+    return a, b, draw(st.integers(0, 40))
+
+
+@settings(max_examples=200)
+@given(prime_power_periodic_pairs())
+# at N = 2 the period of 1/17 is 8, and 3/17 is not +-2**i / 17
+@example((AngleSequence.constant(2, Fraction(1, 17)), AngleSequence.constant(2, Fraction(3, 17)), 7))
+@example((AngleSequence.constant(2, Fraction(1, 17)), AngleSequence.constant(2, Fraction(3, 17)), 6))
+# at N = 25 the period of 1/24 is 1, and 7/24 is not +-5**i / 24
+@example((AngleSequence.constant(25, Fraction(1, 24)), AngleSequence.constant(25, Fraction(7, 24)), 0))
+def test_an_exhausted_search_reports_the_period_of_the_sequence(pair):
+    a, b, bound = pair
+    verdict = isomorphic(a, b, bound)
+    if verdict.is_yes:
+        assert replay_witness(a, b, verdict)
+    elif a.period() - 1 <= bound:
+        assert verdict.reason == (
+            "periodic search exhausted (period %d, both directions, all blocks, both signs)"
+            % a.period()
+        )
+    else:
+        assert verdict.is_unknown
 
 
 # ---------------------------------------------------------------- verdicts
@@ -656,6 +773,18 @@ def test_periodicity_decisions_reject_a_prefix_carrier(decide, head):
     a = AngleSequence(3, head, NadicInteger.from_prefix([1, 2], 3))
     with pytest.raises(ValueError, match="undecidable from a finite prefix"):
         decide(a)
+
+
+def test_bundle_accepts_q_at_the_limit():
+    data = bundle_data(AngleSequence.constant(3, Fraction(1, MAX_BUNDLE_Q)))
+    assert (data.q, data.k) == (MAX_BUNDLE_Q, 512)
+
+
+def test_bundle_refuses_q_past_the_limit(refuse_the_order):
+    # at q = 2**61 - 1 the lists of length q once ran out of memory
+    for q in (MAX_BUNDLE_Q + 1, 2**61 - 1):
+        with pytest.raises(ValueError, match="this sequence has q = %d$" % q):
+            bundle_data(AngleSequence.constant(2, Fraction(1, q)))
 
 
 def test_bundle_rejects_aperiodic():

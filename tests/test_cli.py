@@ -132,6 +132,59 @@ def test_iso_of_a_file_with_itself_answers_yes_before_factoring(capsys, tmp_path
     assert verdict.witness == out["witness"] and replay_witness(a, b, verdict)
 
 
+def _element(n, head, carrier):
+    return '{"N": %d, "alpha0": "%s", "carrier": {"value": "%s"}}' % (n, head, carrier)
+
+
+@pytest.mark.parametrize(
+    "texts, code, want",
+    [
+        pytest.param(
+            (_element(2 * BIG, "1/2", "0"), _element(3 * BIG, "1/2", "0")),
+            0,
+            {"verdict": "No", "reason": "prime supports differ (%d vs %d)" % (2 * BIG, 3 * BIG)},
+            id="support",
+        ),
+        pytest.param(
+            (_element(BIG, "1/2", "1/3"), _element(BIG, "1/2", "1/7")),
+            0,
+            {"verdict": "No", "reason": "carrier denominators differ (3 vs 7)"},
+            id="carrier",
+        ),
+        pytest.param(
+            (_element(2, "1/%d" % BIG, "-1/%d" % BIG), _element(2, "3/%d" % BIG, "-3/%d" % BIG)),
+            3,
+            {"verdict": "Unknown", "bound": 32},
+            id="period",
+        ),
+    ],
+)
+def test_iso_answers_at_an_unprovable_scale_or_period_without_factoring_it(
+    capsys, tmp_path, texts, code, want
+):
+    # each exited 2 with "cannot prove ... prime" while R and the period were factored first
+    paths = [tmp_path / "a.json", tmp_path / "b.json"]
+    for path, text in zip(paths, texts):
+        path.write_text(text)
+    start = time.process_time()
+    got = run(capsys, ["iso"] + [str(path) for path in paths])
+    assert time.process_time() - start < 0.05
+    assert got == (code, want)
+
+
+def test_bundle_past_the_size_limit_exits_2_naming_q(capsys, tmp_path, refuse_the_order):
+    # it once died with a MemoryError traceback and exit 1, the code of a failed selftest
+    q = 2**61 - 1
+    path = tmp_path / "big.json"
+    path.write_text(_element(2, "1/%d" % q, "-1/%d" % q))
+    start = time.process_time()
+    code = main(["bundle", str(path)])
+    assert time.process_time() - start < 0.05
+    out, err = capsys.readouterr()
+    assert (code, out) == (2, "")
+    assert err == "error: bundle data needs q <= 2048; this sequence has q = %d\n" % q
+
+
 def test_bundle(capsys, thirds2_file):
     code, out = run(capsys, ["bundle", thirds2_file])
     assert code == 0

@@ -30,6 +30,9 @@
 * The N-adic residue has one home: ``pow(x, -1, m)`` appears only in
   ``nadic.residue``, which ``NadicInteger._at`` and the isomorphism
   moves both call.
+* The multiplicative order has one home: only ``nadic`` (which defines
+  it), ``sequences`` (``AngleSequence.period``) and the ``__init__``
+  export name ``multiplicative_order``.
 * The CLI's subcommands are declared in one table: ``add_parser(`` and
   ``add_subparsers(`` each appear once in ``cli.py``.
 * Every name in ``ncsolenoid.__all__`` resolves.
@@ -194,6 +197,18 @@ def test_the_nadic_residue_has_one_home():
         and ast.unparse(node.args[1]) == "-1"
     ]
     assert found == ["nadic.residue"]
+
+
+def test_the_multiplicative_order_has_one_home():
+    found = sorted(
+        {
+            stem
+            for stem, tree in TREES.items()
+            for node in ast.walk(tree)
+            if "multiplicative_order" in (getattr(node, a, None) for a in ("id", "attr", "name"))
+        }
+    )
+    assert found == ["__init__", "nadic", "sequences"]
 
 
 def test_subcommands_are_declared_only_in_the_table():
