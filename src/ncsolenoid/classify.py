@@ -253,12 +253,21 @@ def prime_case_isomorphic(alpha, beta, bound=32):
     """The prime-scale specialisation: shifts and signs only.
 
     Distinct primes are never isomorphic; equal primes reduce to the
-    general search, whose only block is the trivial one.
+    general search, whose only block is the trivial one.  A scale that
+    passes every Miller-Rabin base past the proven bound is answered by
+    :func:`isomorphic`, which is sound at every scale; a proven composite
+    raises.
     """
     check_sequence(alpha, beta)
-    if not (is_prime(alpha.modulus) and is_prime(beta.modulus)):
+    proven = set()
+    for n in (alpha.modulus, beta.modulus):
+        try:
+            proven.add(is_prime(n))
+        except ValueError:  # n passes every Miller-Rabin base past the proven bound
+            proven.add(None)
+    if False in proven:
         raise ValueError("prime scales only; use isomorphic() for composites")
-    if alpha.modulus != beta.modulus:
+    if None not in proven and alpha.modulus != beta.modulus:
         return IsoVerdict.no("distinct primes %d and %d" % (alpha.modulus, beta.modulus))
     return isomorphic(alpha, beta, bound)
 

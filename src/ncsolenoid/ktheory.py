@@ -67,7 +67,7 @@ from fractions import Fraction
 from operator import attrgetter
 
 from .nadic import (
-    NadicInteger, QnRational, _Frozen, _Value, as_fraction, check_carrier, check_int,
+    NadicInteger, QnRational, _Frozen, _sampler, _Value, as_fraction, check_carrier, check_int,
     check_point, format_fraction, frac_part,
 )
 from .sequences import Angle, AngleSequence, check_sequence
@@ -252,11 +252,9 @@ def cohomologous(J, R, depth=8, samples=100, seed=20260817):
     if diff.denominator != 1:
         return None
     psi = GeneratorCochain.from_difference(J, R, -int(diff), depth)
-    rng = random.Random(seed)
-    N = J.modulus
+    draw = _sampler(random.Random(seed), J.modulus, 50, depth - 1)
     for _ in range(samples):
-        x = QnRational._of(rng.randrange(-50, 51), rng.randrange(0, depth), N)
-        y = QnRational._of(rng.randrange(-50, 51), rng.randrange(0, depth), N)
+        x, y = draw(), draw()
         want = _xi(J, x, y) - _xi(R, x, y)
         if coboundary(psi._eval, x, y) != want:
             raise AssertionError("witness failed replay at (%r, %r)" % (x, y))

@@ -116,14 +116,17 @@ def psi_phase(alpha, g, h):
     Angle(1/2)
     """
     check_sequence(alpha)
-    return _psi(alpha, _as_pair(g, alpha.modulus), _as_pair(h, alpha.modulus))
+    return _angle(*_psi_frac(alpha, _as_pair(g, alpha.modulus), _as_pair(h, alpha.modulus)))
 
 
-def _psi(alpha, g, h):
-    """psi_phase without the argument checks, on pairs the caller built at alpha's scale."""
+def _psi_frac(alpha, g, h):
+    """Psi_alpha(g, h) as an integer pair (num, b * N**n), num not taken mod den.
+
+    psi_phase's core without the argument checks, on pairs at alpha's scale.
+    """
     g1, h2 = g[0], h[1]
     n, b = g1.exp + h2.exp, alpha.base.denominator
-    return _angle(_numerator(alpha, n, b) * g1.num * h2.num, b * alpha.modulus ** n)
+    return _numerator(alpha, n, b) * g1.num * h2.num, b * alpha.modulus ** n
 
 
 def _numerator(alpha, n, b):
@@ -148,11 +151,11 @@ def theta_phase(alpha, g, h):
     n = k1 + k4 and m = k3 + k2 are the levels of Psi(g, h) and Psi(h, g).
     """
     check_sequence(alpha)
-    return _theta(alpha, _as_pair(g, alpha.modulus), _as_pair(h, alpha.modulus))
+    return _angle(*_theta_frac(alpha, _as_pair(g, alpha.modulus), _as_pair(h, alpha.modulus)))
 
 
-def _theta(alpha, g, h):
-    """theta_phase without the argument checks, on pairs the caller built at alpha's scale."""
+def _theta_frac(alpha, g, h):
+    """Theta_alpha(g, h) as an integer pair (num, b * N**max(n, m)), as :func:`_psi_frac`."""
     (g1, g2), (h1, h2) = g, h
     N, n, m, b = alpha.modulus, g1.exp + h2.exp, h1.exp + g2.exp, alpha.base.denominator
     e = max(n, m)
@@ -160,7 +163,7 @@ def _theta(alpha, g, h):
         _numerator(alpha, n, b) * g1.num * h2.num * N ** (e - n)
         - _numerator(alpha, m, b) * h1.num * g2.num * N ** (e - m)
     )
-    return _angle(num, b * N ** e)
+    return num, b * N ** e
 
 
 def bicharacter(zeta, xi, eta, chi, g, h):
@@ -177,11 +180,12 @@ def bicharacter(zeta, xi, eta, chi, g, h):
     check_sequence(zeta, xi, eta, chi)
     if not zeta.modulus == xi.modulus == eta.modulus == chi.modulus:
         raise ValueError("mismatched scales")
-    return _bichar(zeta, xi, eta, chi, _as_pair(g, zeta.modulus), _as_pair(h, zeta.modulus))
+    g, h = _as_pair(g, zeta.modulus), _as_pair(h, zeta.modulus)
+    return _angle(*_bichar_frac(zeta, xi, eta, chi, g, h))
 
 
-def _bichar(zeta, xi, eta, chi, g, h):
-    """bicharacter without the argument checks, on sequences and pairs at one scale."""
+def _bichar_frac(zeta, xi, eta, chi, g, h):
+    """The bicharacter as an integer pair (num, lcm(b_i) * N**e), as :func:`_psi_frac`."""
     (g1, g2), (h1, h2) = g, h
     terms = (
         (zeta, g1.exp + h1.exp, g1.num * h1.num),
@@ -192,7 +196,7 @@ def _bichar(zeta, xi, eta, chi, g, h):
     N, b = zeta.modulus, lcm(*(s.base.denominator for s, _, _ in terms))
     e = max(n for _, n, _ in terms)
     num = sum(_numerator(s, n, b) * p * N ** (e - n) for s, n, p in terms)
-    return _angle(num, b * N ** e)
+    return num, b * N ** e
 
 
 def symmetrizer(alpha):

@@ -376,6 +376,36 @@ class QnRational(_Value):
 _set_num, _set_exp, _set_modulus = _slot_setters(QnRational)
 
 
+def _below(rng, n):
+    """Draws from range(n), n >= 1, by getrandbits(n.bit_length()) with rejection.
+
+    The stream of CPython 3.11's ``random.Random``: ``randrange(a, b)`` is
+    a + (a draw below b - a) and ``choice(seq)`` is seq[a draw below len(seq)].
+    """
+    if n < 1:
+        raise ValueError("empty range for a draw below %d" % n)
+    bits, k = rng.getrandbits, n.bit_length()
+
+    def draw():
+        r = bits(k)
+        while r >= n:
+            r = bits(k)
+        return r
+
+    return draw
+
+
+def _sampler(rng, scale, max_num, max_exp):
+    """Draws of points p/N**k with |p| <= max_num and k <= max_exp; the scale is checked once.
+
+    p and k are the draws of ``rng.randrange(-max_num, max_num + 1)`` and
+    ``rng.randrange(0, max_exp + 1)``, in that order.
+    """
+    num, exp, scale = _below(rng, 2 * max_num + 1), _below(rng, max_exp + 1), check_scale(scale)
+    of = QnRational._of
+    return lambda: of(num() - max_num, exp(), scale)
+
+
 class NadicInteger(_Value):
     """An N-adic integer as a coherent residue tower.
 
@@ -487,7 +517,7 @@ class NadicInteger(_Value):
 
     def _segment(self, k, m):
         """:meth:`segment` without the argument checks, for depths the library computed."""
-        return (self._at(m) - self._at(k)) // self.modulus ** k
+        return self._at(m) // self.modulus ** k  # J_k = J_m mod N**k
 
     def exact_value(self, what):
         """The exact value a/b; on a prefix, ValueError naming the operation what."""

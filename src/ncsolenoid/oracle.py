@@ -9,14 +9,18 @@ under test, not the answers.
 
 The oracles compute in integers.  ``colimit_report`` holds each point
 of Q x Q_N as an integer pair over the one denominator N**(2 * depth),
-and ``brute_symmetrizer`` clears term numerators.  The fuzzes draw
-points through the trusted constructor, evaluate each shared value
-(xi(x, y), Theta(g, h)) once per trial, and check the pairing-lift
-route of xi as an integer identity over N**max(k1, k2).  On points they
-drew themselves, they and ``coboundary_solve`` call the cores that the
-public formulas run after their argument checks: ``ktheory._xi``,
-``_zeta``, ``_prufer``, ``_mu`` and ``GeneratorCochain._eval``, and
-``multiplier._theta``, ``_psi`` and ``_bichar``.
+and ``brute_symmetrizer`` clears term numerators.  Every seeded draw is
+``nadic._below``, getrandbits with rejection (the stream of
+``randrange`` and ``choice``); the fuzzes draw points through
+``nadic._sampler``, evaluate each shared value (xi(x, y), Theta(g, h))
+once per trial, and check the pairing-lift route of xi as an integer
+identity over N**max(k1, k2).  On points they drew themselves, they and
+``coboundary_solve`` call the cores that the public formulas run after
+their argument checks: ``ktheory._xi``, ``_zeta``, ``_prufer``, ``_mu``
+and ``GeneratorCochain._eval``, and ``multiplier._theta_frac``,
+``_psi_frac`` and ``_bichar_frac``, which give a phase as an integer
+pair (num, den), so the laws of Theta and Psi are congruences mod 1
+checked by cross-multiplying.
 
 Defaults are sized for desk use: windows around 150 numerators and
 exponent 4, depth 6 stages, 1000 fuzz trials on points p/N**k with
@@ -43,9 +47,9 @@ from .ktheory import (
     mat_mul,
     r_digit,
 )
-from .multiplier import _bichar, _psi, _theta
-from .nadic import QnRational, _Frozen, check_carrier, check_int, check_scale
-from .sequences import Angle, AngleSequence, check_sequence
+from .multiplier import _bichar_frac, _psi_frac, _theta_frac
+from .nadic import QnRational, _below, _Frozen, _sampler, check_carrier, check_int
+from .sequences import AngleSequence, check_sequence
 
 DEFAULT_SEED = 20260817
 
@@ -126,10 +130,10 @@ def brute_symmetrizer(alpha, window_num=150, window_exp=4, spot_checks=2000, see
     good = [c for c in coords if cleared[c]]
     members = {(x, y) for x in good for y in good}
 
-    rng = random.Random(seed)
+    pick = _below(random.Random(seed), len(coords))  # the draws of rng.choice(coords)
     for _ in range(spot_checks):
-        (p1, k1), (p2, k2) = rng.choice(coords), rng.choice(coords)
-        (p3, k3), (p4, k4) = rng.choice(coords), rng.choice(coords)
+        (p1, k1), (p2, k2) = coords[pick()], coords[pick()]
+        (p3, k3), (p4, k4) = coords[pick()], coords[pick()]
         lhs = (p1 * p4 * nums[k1 + k4] - p2 * p3 * nums[k2 + k3]) % denom
         if ((p1, k1), (p2, k2)) in members and lhs:
             raise AssertionError(
@@ -248,17 +252,8 @@ def colimit_compare(alpha, depth=6, num_window=24, int_window=6):
     return colimit_report(alpha, depth, num_window, int_window)["match"]
 
 
-def _sampler(rng, scale, max_num=_FUZZ_NUM, max_exp=_FUZZ_EXP):
-    """Draws of points p/N**k with |p| <= max_num and k <= max_exp; the scale is checked once.
-
-    ``randrange(a, b + 1)`` is the draw of ``randint(a, b)``.
-    """
-    draw, scale = rng.randrange, check_scale(scale)
-    return lambda: QnRational._of(draw(-max_num, max_num + 1), draw(0, max_exp + 1), scale)
-
-
 def _fuzz_xi(carrier, trials, seed):
-    draw = _sampler(random.Random(seed), carrier.modulus)
+    draw = _sampler(random.Random(seed), carrier.modulus, _FUZZ_NUM, _FUZZ_EXP)
     N = carrier.modulus
     failures = []
     checks = 0
@@ -287,7 +282,7 @@ def _fuzz_xi(carrier, trials, seed):
 
 
 def _fuzz_zeta(carrier, trials, seed):
-    draw = _sampler(random.Random(seed), carrier.modulus)
+    draw = _sampler(random.Random(seed), carrier.modulus, _FUZZ_NUM, _FUZZ_EXP)
     failures = []
     checks = 0
     neg_mu = lambda u: -_mu(carrier, u)
@@ -306,27 +301,36 @@ def _fuzz_zeta(carrier, trials, seed):
     return FuzzReport("zeta", trials, seed, checks, failures)
 
 
+def _congruent(x, *terms):
+    """Whether x == sum(terms) mod 1; each is a fraction as an integer pair (num, den > 0)."""
+    num, den = x
+    for n, d in terms:
+        num, den = num * d - n * den, den * d
+    return num % den == 0
+
+
 def _fuzz_psi_bichar(alpha, trials, seed):
-    draw = _sampler(random.Random(seed), alpha.modulus)
+    draw = _sampler(random.Random(seed), alpha.modulus, _FUZZ_NUM, _FUZZ_EXP)
     failures = []
     checks = 0
     zero_seq = AngleSequence.zero(alpha.modulus)
-    zero_angle = Angle(0)
+    zero = (0, 1)
     for t in range(trials):
         g, g2, h = (draw(), draw()), (draw(), draw()), (draw(), draw())
         gg2 = (g[0] + g2[0], g[1] + g2[1])
         checks += 5
-        gh = _theta(alpha, g, h)
-        if gh + _theta(alpha, h, g) != zero_angle:
+        gh = _theta_frac(alpha, g, h)
+        if not _congruent(zero, gh, _theta_frac(alpha, h, g)):
             failures.append("theta not antisymmetric at trial %d" % t)
-        if _theta(alpha, g, g) != zero_angle:
+        if not _congruent(_theta_frac(alpha, g, g)):
             failures.append("theta not alternating at trial %d" % t)
-        if _theta(alpha, gg2, h) != gh + _theta(alpha, g2, h):
+        if not _congruent(_theta_frac(alpha, gg2, h), gh, _theta_frac(alpha, g2, h)):
             failures.append("theta not additive in slot 1 at trial %d" % t)
         hg2 = (h[0] + g2[0], h[1] + g2[1])
-        if _theta(alpha, g, hg2) != gh + _theta(alpha, g, g2):
+        if not _congruent(_theta_frac(alpha, g, hg2), gh, _theta_frac(alpha, g, g2)):
             failures.append("theta not additive in slot 2 at trial %d" % t)
-        if _bichar(zero_seq, alpha, zero_seq, zero_seq, g, h) != _psi(alpha, g, h):
+        psi = _psi_frac(alpha, g, h)
+        if not _congruent(_bichar_frac(zero_seq, alpha, zero_seq, zero_seq, g, h), psi):
             failures.append("psi disagrees with its bicharacter form at trial %d" % t)
     return FuzzReport("psi_bichar", trials, seed, checks, failures)
 

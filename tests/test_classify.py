@@ -222,6 +222,21 @@ def test_isomorphic_answers_at_an_unprovable_scale_or_period_without_factoring_i
     assert verdict.to_json() == want
 
 
+def test_prime_case_answers_at_an_unprovable_scale_through_isomorphic():
+    # it raised "cannot prove ... prime" from is_prime, where isomorphic answers Yes at once
+    a = AngleSequence.constant(BIG, Fraction(1, 2))
+    start = time.process_time()
+    verdict = prime_case_isomorphic(a, a)
+    assert time.process_time() - start < 0.05
+    assert verdict.is_yes and verdict.to_json() == isomorphic(a, a).to_json()
+    assert replay_witness(a, a, verdict)
+    # a proven composite still refuses, whichever side it is on
+    for b in (AngleSequence.constant(2 * BIG, Fraction(1, 3)), AngleSequence.zero(4)):
+        for pair in ((a, b), (b, a)):
+            with pytest.raises(ValueError, match="prime scales only"):
+                prime_case_isomorphic(*pair)
+
+
 @st.composite
 def prime_power_periodic_pairs(draw):
     """Two periodic sequences with one head denominator q at a prime-power scale, and a bound."""

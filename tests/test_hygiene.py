@@ -23,10 +23,11 @@
 * The trusted constructors ``_of``, the trusted residue reads
   ``NadicInteger._at`` and ``NadicInteger._segment``, the cores
   ``ktheory._xi``, ``_zeta``, ``_prufer``, ``_mu`` and
-  ``GeneratorCochain._eval``, ``multiplier._psi``, ``_theta`` and
-  ``_bichar``, and the isomorphism search ``classify._search`` skip the
-  argument checks, so they never run on user input: ``codec`` and ``cli``
-  do not call them, and no private name enters ``ncsolenoid.__all__``.
+  ``GeneratorCochain._eval``, the integer cores ``multiplier._psi_frac``,
+  ``_theta_frac`` and ``_bichar_frac``, and the isomorphism search
+  ``classify._search`` skip the argument checks, so they never run on
+  user input: ``codec`` and ``cli`` do not call them, and no private name
+  enters ``ncsolenoid.__all__``.
 * The N-adic residue has one home: ``pow(x, -1, m)`` appears only in
   ``nadic.residue``, which ``NadicInteger._at`` and the isomorphism
   moves both call.
@@ -35,6 +36,9 @@
   export name ``multiplicative_order``.
 * The CLI's subcommands are declared in one table: ``add_parser(`` and
   ``add_subparsers(`` each appear once in ``cli.py``.
+* Seeded draws have one home: no ``randrange``, ``randint`` or
+  ``choice`` call is left in the package; ``nadic._below`` draws with
+  ``getrandbits``.
 * Every name in ``ncsolenoid.__all__`` resolves.
 * ``import ncsolenoid`` loads neither ``dataclasses`` nor ``typing``
   (the start-up cost of the CLI and of every library user).
@@ -172,7 +176,7 @@ def test_only_check_carrier_tests_for_a_carrier():
 
 
 UNCHECKED = ("_of", "_at", "_segment", "_xi", "_zeta", "_prufer", "_mu", "_eval",
-             "_psi", "_theta", "_bichar", "_search")
+             "_psi_frac", "_theta_frac", "_bichar_frac", "_search")
 
 
 def test_trusted_constructors_stay_off_user_input():
@@ -214,6 +218,18 @@ def test_the_multiplicative_order_has_one_home():
 def test_subcommands_are_declared_only_in_the_table():
     text = (Path(ncsolenoid.__file__).parent / "cli.py").read_text()
     assert (text.count("add_parser("), text.count("add_subparsers(")) == (1, 1)
+
+
+def test_seeded_draws_have_one_home():
+    found = [
+        "%s.py:%d" % (stem, node.lineno)
+        for stem, tree in TREES.items()
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Call)
+        and getattr(node.func, "attr", getattr(node.func, "id", None))
+        in ("randrange", "randint", "choice")
+    ]
+    assert found == []
 
 
 def test_every_exported_name_resolves():

@@ -1,4 +1,5 @@
 import json
+import random
 import tracemalloc
 from fractions import Fraction
 from math import gcd, isqrt, prod
@@ -10,6 +11,8 @@ from ncsolenoid.codec import carrier_from_file
 from ncsolenoid.nadic import (
     NadicInteger,
     QnRational,
+    _below,
+    _sampler,
     as_fraction,
     format_fraction,
     frac_part,
@@ -149,6 +152,40 @@ def test_prime_factors_refuses_an_unproven_prime(n):
         prime_factors(n)
 
 
+# ---------------------------------------------------------------- seeded draws
+
+# widths 1 to 2**20; at 2**k no draw is rejected, at 2**k + 1 almost half of them
+widths = st.one_of(
+    st.integers(1, 2**20),
+    st.integers(0, 20).flatmap(lambda k: st.sampled_from([2**k - 1, 2**k, 2**k + 1])),
+).filter(lambda n: n >= 1)
+
+
+@given(st.integers(0, 2**32), widths, st.integers(-10**6, 10**6))
+def test_a_draw_below_n_is_the_stream_of_randrange_and_choice(seed, n, a):
+    ours, theirs = random.Random(seed), random.Random(seed)
+    below = _below(ours, n)
+    assert [a + below() for _ in range(20)] == [theirs.randrange(a, a + n) for _ in range(20)]
+    seq = range(a, a + n)
+    assert [seq[below()] for _ in range(20)] == [theirs.choice(seq) for _ in range(20)]
+    assert ours.getstate() == theirs.getstate()
+
+
+@pytest.mark.parametrize(
+    "make",
+    [
+        lambda rng: _below(rng, 0),
+        lambda rng: _below(rng, -5),
+        lambda rng: _sampler(rng, 3, -1, 6),
+        lambda rng: _sampler(rng, 3, 60, -1),
+    ],
+)
+def test_an_empty_draw_raises_instead_of_spinning(make):
+    # getrandbits(0) is always 0, so a draw below n <= 0 would never end
+    with pytest.raises(ValueError, match="empty range"):
+        make(random.Random(1))
+
+
 # ---------------------------------------------------------------- QnRational
 
 
@@ -219,6 +256,35 @@ def test_segment():
     assert J.segment(1, 3) == 4
     assert J.segment(0, 2) == J.at(2)
     assert J.segment(2, 2) == 0
+
+
+def _outcome(f, *args):
+    try:
+        return f(*args)
+    except ValueError as e:
+        return str(e)
+
+
+@st.composite
+def carriers(draw):
+    """A factory of one exact or prefix carrier, and the deepest level to read: two past a window."""
+    n = draw(scales)
+    if draw(st.booleans()):
+        value = Fraction(draw(st.integers(-10**6, 10**6)), draw(st.integers(1, 10**3)))
+        assume(gcd(value.denominator, n) == 1)
+        return (lambda: NadicInteger.from_value(value, n)), 12
+    digits = draw(st.lists(st.integers(0, n - 1), max_size=8))
+    return (lambda: NadicInteger.from_prefix(digits, n)), len(digits) + 2
+
+
+@given(carriers())
+def test_segment_reads_one_residue(args):
+    # J_k = J_m mod N**k, so (J_m - J_k) / N**k is J_m // N**k; past a prefix the deeper read raises
+    make, top = args
+    two_reads = lambda J, k, m: (J.at(m) - J.at(k)) // J.modulus ** k
+    for m in range(top + 1):
+        for k in range(m + 1):
+            assert _outcome(make().segment, k, m) == _outcome(two_reads, make(), k, m)
 
 
 def test_prefix_carrier():

@@ -24,7 +24,7 @@ from ncsolenoid.oracle import (
     colimit_report,
     sample_qn,
 )
-from ncsolenoid.sequences import Angle, AngleSequence
+from ncsolenoid.sequences import AngleSequence
 
 
 def test_fuzz_report_shape():
@@ -307,7 +307,14 @@ def test_colimit_membership_and_coverage_fail_on_a_wrong_residue():
 # trial where one of its laws sees the fault.  The lists are pinned, so a
 # fuzz that reuses one value across its checks cannot blind any of them.
 
-HALF = Angle(Fraction(1, 2))
+HALF = Fraction(1, 2)
+
+
+def _frac(angle, plus=0):
+    """angle + plus as an integer pair (num, den), the return form of the integer cores."""
+    value = angle.value + plus
+    return value.numerator, value.denominator
+
 
 FUZZ_FAULTS = [
     pytest.param(
@@ -350,8 +357,8 @@ FUZZ_FAULTS = [
         id="zeta-out-of-range",
     ),
     pytest.param(
-        "_theta",
-        lambda a, g, h: theta_phase(a, g, h) + (HALF if g[0].exp > h[0].exp else Angle(0)),
+        "_theta_frac",
+        lambda a, g, h: _frac(theta_phase(a, g, h), HALF if g[0].exp > h[0].exp else 0),
         "psi_bichar",
         ["theta not antisymmetric at trial 0", "theta not antisymmetric at trial 1",
          "theta not additive in slot 2 at trial 1", "theta not antisymmetric at trial 2",
@@ -360,14 +367,14 @@ FUZZ_FAULTS = [
         id="theta-level-ordered",
     ),
     pytest.param(
-        "_theta", lambda a, g, h: theta_phase(a, g, h) + (HALF if g == h else Angle(0)),
+        "_theta_frac", lambda a, g, h: _frac(theta_phase(a, g, h), HALF if g == h else 0),
         "psi_bichar",
         ["theta not alternating at trial %d" % t for t in range(6)],
         id="theta-on-the-diagonal",
     ),
     pytest.param(
-        "_bichar",
-        lambda z, x, e, c, g, h: bicharacter(z, x, e, c, g, h) + Angle(Fraction(g[1].num % 2, 3)),
+        "_bichar_frac",
+        lambda z, x, e, c, g, h: _frac(bicharacter(z, x, e, c, g, h), Fraction(g[1].num % 2, 3)),
         "psi_bichar",
         ["psi disagrees with its bicharacter form at trial %d" % t for t in (1, 2, 3)],
         id="bicharacter-odd-second-numerator",
