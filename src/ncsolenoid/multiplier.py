@@ -120,10 +120,7 @@ def psi_phase(alpha, g, h):
 
 
 def _psi_frac(alpha, g, h):
-    """Psi_alpha(g, h) as an integer pair (num, b * N**n), num not taken mod den.
-
-    psi_phase's core without the argument checks, on pairs at alpha's scale.
-    """
+    """psi_phase unchecked, on pairs at alpha's scale: the pair (num, b * N**n), not mod 1."""
     g1, h2 = g[0], h[1]
     n, b = g1.exp + h2.exp, alpha.base.denominator
     return _numerator(alpha, n, b) * g1.num * h2.num, b * alpha.modulus ** n
