@@ -32,13 +32,14 @@ by rescaling) give sound No verdicts:
 * periodicity (w = -h), and with it simplicity of the algebra.
 
 None of them factors anything.  R is factored once, after them, only to
-list the blocks and to tell whether R is a prime power.
+list the blocks and to tell whether R is a prime power; an R with a
+cofactor that cannot be proven prime gets the trivial block only.
 
 For a periodic sequence the shift moves cycle with the period, the first
 shift q >= 1 that brings the pair back to itself, so the search space is
 finite.  Exhausting it upgrades the result from Unknown to No only when
-R is a prime power p**e: the units of Z[1/R] are then +-p**a, and shifts
-and blocks p**i with i < e reach every one of them.  At any other R the
+R is a proven prime power p**e: the units of Z[1/R] are then +-p**a, and
+shifts and blocks p**i with i < e reach every one of them.  At any other R the
 moves miss units (8 at R = 12, for one), so an exhausted search stays
 Unknown, as does an aperiodic search that exhausts the bound.
 """
@@ -52,7 +53,6 @@ from operator import attrgetter
 from .nadic import (
     _Frozen,
     _Value,
-    _slot_setters,
     check_int,
     format_fraction,
     is_prime,
@@ -70,10 +70,7 @@ class IsoVerdict(_Frozen):
     def __init__(self, kind, witness=None, reason=None, bound=None):
         if kind not in ("yes", "no", "unknown"):
             raise ValueError("bad verdict kind %r" % (kind,))
-        object.__setattr__(self, "kind", kind)
-        object.__setattr__(self, "witness", witness)
-        object.__setattr__(self, "reason", reason)
-        object.__setattr__(self, "bound", bound)
+        self._fill(kind, witness, reason, bound)
 
     @classmethod
     def yes(cls, witness):
@@ -205,10 +202,11 @@ def _search(alpha, beta, bound):
     """The search of :func:`isomorphic`, past its argument checks and the zero move.
 
     The invariants strip gcds and factor nothing; R is factored once, after
-    them, for the blocks and the prime-power test.  A periodic pair's period
-    is the first shift that brings it back to itself, where the shift loop
-    stops; one shift past the bound tells whether a search that never met
-    it is exhausted all the same.
+    them, for the blocks and the prime-power test.  An R that cannot be
+    factored gets the trivial block only and never a No.  A periodic pair's
+    period is the first shift that brings it back to itself, where the shift
+    loop stops; one shift past the bound tells whether a search that never
+    met it is exhausted all the same.
     """
     n, m = alpha.modulus, beta.modulus
     scale = gcd(n, m)
@@ -223,8 +221,11 @@ def _search(alpha, beta, bound):
     periodic = a[1] == -a[0]
     if periodic != (b[1] == -b[0]):
         return IsoVerdict.no("exactly one side is periodic")
-    factors = prime_factors(scale)
-    blocks = _proper_divisors(factors)
+    try:
+        factors = prime_factors(scale)
+    except ValueError:  # a cofactor of R passes every Miller-Rabin base past the bound
+        factors = None
+    blocks = _proper_divisors(factors) if factors else [1]
     period = None
     for label, x, y in (("forward", a, b), ("reverse", b, a)):
         for q in range(bound + 1):
@@ -241,7 +242,7 @@ def _search(alpha, beta, bound):
                         )
     if periodic and period is None and _move(a, scale, bound + 1, 1, 1) == a:
         period = bound + 1
-    if period is not None and factors[0] == factors[-1]:
+    if period is not None and factors and factors[0] == factors[-1]:
         return IsoVerdict.no(
             "periodic search exhausted (period %d, both directions, all blocks, both signs)"
             % period
@@ -342,9 +343,7 @@ class AngleMatrix(_Value):
         if g > 1:
             num = [a // g for a in num]
             den //= g
-        object.__setattr__(self, "perm", tuple(perm))
-        object.__setattr__(self, "num", tuple(num))
-        object.__setattr__(self, "den", den)
+        self._fill(tuple(perm), tuple(num), den)
 
     @classmethod
     def _of(cls, perm, num, den):
@@ -488,8 +487,7 @@ class BundleData(_Frozen):
     __slots__ = ("modulus", "q", "p", "k", "lam", "u", "v", "base_label")
 
     def __init__(self, modulus, q, p, k, lam, u, v, base_label):
-        for set_slot, value in zip(_BUNDLE_SLOTS, (modulus, q, p, k, lam, u, v, base_label)):
-            set_slot(self, value)
+        self._fill(modulus, q, p, k, lam, u, v, base_label)
 
     def __repr__(self):
         return "BundleData(q=%d, k=%d, lam=%r)" % (self.q, self.k, self.lam)
@@ -505,8 +503,6 @@ class BundleData(_Frozen):
             "v": self.v.to_json(),
         }
 
-
-_BUNDLE_SLOTS = _slot_setters(BundleData)
 
 # The largest q of bundle_data: u and v are lists of length q with q**2 dense cells.  Through
 # the CLI (Python 3.11, 2 vCPUs) q = 2047 takes 0.49 CPU s and 50 MB of output, q = 4001 2.4 s.

@@ -68,7 +68,7 @@ from operator import attrgetter
 
 from .nadic import (
     NadicInteger, QnRational, _Frozen, _sampler, _Value, as_fraction, check_carrier, check_int,
-    check_point, format_fraction, frac_part,
+    check_point, check_scale, format_fraction, frac_part,
 )
 from .sequences import Angle, AngleSequence, check_sequence
 
@@ -189,14 +189,13 @@ class GeneratorCochain(_Frozen):
     __slots__ = ("modulus", "table")
 
     def __init__(self, modulus, table):
-        table = dict(table)
+        modulus, table = check_scale(modulus), dict(table)
         if 0 not in table:
             raise ValueError("the table must cover the generator 1 (level 0)")
         for k, v in table.items():
             check_int(k, "level", 0)
             check_int(v, "cochain value")
-        object.__setattr__(self, "modulus", modulus)
-        object.__setattr__(self, "table", table)
+        self._fill(modulus, table)
 
     @property
     def depth(self):
@@ -246,6 +245,8 @@ def cohomologous(J, R, depth=8, samples=100, seed=20260817):
     random pairs within the recorded depth.
     """
     check_carrier(J, R)
+    check_int(depth, "depth", 1)
+    check_int(samples, "samples", 1)
     if J.modulus != R.modulus:
         raise ValueError("carriers live at different scales")
     diff = J.exact_value("cohomology") - R.exact_value("cohomology")
@@ -277,9 +278,7 @@ class ExtensionElement(_Value):
         check_sequence(alpha)
         check_int(z, "z")
         check_point(x, alpha.modulus)
-        object.__setattr__(self, "alpha", alpha)
-        object.__setattr__(self, "z", z)
-        object.__setattr__(self, "x", x)
+        self._fill(alpha, z, x)
 
     def __add__(self, other):
         self._require_same(other, "alpha")
@@ -319,9 +318,7 @@ class KPairElement(_Value):
         first = as_fraction(first)
         if not k_member(alpha, first, second):
             raise ValueError("(%s, %r) is not a K0 point" % (format_fraction(first), second))
-        object.__setattr__(self, "alpha", alpha)
-        object.__setattr__(self, "first", first)
-        object.__setattr__(self, "second", second)
+        self._fill(alpha, first, second)
 
     def __add__(self, other):
         self._require_same(other, "alpha")
@@ -360,11 +357,8 @@ def trace(elem):
     >>> trace(ExtensionElement(a, 1, QnRational(1, 1, 3)))
     Fraction(3, 2)
     """
-    if isinstance(elem, KPairElement):  # first + p * alpha_0 / N**k: no carrier read
-        (a, b), (f, g) = elem.alpha.base.as_integer_ratio(), elem.first.as_integer_ratio()
-        x = elem.second
-        d = b * elem.alpha.modulus ** x.exp
-        return Fraction(f * d + a * x.num * g, g * d)
+    if isinstance(elem, KPairElement):  # no carrier read
+        return elem.first + elem.alpha.base * elem.second.fraction
     if not isinstance(elem, ExtensionElement):
         raise TypeError("expected a K0 element")
     # with the head a/b, alpha_k = (a + b * J_k) / (b * N**k)

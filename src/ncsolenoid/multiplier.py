@@ -61,8 +61,7 @@ class Symmetrizer(_Value):
             check_int(b, "lattice scale", 2)
         elif b is not None:
             raise ValueError("only ScaledLattice carries a scale")
-        object.__setattr__(self, "variant", variant)
-        object.__setattr__(self, "b", b)
+        self._fill(variant, b)
 
     @classmethod
     def trivial(cls):

@@ -63,8 +63,7 @@ class FuzzReport(_Frozen):
     __slots__ = ("kind", "trials", "seed", "checks", "failures")
 
     def __init__(self, kind, trials, seed, checks, failures):
-        for name, value in zip(self.__slots__, (kind, trials, seed, checks, list(failures))):
-            object.__setattr__(self, name, value)
+        self._fill(kind, trials, seed, checks, list(failures))
 
     @property
     def passed(self):

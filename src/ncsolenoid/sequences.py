@@ -25,7 +25,6 @@ from operator import attrgetter
 from .nadic import (
     NadicInteger,
     _Value,
-    _slot_setters,
     as_fraction,
     check_carrier,
     check_int,
@@ -49,7 +48,7 @@ class Angle(_Value):
     _key = attrgetter("value")
 
     def __init__(self, value):
-        _set_value(self, frac_part(as_fraction(value)))
+        self._fill(frac_part(as_fraction(value)))
 
     @classmethod
     def _of(cls, value):
@@ -58,26 +57,13 @@ class Angle(_Value):
         _set_value(a, value)
         return a
 
-    def _plus(self, y, sign):
-        """The Angle of value + sign * y for y in [0, 1): the numerator wraps by one turn."""
-        x = self.value
-        den = x.denominator * y.denominator
-        num = x.numerator * y.denominator + sign * y.numerator * x.denominator
-        return Angle._of(Fraction(num % den, den))
-
     def __add__(self, other):
         if not isinstance(other, Angle):
             return NotImplemented
-        return self._plus(other.value, 1)
+        return Angle(self.value + other.value)
 
     def __neg__(self):
-        x = self.value
-        return Angle._of(Fraction(x.denominator - x.numerator, x.denominator) if x else x)
-
-    def __sub__(self, other):
-        if not isinstance(other, Angle):
-            return NotImplemented
-        return self._plus(other.value, -1)
+        return Angle(-self.value)
 
     def __mul__(self, m):
         if isinstance(m, bool) or not isinstance(m, int):
@@ -96,7 +82,7 @@ class Angle(_Value):
         return format_fraction(self.value)
 
 
-(_set_value,) = _slot_setters(Angle)
+(_set_value,) = Angle._setters
 
 
 class AngleSequence(_Value):
@@ -125,9 +111,7 @@ class AngleSequence(_Value):
         check_carrier(carrier)
         if carrier.modulus != modulus:
             raise ValueError("carrier scale %d does not match %d" % (carrier.modulus, modulus))
-        object.__setattr__(self, "modulus", modulus)
-        object.__setattr__(self, "base", base)
-        object.__setattr__(self, "carrier", carrier)
+        self._fill(modulus, base, carrier)
 
     @classmethod
     def zero(cls, modulus):

@@ -23,7 +23,7 @@ from ncsolenoid.classify import (
     replay_witness,
 )
 from ncsolenoid.multiplier import classify_type, is_simple, symmetrizer, theta_phase
-from ncsolenoid.nadic import NadicInteger, QnRational, prime_factors
+from ncsolenoid.nadic import NadicInteger, QnRational, format_fraction, prime_factors
 from ncsolenoid.sequences import Angle, AngleSequence
 
 
@@ -189,6 +189,7 @@ def test_isomorphic_factors_only_r_and_only_past_the_invariants(
 
 
 BIG = 10 ** 30 + 57  # past the Miller-Rabin proof bound, so factoring it raises
+THIRDS = _from_pair((Fraction(1, 2), Fraction(1, 3)), BIG)
 
 
 @pytest.mark.parametrize(
@@ -212,14 +213,38 @@ BIG = 10 ** 30 + 57  # past the Miller-Rabin proof bound, so factoring it raises
             {"verdict": "Unknown", "bound": 32},
             id="period",
         ),
+        pytest.param(
+            THIRDS,
+            _from_pair((Fraction(1, 2), Fraction(2, 3)), BIG),
+            {"verdict": "Unknown", "bound": 32},
+            id="scale-search",
+        ),
+        pytest.param(
+            _from_pair((Fraction(1, 2), Fraction(1, 3)), 2 * BIG),
+            _from_pair((Fraction(1, 2), Fraction(2, 3)), 2 * BIG),
+            {"verdict": "Unknown", "bound": 32},
+            id="composite-scale-search",
+        ),
+        pytest.param(
+            THIRDS.shift(3),
+            THIRDS,
+            {"verdict": "Yes", "witness": {
+                "R": BIG, "mu": 1, "nu": 1, "direction": "forward", "shift": 3, "block": 1,
+                "sign": 1,
+                "matched": {"alpha0": format_fraction(THIRDS.value(3)), "carrier": "-2/3"},
+            }},
+            id="scale-shift",
+        ),
     ],
 )
 def test_isomorphic_answers_at_an_unprovable_scale_or_period_without_factoring_it(a, b, want):
-    # each raised "cannot prove ... prime" while R and the period were factored first
+    # each raised "cannot prove ... prime": the first three while R and the period were
+    # factored before the invariants, the last three from factoring R for the search's blocks
     start = time.process_time()
     verdict = isomorphic(a, b)
     assert time.process_time() - start < 0.05
     assert verdict.to_json() == want
+    assert not verdict.is_yes or replay_witness(a, b, verdict)
 
 
 def test_prime_case_answers_at_an_unprovable_scale_through_isomorphic():

@@ -2,6 +2,7 @@ import argparse
 import hashlib
 import json
 import time
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -137,6 +138,11 @@ def _element(n, head, carrier):
     return '{"N": %d, "alpha0": "%s", "carrier": {"value": "%s"}}' % (n, head, carrier)
 
 
+# the head alpha_3 = (1/2 + J_3) / BIG**3 of the head-1/2, carrier-1/3 sequence shifted by 3;
+# its carrier is (1/3 - J_3) / BIG**3 = -2/3
+THIRDS_3 = "%d/%d" % ((Fraction(1, 2) + pow(3, -1, BIG ** 3)) / BIG ** 3).as_integer_ratio()
+
+
 @pytest.mark.parametrize(
     "texts, code, want",
     [
@@ -158,12 +164,34 @@ def _element(n, head, carrier):
             {"verdict": "Unknown", "bound": 32},
             id="period",
         ),
+        pytest.param(
+            (_element(BIG, "1/2", "1/3"), _element(BIG, "1/2", "2/3")),
+            3,
+            {"verdict": "Unknown", "bound": 32},
+            id="scale-search",
+        ),
+        pytest.param(
+            (_element(2 * BIG, "1/2", "1/3"), _element(2 * BIG, "1/2", "2/3")),
+            3,
+            {"verdict": "Unknown", "bound": 32},
+            id="composite-scale-search",
+        ),
+        pytest.param(
+            (_element(BIG, THIRDS_3, "-2/3"), _element(BIG, "1/2", "1/3")),
+            0,
+            {"verdict": "Yes", "witness": {
+                "R": BIG, "mu": 1, "nu": 1, "direction": "forward", "shift": 3, "block": 1,
+                "sign": 1, "matched": {"alpha0": THIRDS_3, "carrier": "-2/3"},
+            }},
+            id="scale-shift",
+        ),
     ],
 )
 def test_iso_answers_at_an_unprovable_scale_or_period_without_factoring_it(
     capsys, tmp_path, texts, code, want
 ):
-    # each exited 2 with "cannot prove ... prime" while R and the period were factored first
+    # each exited 2 with "cannot prove ... prime": the first three while R and the period were
+    # factored before the invariants, the last three from factoring R for the search's blocks
     paths = [tmp_path / "a.json", tmp_path / "b.json"]
     for path, text in zip(paths, texts):
         path.write_text(text)

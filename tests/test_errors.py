@@ -11,7 +11,9 @@ from fractions import Fraction
 import pytest
 
 from ncsolenoid import classify, ktheory, multiplier, oracle
-from ncsolenoid.nadic import NadicInteger, QnRational, check_scale
+from ncsolenoid.nadic import (
+    NadicInteger, QnRational, check_scale, multiplicative_order, prime_factors,
+)
 from ncsolenoid.sequences import AngleSequence
 
 A3 = AngleSequence.constant(3, Fraction(1, 2))
@@ -20,6 +22,7 @@ A2 = AngleSequence.constant(2, Fraction(1, 3))
 A6 = AngleSequence.constant(6, Fraction(1, 5))
 X3, X2 = QnRational(1, 1, 3), QnRational(1, 1, 2)
 J3, J2 = A3.carrier, NadicInteger.iota(1, 2)
+J5, J0 = NadicInteger.iota(5, 3), NadicInteger.iota(0, 3)  # cohomologous: xi_J5 - xi_J0 = d(psi)
 JP = NadicInteger.from_prefix([1, 2], 3)
 AP = AngleSequence(3, Fraction(1, 2), JP)
 P3 = (X3, X3)
@@ -96,6 +99,22 @@ CASES = (
        pytest.param(lambda v: ktheory.GeneratorCochain(3, {0: 0, v: 0}), "1", ValueError,
                     id="GeneratorCochain-level-str")]
     + _ints("ExtensionElement-z", lambda v: ktheory.ExtensionElement(A3, v, X3), False)
+    + _ints("GeneratorCochain-scale", lambda v: ktheory.GeneratorCochain(v, {0: 1}))
+    + _ints("cohomologous-depth", lambda v: ktheory.cohomologous(J5, J0, depth=v))
+    + _ints("cohomologous-samples", lambda v: ktheory.cohomologous(J5, J0, samples=v))
+    + [pytest.param(lambda v: ktheory.cohomologous(J5, J0, depth=v), 0, ValueError,
+                    id="cohomologous-depth-0"),
+       pytest.param(lambda v: ktheory.cohomologous(J5, J0, samples=v), 0, ValueError,
+                    id="cohomologous-samples-0"),
+       pytest.param(lambda v: ktheory.cohomologous(J5, J0, depth=v), 2.0, ValueError,
+                    id="cohomologous-depth-integral-float")]
+    + _ints("prime_factors", prime_factors)
+    + [pytest.param(prime_factors, 12.0, ValueError, id="prime_factors-integral-float"),
+       pytest.param(prime_factors, 1, ValueError, id="prime_factors-1")]
+    + _ints("multiplicative_order-base", lambda v: multiplicative_order(v, 7), negative=False)
+    + _ints("multiplicative_order-modulus", lambda v: multiplicative_order(2, v))
+    + [pytest.param(lambda v: multiplicative_order(2, v), 7.0, ValueError,
+                    id="multiplicative_order-modulus-integral-float")]
     + _sequence_args("isomorphic", lambda s: classify.isomorphic(A3, s))
     + _sequence_args("prime_case_isomorphic", lambda s: classify.prime_case_isomorphic(s, A3))
     + _sequence_args("bundle_data", classify.bundle_data)

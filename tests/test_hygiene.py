@@ -3,12 +3,16 @@
 * No ``assert`` statement: asserts vanish under ``python -O``, so they
   cannot serve as runtime checks.
 * Immutability has one home: only ``nadic._Frozen`` defines
-  ``__setattr__``.
+  ``__setattr__``, and no ``object.__setattr__`` call is left in the
+  package; slots are written through ``_Frozen._fill`` or through named
+  setters taken from the ``_setters`` that ``_Frozen`` binds for each
+  slotted class; only ``_Frozen`` defines ``_fill`` (no per-class setter
+  table such as ``_slot_setters`` or ``_BUNDLE_SLOTS``, and no
+  ``Angle._plus``).
 * Value equality has one home: only ``nadic._Value`` defines ``__eq__``
   and ``__hash__``.
 * Group subtraction and the operand check of ``__add__`` have one home:
-  only ``nadic._Value`` defines ``_require_same``, and only it and
-  ``sequences.Angle`` (whose direct form is cheaper) define ``__sub__``.
+  only ``nadic._Value`` defines ``_require_same`` and ``__sub__``.
 * The integer check has one home: ``isinstance(x, bool)`` appears only in
   ``nadic.check_int``, ``nadic.as_fraction`` and the two operators that
   must return NotImplemented, ``Angle.__mul__`` and ``AngleMatrix.__pow__``.
@@ -101,6 +105,23 @@ def test_only_frozen_defines_setattr():
     assert _definitions({"__setattr__"}) == ["nadic._Frozen.__setattr__"]
 
 
+def test_no_object_setattr_call_is_left():
+    found = [
+        "%s.py:%d" % (stem, node.lineno)
+        for stem, tree in TREES.items()
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Attribute)
+        and node.attr == "__setattr__"
+        and getattr(node.value, "id", None) == "object"
+    ]
+    assert found == []
+
+
+def test_slot_writes_have_one_home():
+    names = {"_fill", "_setters", "_slot_setters", "_BUNDLE_SLOTS", "_plus"}
+    assert _definitions(names) == ["nadic._Frozen._fill"]
+
+
 def test_only_value_defines_eq_and_hash():
     assert _definitions({"__eq__", "__hash__"}) == ["nadic._Value.__eq__", "nadic._Value.__hash__"]
 
@@ -109,7 +130,6 @@ def test_only_value_defines_require_same_and_sub():
     assert _definitions({"_require_same", "__sub__"}) == [
         "nadic._Value.__sub__",
         "nadic._Value._require_same",
-        "sequences.Angle.__sub__",
     ]
 
 

@@ -1,7 +1,7 @@
 """The integer forms of the value operations agree with the Fraction formulas.
 
-``QnRational`` addition aligns exponents in integers, ``Angle`` wraps
-by one instead of reducing mod 1, ``psi_phase``, ``prufer_pair``,
+``QnRational`` addition aligns exponents in integers, the ``Angle``
+operators reduce mod 1 by an integer floor, ``psi_phase``, ``prufer_pair``,
 ``mu_cochain`` and ``zeta_cocycle`` read integer residues,
 ``cross_section_carry`` floors one integer quotient, and ``theta_phase``
 and ``bicharacter`` form one numerator over a common denominator.  Each

@@ -2,14 +2,16 @@
 
 Each builder below makes an instance from plain arguments and names the
 identity fields the class compares by, read off the instance here rather
-than through the class's own key.
+than through the class's own key.  The slot writes of every frozen class
+go through ``_Frozen._fill``, which takes exactly one value per slot.
 """
 
 from fractions import Fraction
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
-from ncsolenoid.classify import AngleMatrix, IsoVerdict, bundle_data
+from ncsolenoid.classify import AngleMatrix, BundleData, IsoVerdict, bundle_data
 from ncsolenoid.ktheory import ExtensionElement, GeneratorCochain, KPairElement, as_pair
 from ncsolenoid.multiplier import Symmetrizer
 from ncsolenoid.nadic import NadicInteger, QnRational
@@ -163,3 +165,21 @@ def test_the_other_frozen_classes_compare_by_identity(thirds_2):
     for make in made:
         a = make()
         assert a == a and a != make()
+
+
+@pytest.mark.parametrize("count", [0, 3, 5])
+def test_fill_with_the_wrong_number_of_values_raises(count):
+    with pytest.raises(ValueError):
+        object.__new__(IsoVerdict)._fill(*range(count))
+
+
+def test_each_slotted_class_binds_one_setter_per_slot():
+    for cls in (QnRational, NadicInteger, Angle, AngleSequence, ExtensionElement, KPairElement,
+                Symmetrizer, AngleMatrix, IsoVerdict, BundleData, FuzzReport, GeneratorCochain):
+        assert len(cls._setters) == len(cls.__slots__) > 0
+
+    class Unslotted(NadicInteger):
+        __slots__ = ()
+
+    assert Unslotted._setters is NadicInteger._setters
+    assert Unslotted(3, value=Fraction(1, 2)).at(2) == NadicInteger(3, value=Fraction(1, 2)).at(2)
