@@ -307,7 +307,10 @@ class AngleMatrix(_Value):
 
     Stored as (perm, num, den): the phase of row i is num[i]/den with
     0 <= num[i] < den, and den is the least common denominator of the
-    phases, so equal matrices have equal fields.  A product composes the
+    phases, so equal matrices have equal fields.  ``AngleMatrix(perm,
+    phases)`` and ``_of`` reach that form; the trusted ``_canonical`` keeps
+    fields canonical as built: ``identity``, ``cyclic`` and the u of
+    :func:`bundle_data`.  A product composes the
     permutations and adds numerators; multiplying entries means adding
     angles.  ``@``, ``scaled``, ``==`` and ``hash`` cost O(n) integer
     operations, and so does ``m ** k`` for every k: one walk over the
@@ -332,23 +335,26 @@ class AngleMatrix(_Value):
             raise ValueError("need one phase per row")
         if not all(isinstance(e, Angle) for e in phases):
             raise ValueError("phases must be Angles")
+        # Angles lie in [0, 1) in lowest terms, so over their lcm the fields are canonical
         den = lcm(*(e.value.denominator for e in phases))
-        num = [e.value.numerator * (den // e.value.denominator) for e in phases]
-        self._store(perm, num, den)
+        num = tuple(e.value.numerator * (den // e.value.denominator) for e in phases)
+        self._fill(perm, num, den)
 
-    def _store(self, perm, num, den):
-        """Set the canonical fields: numerators mod den over the least den."""
+    @classmethod
+    def _of(cls, perm, num, den):
+        """Any integer fields, reduced: numerators mod den over the least den."""
         num = [a % den for a in num]
         g = gcd(den, *num)
         if g > 1:
             num = [a // g for a in num]
             den //= g
-        self._fill(tuple(perm), tuple(num), den)
+        return cls._canonical(perm, num, den)
 
     @classmethod
-    def _of(cls, perm, num, den):
+    def _canonical(cls, perm, num, den):
+        """Trusted construction from fields that are canonical as given."""
         m = object.__new__(cls)
-        m._store(perm, num, den)
+        m._fill(tuple(perm), tuple(num), den)
         return m
 
     @property
@@ -372,7 +378,7 @@ class AngleMatrix(_Value):
 
     @classmethod
     def identity(cls, n):
-        return cls._of(range(n), [0] * n, 1)
+        return cls._canonical(range(n), (0,) * n, 1)
 
     @classmethod
     def diagonal(cls, angles):
@@ -382,7 +388,7 @@ class AngleMatrix(_Value):
     @classmethod
     def cyclic(cls, n):
         """The permutation sending basis vector e_{i+1} to e_i (e_0 wraps)."""
-        return cls._of([(i + 1) % n for i in range(n)], [0] * n, 1)
+        return cls._canonical((*range(1, n), 0)[:n], (0,) * n, 1)
 
     def __matmul__(self, other):
         if not isinstance(other, AngleMatrix) or other.size != self.size:
@@ -514,11 +520,12 @@ def bundle_data(alpha):
 
     Writing alpha_0 = p/q in lowest terms, the fibre is the monomial
     pair u = diag(e(j p/q)) and v = the cyclic shift, both q x q, with
-    v u = e(p/q) u v and u**q = v**q = 1; the three relations are
-    checked on the built matrices in O(q) integer operations.  The
-    base is the square of the solenoid at scale N**k, k the
-    multiplicative order of N mod q, the period of alpha.  Raises for
-    aperiodic input and for q > MAX_BUNDLE_Q (2048).
+    v u = e(p/q) u v and u**q = v**q = 1.  Both are built canonical by
+    ``AngleMatrix._canonical`` (u: j p mod q over q, as gcd(p, q) = 1;
+    v: zeros over 1), and the three relations are checked on them in
+    O(q) integer operations.  The base is the square of the solenoid at
+    scale N**k, k the multiplicative order of N mod q, the period of
+    alpha.  Raises for aperiodic input and for q > MAX_BUNDLE_Q (2048).
 
     >>> from .nadic import NadicInteger
     >>> a = AngleSequence(2, Fraction(1, 3), NadicInteger.from_value(Fraction(-1, 3), 2))
@@ -534,7 +541,7 @@ def bundle_data(alpha):
         raise ValueError("bundle data needs q <= %d; this sequence has q = %d" % (MAX_BUNDLE_Q, q))
     k = alpha.period()
     lam = Angle._of(alpha.base)
-    u = AngleMatrix._of(range(q), [j * p for j in range(q)], q)
+    u = AngleMatrix._canonical(range(q), [j * p % q for j in range(q)], q)
     v = AngleMatrix.cyclic(q)
     if not _twisted_commute(v, u, alpha.base):
         raise ValueError("bundle relation v u = lam u v fails")

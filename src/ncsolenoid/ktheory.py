@@ -99,7 +99,7 @@ def _xi(J, x, y):
         return -x.num * J._segment(x.exp, y.exp)
     if y.exp < x.exp:
         return -y.num * J._segment(y.exp, x.exp)
-    s = x + y
+    s = QnRational._of(x.num + y.num, x.exp, J.modulus)  # one exponent: no rescaling
     return s.num * J._segment(s.exp, x.exp)
 
 
@@ -394,11 +394,10 @@ def embedding_matrix(alpha, k):
 
 
 def mat_mul(A, B):
-    """2x2 matrix product over the rationals."""
-    return tuple(
-        tuple(sum(Fraction(A[i][t]) * Fraction(B[t][j]) for t in range(2)) for j in range(2))
-        for i in range(2)
-    )
+    """2x2 matrix product over the rationals, each entry a Fraction."""
+    (a, b), (c, d), (e, f), (g, h) = *A, *B
+    return ((Fraction(a * e + b * g), Fraction(a * f + b * h)),
+            (Fraction(c * e + d * g), Fraction(c * f + d * h)))
 
 
 #: The mirror D = diag(1, -1); U_{k+1} * (D F_k D) == U_k holds exactly.

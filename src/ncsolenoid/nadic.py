@@ -208,21 +208,24 @@ def multiplicative_order(n, m):
 
     m == 1 gives order 1.  Starts from the Carmichael exponent lambda(m),
     which every unit's order divides, and divides out each prime r of it
-    while n**(t/r) == 1 (Cohen, GTM 138, 1.4).
+    while n**(t/r) == 1 (Cohen, GTM 138, 1.4).  Each sorted factor tuple
+    is walked once, equal primes in runs; lambda(2**e) = phi(2**(e-1)), e >= 3.
 
     >>> multiplicative_order(5, 62)
     3
     """
     if gcd(check_int(n, "base"), check_int(m, "modulus", 1)) != 1:
         raise ValueError("%d is not a unit mod %d" % (n, m))
-    t = 1
-    factors = prime_factors(m) if m > 1 else ()
-    for p in set(factors):
-        e = factors.count(p)
-        t = lcm(t, 2 ** (e - 2) if p == 2 and e > 2 else p ** (e - 1) * (p - 1))
-    for r in set(prime_factors(t)) if t > 1 else ():
-        while t % r == 0 and pow(n, t // r, m) == 1:
-            t //= r
+    t, x, last = 1, 1, 0
+    for p in prime_factors(m)[m % 8 == 0 :] if m > 1 else ():  # one 2 fewer when 8 | m
+        x = x * p if p == last else p - 1  # phi(p**k) at the k-th p of a run
+        t, last = lcm(t, x), p
+    last = 0
+    for r in prime_factors(t) if t > 1 else ():
+        if r != last:
+            last = r
+            while t % r == 0 and pow(n, t // r, m) == 1:
+                t //= r
     return t
 
 

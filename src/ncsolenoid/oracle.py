@@ -1,11 +1,13 @@
 """Brute-force verifiers for the closed-form results.
 
-Every decision procedure in this package has an independent check
-here.  The oracles work from raw definitions (term values, digit
-streams, matrix images) and never call the decision procedure they
-validate; they may use the definitional formulas (the multiplier, the
-cocycle, the stage matrices) as inputs, because those are the objects
-under test, not the answers.
+The oracles work from raw definitions (term values, digit streams,
+matrix images) and never call the decision procedure they validate;
+they may use the definitional formulas (the multiplier, the cocycle,
+the stage matrices) as inputs, because those are the objects under
+test, not the answers.  Two procedures have no independent check here
+yet (ROADMAP item 6): ``classify.replay_witness`` re-runs ``_move``, the
+move that made the witness, and ``classify.bundle_data`` checks its own
+relations v u = lam u v and u**q = v**q = 1 on the matrices it built.
 
 The oracles compute in integers.  ``colimit_report`` holds each point
 of Q x Q_N as an integer pair over the one denominator N**(2 * depth),
@@ -195,27 +197,26 @@ def colimit_report(alpha, depth=6, num_window=24, int_window=6):
     stage_points = set()
     for k in range(depth + 1):
         r_k = r_digit(alpha, k) if k < depth else None
-        row = []  # per p, all that z does not change
+        row, faulty = [], []  # per p, the image and the tests: A - BJ = z M, so z drops out
         for p in range(-num_window * N, num_window * N + 1):
             BJ, B = image(k, p)
+            row.append((BJ, B))
             level = 0  # membership reads J at the least level with N**level * B / M integral
             while B * P[level] % M:
                 level += 1
-            nested = None
-            if k < depth:  # (z, p) -> (z - p r_k, N**2 p) at stage k + 1
-                A1, B1 = image(k + 1, P[2] * p)
-                nested = (A1 - p * r_k * M, B1)
-            row.append((p, B, BJ, B * J[level], nested))
+            missed = (BJ - B * J[level]) % M != 0
+            # nesting: (z, p) -> (z - p r_k, N**2 p) has the same image at stage k + 1
+            unnested = k < depth and image(k + 1, P[2] * p) != (BJ + p * r_k * M, B)
+            if missed or unnested:
+                faulty.append((p, missed, unnested))
+        checks += len(zs) * len(row)
         for z in zs:
             zM = z * M
-            for p, B, BJ, BJ_level, nested in row:
-                A = zM + BJ
-                checks += 1
-                if (A - BJ_level) % M:
+            stage_points.update([(zM + BJ, B) for BJ, B in row])
+            for p, missed, unnested in faulty:  # one message per z, as if tested per point
+                if missed:
                     failures.append("stage %d point (%d, %d) misses K0" % (k, z, p))
-                stage_points.add((A, B))
-                # nesting: the same image recurs one stage later
-                if nested is not None and (zM + nested[0] != A or nested[1] != B):
+                if unnested:
                     failures.append("stage %d point (%d, %d) not nested" % (k, z, p))
 
     covered = 0

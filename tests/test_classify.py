@@ -682,10 +682,10 @@ def test_power_is_one_matches_the_operators(pair):
     assert _power_is_one(m, e) == (m ** e == AngleMatrix.identity(m.size))
 
 
-def _patch_of(monkeypatch, hook):
-    """Route every AngleMatrix._of(perm, num, den) through hook, which returns the arguments."""
-    real = AngleMatrix._of.__func__
-    monkeypatch.setattr(AngleMatrix, "_of", classmethod(lambda cls, *args: real(cls, *hook(*args))))
+def _patch_of(monkeypatch, hook, name="_of"):
+    """Route every AngleMatrix.<name>(perm, num, den) through hook, which returns the arguments."""
+    real = getattr(AngleMatrix, name).__func__
+    monkeypatch.setattr(AngleMatrix, name, classmethod(lambda cls, *args: real(cls, *hook(*args))))
 
 
 @pytest.mark.parametrize("m", [0, 1, 7, 10**18])
@@ -747,7 +747,8 @@ def test_bundle_frozen_small(thirds_2):
 
 
 def _skew_first_build(monkeypatch, skew):
-    """Send the first matrix AngleMatrix._of builds, bundle_data's u, through skew."""
+    """Send the first matrix the trusted AngleMatrix._canonical builds, bundle_data's u,
+    through skew."""
     first = [True]
 
     def hook(perm, num, den):
@@ -756,7 +757,7 @@ def _skew_first_build(monkeypatch, skew):
             return skew(list(perm), list(num), den)
         return perm, num, den
 
-    _patch_of(monkeypatch, hook)
+    _patch_of(monkeypatch, hook, "_canonical")
 
 
 def _cyclic_with_phase(n):
@@ -764,6 +765,28 @@ def _cyclic_with_phase(n):
     return AngleMatrix(
         [(i + 1) % n for i in range(n)], [Angle(Fraction(1, 2 * n))] + [Angle(0)] * (n - 1)
     )
+
+
+#: (q, p) with 1 <= q <= 300 and p a unit mod q, the head p/q of a periodic element.
+heads = st.integers(1, 300).flatmap(
+    lambda q: st.tuples(st.just(q), st.integers(0, q - 1).filter(lambda p: math.gcd(p, q) == 1))
+)
+
+
+@given(heads)
+@example((1, 0))
+def test_trusted_builds_equal_the_checked_constructor(pair):
+    q, p = pair
+    N = next(n for n in (2, 3, 5, 7, 11) if q % n)
+    head = Fraction(p, q)
+    data = bundle_data(AngleSequence(N, head, NadicInteger.from_value(-head, N)))
+    cyclic = AngleMatrix([(i + 1) % q for i in range(q)], [Angle(0)] * q)
+    assert data.u == AngleMatrix(range(q), [Angle(j * head) for j in range(q)])
+    assert data.v == AngleMatrix.cyclic(q) == cyclic
+    assert AngleMatrix.identity(q) == AngleMatrix(range(q), [Angle(0)] * q)
+    for m in (data.u, data.v):  # canonical: numerators below den, den the least
+        assert all(0 <= a < m.den for a in m.num) and math.gcd(m.den, *m.num) == 1
+    assert AngleMatrix.identity(0) == AngleMatrix.cyclic(0) == AngleMatrix([], [])
 
 
 def test_bundle_relation_checks_fire_on_the_built_matrices(monkeypatch, fifths_2):

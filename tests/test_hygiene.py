@@ -24,9 +24,9 @@
   ``from_json``.
 * The carrier type check has one home: ``isinstance(x, NadicInteger)``
   appears only in ``nadic.check_carrier``.
-* The trusted constructors ``_of``, the trusted residue reads
-  ``NadicInteger._at`` and ``NadicInteger._segment``, the cores
-  ``ktheory._xi``, ``_zeta``, ``_prufer``, ``_mu`` and
+* The trusted constructors ``_of`` and ``AngleMatrix._canonical``, the
+  trusted residue reads ``NadicInteger._at`` and ``NadicInteger._segment``,
+  the cores ``ktheory._xi``, ``_zeta``, ``_prufer``, ``_mu`` and
   ``GeneratorCochain._eval``, the integer cores ``multiplier._psi_frac``,
   ``_theta_frac`` and ``_bichar_frac``, and the isomorphism search
   ``classify._search`` skip the argument checks, so they never run on
@@ -195,8 +195,8 @@ def test_only_check_carrier_tests_for_a_carrier():
     assert _isinstance_scopes("NadicInteger") == ["nadic.check_carrier"]
 
 
-UNCHECKED = ("_of", "_at", "_segment", "_xi", "_zeta", "_prufer", "_mu", "_eval",
-             "_psi_frac", "_theta_frac", "_bichar_frac", "_search")
+UNCHECKED = ("_of", "_canonical", "_at", "_segment", "_xi", "_zeta", "_prufer", "_mu",
+             "_eval", "_psi_frac", "_theta_frac", "_bichar_frac", "_search")
 
 
 def test_trusted_constructors_stay_off_user_input():

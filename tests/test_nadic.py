@@ -5,7 +5,7 @@ from fractions import Fraction
 from math import gcd, isqrt, prod
 
 import pytest
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from ncsolenoid.codec import carrier_from_file
 from ncsolenoid.nadic import (
@@ -104,6 +104,13 @@ def test_multiplicative_order_has_no_cap():
 
 
 @given(st.integers(min_value=1, max_value=2000), st.integers(min_value=1, max_value=2000))
+# lambda(2**e) = 2**(e-2) for e >= 3, and repeated primes; each n has order lambda(m)
+@example(3, 8)
+@example(3, 16)
+@example(9, 16)  # order 2 < lambda(16): the walk over the factors of t must start afresh
+@example(3, 2**11)
+@example(5, 96)
+@example(5, 162)
 def test_multiplicative_order_matches_power_stepping(n, m):
     assume(gcd(n, m) == 1)
     t, acc = 1, n % m
