@@ -146,6 +146,10 @@ def cmd_selftest(args):
     )
     reports.append({"kind": "coboundary", "passed": agree})
 
+    thirds = AngleSequence(2, Fraction(1, 3), NadicInteger.from_value(Fraction(-1, 3), 2))
+    failed = oracle.bundle_check(thirds, classify.bundle_data(thirds))
+    reports.append({"kind": "bundle", "passed": not failed})
+
     for r in reports:
         print("selftest %s: %s" % (r["kind"], "ok" if r["passed"] else "FAIL"), file=sys.stderr)
     passed = all(r["passed"] for r in reports)

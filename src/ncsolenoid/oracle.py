@@ -4,10 +4,9 @@ The oracles work from raw definitions (term values, digit streams,
 matrix images) and never call the decision procedure they validate;
 they may use the definitional formulas (the multiplier, the cocycle,
 the stage matrices) as inputs, because those are the objects under
-test, not the answers.  Two procedures have no independent check here
-yet (ROADMAP item 6): ``classify.replay_witness`` re-runs ``_move``, the
-move that made the witness, and ``classify.bundle_data`` checks its own
-relations v u = lam u v and u**q = v**q = 1 on the matrices it built.
+test, not the answers, and import nothing from ``classify``.  Only
+``classify.replay_witness`` has no independent check here yet (ROADMAP
+item 6): it re-runs ``_move``, the move that made the witness.
 
 The oracles compute in integers.  ``colimit_report`` holds each point
 of Q x Q_N as an integer pair over the one denominator N**(2 * depth),
@@ -33,6 +32,7 @@ from __future__ import annotations
 
 import random
 from fractions import Fraction
+from functools import reduce
 from math import lcm
 
 from .ktheory import (
@@ -51,7 +51,7 @@ from .ktheory import (
 )
 from .multiplier import _bichar_frac, _psi_frac, _theta_frac
 from .nadic import QnRational, _below, _Frozen, _sampler, check_carrier, check_int
-from .sequences import AngleSequence, check_sequence
+from .sequences import Angle, AngleSequence, check_sequence
 
 DEFAULT_SEED = 20260817
 
@@ -397,3 +397,47 @@ def coboundary_solve(J, R, seed=DEFAULT_SEED):
         if coboundary(psi._eval, x, y) != want:
             return None
     return psi
+
+
+def _phases(rows, q):
+    """(column, phase) of each row of dense q x q rows with one phase per row, else None."""
+    cells = [[(j, e.value) for j, e in enumerate(row) if e is not None] for row in rows]
+    shaped = len(rows) == q and all(len(row) == q and len(c) == 1 for row, c in zip(rows, cells))
+    return [c[0] for c in cells] if shaped else None
+
+
+def _compose(a, b, den, c=0):
+    """e(c/den) a b on rows (column, numerator over den): row i takes row a_i's column of b."""
+    return [(b[j][0], (x + b[j][1] + c) % den) for j, x in a]
+
+
+def bundle_check(alpha, data):
+    """The relations that fail on the bundle data of alpha; [] when all hold.
+
+    u and v are read only through their dense ``rows``.  Products are composed
+    row by row on phase numerators over one denominator, q of them per power;
+    q = den(alpha_0), lam = e(alpha_0) and the least k are read from ``value``.
+    """
+    check_sequence(alpha)
+    head = alpha.value(0)
+    q = head.denominator
+    k = next((k for k in range(1, q + 1) if alpha.value(k) == head), None)
+    u, v = _phases(data.u.rows, q), _phases(data.v.rows, q)
+    failed = [fault for fault, holds in (
+        ("p/q is not alpha_0 in lowest terms", (data.p, data.q) == (head.numerator, q)),
+        ("lam is not e(alpha_0)", data.lam == Angle._of(head)),
+        ("k is not the least k >= 1 with alpha_k = alpha_0", data.k == k),
+        ("u is not q x q with one phase per row", u is not None),
+        ("v is not q x q with one phase per row", v is not None),
+    ) if not holds]
+    if u is None or v is None:
+        return failed
+    den = lcm(q, *(x.denominator for _, x in u + v))
+    u, v = ([(j, x.numerator * (den // x.denominator)) for j, x in m] for m in (u, v))
+    if _compose(v, u, den) != _compose(u, v, den, head.numerator * (den // q)):
+        failed.append("v u = lam u v fails")
+    one = [(i, 0) for i in range(q)]
+    for name, m in (("u", u), ("v", v)):
+        if reduce(lambda power, _: _compose(power, m, den), range(q), one) != one:
+            failed.append("%s**q = 1 fails" % name)
+    return failed

@@ -1,3 +1,4 @@
+import json
 import math
 import random
 import time
@@ -10,20 +11,20 @@ from ncsolenoid import classify, nadic, sequences
 from ncsolenoid.classify import (
     AngleMatrix,
     IsoVerdict,
-    _move,
     MAX_BUNDLE_Q,
-    _power_is_one,
+    _move,
     _prime_to,
     _proper_divisors,
     _search,
-    _twisted_commute,
     bundle_data,
     isomorphic,
     prime_case_isomorphic,
     replay_witness,
 )
+from ncsolenoid.cli import main
 from ncsolenoid.multiplier import classify_type, is_simple, symmetrizer, theta_phase
 from ncsolenoid.nadic import NadicInteger, QnRational, format_fraction, prime_factors
+from ncsolenoid.oracle import bundle_check
 from ncsolenoid.sequences import Angle, AngleSequence
 
 
@@ -104,15 +105,15 @@ def test_identical_inputs_answer_with_the_witness_of_the_search(seq, bound):
 def test_moves_agree_with_shift_negation_and_the_block_rule(seq, q, data):
     n = seq.modulus
     d = data.draw(st.sampled_from(_proper_divisors(prime_factors(n))))
-    assert _move(_pair(seq), n, q, 1, 1) == _pair(seq.shift(q))
-    assert _move(_pair(seq), n, 0, 1, -1) == _pair(-seq)
-    blocked = _from_pair(_move(_pair(seq), n, 0, d, 1), n)
+    assert _move(_pair(seq), n**q, 1) == _pair(seq.shift(q))
+    assert _move(_pair(seq), 1, -1) == _pair(-seq)
+    blocked = _from_pair(_move(_pair(seq), d, 1), n)
     for k in range(8):
         assert blocked.value(k) == (seq.value(k) + seq.digit(k) % d) / d
-    # one call applies the shift, then the block, then the sign
+    # one division by n**q * d is the shift, then the block; the sign comes last
     for sign in (1, -1):
-        moved = _move(_move(_pair(seq), n, q, 1, 1), n, 0, d, 1)
-        assert _move(_pair(seq), n, q, d, sign) == _move(moved, n, 0, 1, sign)
+        moved = _move(_move(_pair(seq), n**q, 1), d, 1)
+        assert _move(_pair(seq), n**q * d, sign) == _move(moved, 1, sign)
 
 
 @given(exact_sequences(), st.data())
@@ -499,6 +500,61 @@ def test_isomorphic_never_answers_no_on_unit_related_periodic_pairs(pair):
     assert not isomorphic(a, b).is_no
 
 
+def _unit_image(seq, u):
+    """u * seq for a unit u of Z[1/N], renormalised here rather than by the search's moves.
+
+    Start from (u h, u w); write u w = a/(b s) with s the N-smooth part of its
+    denominator, and move t/s, t = a b**-1 mod s, into the head; then move the
+    integer part of the head into the carrier.  h + w is multiplied by u.
+    """
+    n = seq.modulus
+    h, w = u * seq.base, u * seq.carrier.value
+    b, s = w.denominator, 1
+    while math.gcd(b, n) > 1:
+        g = math.gcd(b, n)
+        b, s = b // g, s * g
+    t = Fraction(w.numerator * pow(b, -1, s) % s, s)
+    h, w = h + t, w - t
+    whole = math.floor(h)
+    return AngleSequence(n, h - whole, NadicInteger.from_value(w + whole, n))
+
+
+@st.composite
+def unit_orbit_pairs(draw):
+    """(alpha, u * alpha): alpha exact, periodic or not, and u = +-prod p**e, p | N, |e| <= 3."""
+    alpha = draw(exact_sequences())
+    u = Fraction(draw(st.sampled_from([1, -1])))
+    for p in set(prime_factors(alpha.modulus)):
+        u *= Fraction(p) ** draw(st.integers(-3, 3))
+    return alpha, _unit_image(alpha, u)
+
+
+@given(exact_sequences(), st.integers(0, 6))
+def test_the_unit_image_of_a_shift_or_a_sign_is_that_move(seq, q):
+    assert _unit_image(seq, Fraction(1, seq.modulus**q)) == seq.shift(q)
+    assert _unit_image(seq, Fraction(-1)) == -seq
+
+
+@given(unit_orbit_pairs())
+def test_invariants_agree_along_a_unit_orbit(pair):
+    a, b = pair
+    for invariant in (is_simple, classify_type, symmetrizer, AngleSequence.period):
+        assert invariant(a) == invariant(b)
+    if a.period() is not None:
+        da, db = bundle_data(a), bundle_data(b)
+        assert (da.q, da.k) == (db.q, db.k)
+
+
+@given(unit_orbit_pairs().filter(lambda pair: pair[0].period() is None))
+def test_isomorphic_never_answers_no_on_aperiodic_unit_orbits(pair):
+    assert not isomorphic(*pair).is_no
+
+
+def test_the_unit_eight_at_scale_12_answers_unknown():
+    a = AngleSequence.constant(12, Fraction(1, 13))
+    assert isomorphic(a, _unit_image(a, Fraction(8))).is_unknown
+
+
 # ---------------------------------------------------------------- angle matrices
 
 
@@ -611,85 +667,9 @@ def test_power_matches_repeated_products(pair):
     assert got.rows == _dense_power(x.rows, m)
 
 
-dens = st.sampled_from((1, 2, 3, 6, 7, 12))
-phases = dens.flatmap(lambda d: st.builds(Fraction, st.integers(0, d - 1), st.just(d)))
-
-
-@st.composite
-def phased_matrices(draw, size):
-    """Monomial matrices of the given size with phases k/den, one den from ``dens``."""
-    perm = draw(st.permutations(range(size)))
-    den = draw(dens)
-    return AngleMatrix(perm, [Angle(Fraction(draw(st.integers(0, den - 1)), den)) for _ in range(size)])
-
-
-@st.composite
-def twisted_triples(draw):
-    """(m, n, phase): a random pair, or n = a power of m times a phase, so that the
-    relation m @ n == (n @ m).scaled(phase) holds in some draws and fails in others."""
-    size = draw(sizes)
-    m = draw(phased_matrices(size))
-    if draw(st.booleans()):
-        n = draw(phased_matrices(size))
-    else:
-        n = (m ** draw(st.integers(0, size))).scaled(Angle(draw(phases)))
-    return m, n, draw(st.one_of(st.just(Fraction(0)), phases))
-
-
-#: v, u and lam of the bundle at q = 6, p = 1, and the same u with one row off.
-BUNDLE_6 = (AngleMatrix.cyclic(6), AngleMatrix._of(range(6), range(6), 6), Fraction(1, 6))
-SKEWED_U_6 = AngleMatrix._of(range(6), [1, 1, 2, 3, 4, 5], 6)
-
-
-@given(twisted_triples())
-@example(BUNDLE_6)
-@example((BUNDLE_6[0], SKEWED_U_6, BUNDLE_6[2]))  # columns agree, one phase does not
-@example((BUNDLE_6[0], AngleMatrix._of([1, 0, 2, 3, 4, 5], [0] * 6, 1), Fraction(0)))  # columns differ
-def test_twisted_commute_matches_the_operators(triple):
-    m, n, phase = triple
-    assert _twisted_commute(m, n, phase) == (m @ n == (n @ m).scaled(Angle(phase)))
-
-
-def _order(perm):
-    """The order of a permutation: the lcm of its cycle lengths."""
-    seen, out = set(), 1
-    for start in range(len(perm)):
-        length, i = 0, start
-        while i not in seen:
-            seen.add(i)
-            length, i = length + 1, perm[i]
-        out = math.lcm(out, length or 1)
-    return out
-
-
-@st.composite
-def matrix_exponents(draw):
-    """(m, e): e any small exponent, so cycle lengths often fail to divide it, or a
-    multiple of the order of m.perm, so that only the phase sums decide."""
-    size = draw(sizes)
-    m = draw(phased_matrices(size))
-    e = draw(st.one_of(st.integers(0, 3 * size + 2),
-                       st.integers(1, 13).map(lambda c: c * _order(m.perm))))
-    return m, e
-
-
-@given(matrix_exponents())
-@example((AngleMatrix.cyclic(3), 2))  # phase sum 0, but the length 3 does not divide 2
-@example((CYCLE_AND_FIXED, 12))  # lengths divide 12, but 4 * 13/12 is not an integer
-@example((CYCLE_AND_FIXED, 36))  # the identity
-def test_power_is_one_matches_the_operators(pair):
-    m, e = pair
-    assert _power_is_one(m, e) == (m ** e == AngleMatrix.identity(m.size))
-
-
-def _patch_of(monkeypatch, hook, name="_of"):
-    """Route every AngleMatrix.<name>(perm, num, den) through hook, which returns the arguments."""
-    real = getattr(AngleMatrix, name).__func__
-    monkeypatch.setattr(AngleMatrix, name, classmethod(lambda cls, *args: real(cls, *hook(*args))))
-
-
 @pytest.mark.parametrize("m", [0, 1, 7, 10**18])
-def test_power_builds_one_matrix_whatever_the_exponent(monkeypatch, m):
+def test_power_builds_one_matrix_whatever_the_exponent(m):
+    # the closed forms of the powers of u, v and a random w at q = 1009, up to m = 10**18
     q = 1009
     u = AngleMatrix._of(range(q), [5 * j for j in range(q)], q)
     v = AngleMatrix.cyclic(q)
@@ -697,17 +677,10 @@ def test_power_builds_one_matrix_whatever_the_exponent(monkeypatch, m):
     perm = list(range(q))
     rng.shuffle(perm)
     w = AngleMatrix._of(perm, [rng.randrange(q) for _ in range(q)], q)
-    calls = []
-    _patch_of(monkeypatch, lambda *args: calls.append(args) or args)
-    powers = []
-    for x in (u, v, w):
-        powers.append(x**m)
-        assert len(calls) == len(powers)
-    monkeypatch.undo()
-    assert powers[0] == AngleMatrix._of(range(q), [5 * j * m for j in range(q)], q)
-    assert powers[1] == AngleMatrix._of([(i + m) % q for i in range(q)], [0] * q, 1)
+    assert u**m == AngleMatrix._of(range(q), [5 * j * m for j in range(q)], q)
+    assert v**m == AngleMatrix._of([(i + m) % q for i in range(q)], [0] * q, 1)
     if m < 10:  # the large exponent is pinned in closed form below
-        assert powers[2] == _power_by_products(w, m)
+        assert w**m == _power_by_products(w, m)
 
 
 def test_power_at_a_large_exponent_reduces_by_the_cycle_sums():
@@ -746,25 +719,30 @@ def test_bundle_frozen_small(thirds_2):
     assert data.v**3 == AngleMatrix.identity(3)
 
 
-def _skew_first_build(monkeypatch, skew):
-    """Send the first matrix the trusted AngleMatrix._canonical builds, bundle_data's u,
-    through skew."""
-    first = [True]
+def _skew_first_build(skew):
+    """A patch that sends the first matrix the trusted AngleMatrix._canonical builds,
+    bundle_data's u, through skew."""
 
-    def hook(perm, num, den):
-        if first:
-            first.pop()
-            return skew(list(perm), list(num), den)
-        return perm, num, den
+    def patch(monkeypatch):
+        real, first = AngleMatrix._canonical.__func__, [True]
 
-    _patch_of(monkeypatch, hook, "_canonical")
+        def canonical(cls, perm, num, den):
+            if first:
+                first.pop()
+                perm, num, den = skew(list(perm), list(num), den)
+            return real(cls, perm, num, den)
+
+        monkeypatch.setattr(AngleMatrix, "_canonical", classmethod(canonical))
+
+    return patch
 
 
-def _cyclic_with_phase(n):
-    """The cyclic shift with phase 1/(2n) on row 0: (this v)**n = e(1/(2n)), not 1."""
-    return AngleMatrix(
+def _phase_the_cyclic(monkeypatch):
+    """Give AngleMatrix.cyclic(n) phase 1/(2n) on row 0: its n-th power is e(1/(2n)), not 1."""
+    phased = lambda cls, n: AngleMatrix(
         [(i + 1) % n for i in range(n)], [Angle(Fraction(1, 2 * n))] + [Angle(0)] * (n - 1)
     )
+    monkeypatch.setattr(AngleMatrix, "cyclic", classmethod(phased))
 
 
 #: (q, p) with 1 <= q <= 300 and p a unit mod q, the head p/q of a periodic element.
@@ -789,23 +767,31 @@ def test_trusted_builds_equal_the_checked_constructor(pair):
     assert AngleMatrix.identity(0) == AngleMatrix.cyclic(0) == AngleMatrix([], [])
 
 
-def test_bundle_relation_checks_fire_on_the_built_matrices(monkeypatch, fifths_2):
+#: Faults in the built matrices, as (patch, the one relation it breaks).
+BUNDLE_FAULTS = [
     # one wrong phase on row 0 of u: u_1 - u_0 is no longer p/q
-    _skew_first_build(monkeypatch, lambda perm, num, den: (perm, [num[0] + 1] + num[1:], den))
-    with pytest.raises(ValueError, match="v u = lam u v"):
-        bundle_data(fifths_2)
-    monkeypatch.undo()
+    (_skew_first_build(lambda perm, num, den: (perm, [num[0] + 1] + num[1:], den)),
+     "v u = lam u v fails"),
     # u times the global phase 1/q**2 keeps v u = lam u v, and u**q = e(1/q)
-    _skew_first_build(monkeypatch, lambda perm, num, den: (perm, [a * den + 1 for a in num], den**2))
-    with pytest.raises(ValueError, match=r"u\*\*q = 1"):
-        bundle_data(fifths_2)
-    monkeypatch.undo()
+    (_skew_first_build(lambda perm, num, den: (perm, [a * den + 1 for a in num], den**2)),
+     "u**q = 1 fails"),
     # v u = lam u v does not read the phases of v
-    monkeypatch.setattr(AngleMatrix, "cyclic", classmethod(lambda cls, n: _cyclic_with_phase(n)))
-    with pytest.raises(ValueError, match=r"v\*\*q = 1"):
-        bundle_data(fifths_2)
-    monkeypatch.undo()
+    (_phase_the_cyclic, "v**q = 1 fails"),
+]
+
+
+def test_bundle_relation_checks_fire_on_the_built_matrices(monkeypatch, capsys, fifths_2):
+    for fault, relation in BUNDLE_FAULTS:
+        fault(monkeypatch)
+        assert bundle_check(fifths_2, bundle_data(fifths_2)) == [relation]
+        monkeypatch.undo()
+        fault(monkeypatch)
+        assert main(["selftest"]) == 1
+        monkeypatch.undo()
+        reports = json.loads(capsys.readouterr().out)["reports"]
+        assert [r["kind"] for r in reports if not r["passed"]] == ["bundle"]
     data = bundle_data(fifths_2)
+    assert bundle_check(fifths_2, data) == []
     assert data.u**data.q == data.v**data.q == AngleMatrix.identity(data.q)
 
 

@@ -305,16 +305,26 @@ SELFTEST_PIN_SEEDS = (
 )
 
 
+#: The bundle row's report and stderr line, the last row of every selftest.
+BUNDLE_ROW = (', {"kind": "bundle", "passed": true}]}', "selftest bundle: ok\n")
+
+
 def test_selftest_output_is_pinned_at_33_seeds(capsys):
     # one digest over stdout, stderr and exit code: a faster draw or formula path
-    # must draw the same points and report the same checks at every seed
-    digest = hashlib.sha256()
+    # must draw the same points and report the same checks at every seed; without
+    # the bundle row, the output is the one pinned before that row was added
+    digest, without = hashlib.sha256(), hashlib.sha256()
     for seed in SELFTEST_PIN_SEEDS:
         code = main(["selftest", "--seed", str(seed)])
         captured = capsys.readouterr()
-        digest.update(b"%d\0%d\0" % (seed, code))
-        digest.update(captured.out.encode() + b"\0" + captured.err.encode() + b"\0")
-    assert digest.hexdigest() == "1d2c1f051f7bd2c474f57f324804b54df314de7598d2fc9bc60a0b5d91052f62"
+        out, err = captured.out, captured.err
+        assert out.endswith(BUNDLE_ROW[0] + "\n") and err.endswith(BUNDLE_ROW[1])
+        stripped = out.replace(BUNDLE_ROW[0], "]}"), err[: -len(BUNDLE_ROW[1])]
+        for d, (o, e) in ((digest, (out, err)), (without, stripped)):
+            d.update(b"%d\0%d\0" % (seed, code))
+            d.update(o.encode() + b"\0" + e.encode() + b"\0")
+    assert without.hexdigest() == "1d2c1f051f7bd2c474f57f324804b54df314de7598d2fc9bc60a0b5d91052f62"
+    assert digest.hexdigest() == "e1ab8ff5331ec27e22e88151ff0f01f2f0068aaabdba1c3d0a6ef3df42669117"
 
 
 @pytest.mark.parametrize(

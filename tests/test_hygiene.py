@@ -43,6 +43,14 @@
 * Seeded draws have one home: no ``randrange``, ``randint`` or
   ``choice`` call is left in the package; ``nadic._below`` draws with
   ``getrandbits``.
+* Certificates are checked apart from their producers: ``oracle``
+  imports nothing from ``classify``, and ``oracle.bundle_check`` reads
+  the bundle unitaries only through their dense ``rows`` (no ``perm``,
+  ``num``, ``den`` or ``scaled``, no ``@`` or ``**``).
+* ``bundle_data`` builds and does not check: the relation helpers
+  ``_twisted_commute`` and ``_power_is_one`` and the "bundle relation"
+  raises are gone, and ``AngleMatrix.__pow__`` multiplies through ``@``
+  without reading the fields.
 * Every name in ``ncsolenoid.__all__`` resolves.
 * ``import ncsolenoid`` loads neither ``dataclasses`` nor ``typing``
   (the start-up cost of the CLI and of every library user).
@@ -250,6 +258,54 @@ def test_seeded_draws_have_one_home():
         in ("randrange", "randint", "choice")
     ]
     assert found == []
+
+
+def test_oracle_imports_nothing_from_classify():
+    found = [
+        "oracle.py:%d" % node.lineno
+        for node in ast.walk(TREES["oracle"])
+        if (isinstance(node, ast.ImportFrom) and "classify" in (node.module or ""))
+        or (isinstance(node, ast.Import) and any("classify" in a.name for a in node.names))
+    ]
+    assert found == []
+
+
+def _function(dotted):
+    """The def node at a dotted path, e.g. classify.AngleMatrix.__pow__."""
+    stem = dotted.split(".")[0]
+    return next(
+        node
+        for node, scope in _scoped_nodes(TREES[stem], stem)
+        if isinstance(node, ast.FunctionDef) and "%s.%s" % (scope, node.name) == dotted
+    )
+
+
+def _matrix_reads(node):
+    """The matrix fields and methods read, and the @ and ** operators used, below node."""
+    found = set()
+    for n in ast.walk(node):
+        if isinstance(n, ast.Attribute) and n.attr in ("perm", "num", "den", "scaled"):
+            found.add(n.attr)
+        elif isinstance(n, (ast.BinOp, ast.AugAssign)) and isinstance(n.op, (ast.MatMult, ast.Pow)):
+            found.add(type(n.op).__name__)
+    return sorted(found)
+
+
+def test_bundle_check_reads_only_the_dense_rows():
+    for name in ("bundle_check", "_phases", "_compose"):
+        assert _matrix_reads(_function("oracle." + name)) == []
+
+
+def test_bundle_data_builds_and_does_not_check():
+    assert _definitions({"_twisted_commute", "_power_is_one"}) == []
+    raises = [
+        "%s.py:%d" % (stem, node.lineno)
+        for stem, tree in TREES.items()
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Raise) and "bundle relation" in ast.unparse(node)
+    ]
+    assert raises == []
+    assert _matrix_reads(_function("classify.AngleMatrix.__pow__")) == ["MatMult"]
 
 
 def test_every_exported_name_resolves():

@@ -4,11 +4,15 @@ import io
 import random
 import sys
 from fractions import Fraction
+from math import gcd
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
+from hypothesis import example, given, strategies as st
 
 from ncsolenoid import nadic
+from ncsolenoid.classify import AngleMatrix, BundleData, bundle_data
 from ncsolenoid.cli import main
 from ncsolenoid.ktheory import cohomologous, embedding_matrix, xi_cocycle, zeta_cocycle
 from ncsolenoid.multiplier import bicharacter, theta_phase
@@ -18,13 +22,14 @@ from ncsolenoid.oracle import (
     FuzzReport,
     _sampler,
     brute_symmetrizer,
+    bundle_check,
     coboundary_solve,
     cocycle_fuzz,
     colimit_compare,
     colimit_report,
     sample_qn,
 )
-from ncsolenoid.sequences import AngleSequence
+from ncsolenoid.sequences import Angle, AngleSequence
 
 
 def test_fuzz_report_shape():
@@ -67,7 +72,8 @@ def test_the_fuzz_draws_are_pinned():
 def test_selftest_checks_its_arguments_once():
     # the fuzzes and replay loops call the unchecked cores on points they drew
     # themselves; the public checks run on what selftest builds, about 3,700
-    # check_point calls per selftest before the cores
+    # check_point calls per selftest before the cores; the bundle row's element
+    # is the eighth checked carrier
     names = {nadic.check_point.__code__: "check_point", nadic.check_carrier.__code__: "check_carrier"}
     counts = dict.fromkeys(names.values(), 0)
 
@@ -84,7 +90,7 @@ def test_selftest_checks_its_arguments_once():
             sys.setprofile(previous)
     golden = Path(__file__).parent / "golden" / "expected" / "selftest_seed_7.out"
     assert (code, out.getvalue()) == (0, golden.read_text())
-    assert counts == {"check_point": 2, "check_carrier": 7}
+    assert counts == {"check_point": 2, "check_carrier": 8}
 
 
 # ---------------------------------------------------------------- symmetrizer
@@ -219,6 +225,50 @@ def test_coboundary_solve_random_integer_pairs():
         a, b = rng.randint(-15, 15), rng.randint(-15, 15)
         psi = coboundary_solve(NadicInteger.iota(a, 5), NadicInteger.iota(b, 5))
         assert psi is not None and psi.psi1() == b - a
+
+
+# ---------------------------------------------------------------- bundle check
+
+
+#: (q, p) with 1 <= q <= 40 and p a unit mod q, the head p/q of a periodic element.
+small_heads = st.integers(1, 40).flatmap(
+    lambda q: st.tuples(st.just(q), st.integers(0, q - 1).filter(lambda p: gcd(p, q) == 1))
+)
+
+
+@given(small_heads)
+@example((1, 0))
+def test_bundle_check_passes_what_bundle_data_builds(pair):
+    q, p = pair
+    N = next(n for n in (2, 3, 5, 7) if q % n)
+    head = Fraction(p, q)
+    alpha = AngleSequence(N, head, NadicInteger.from_value(-head, N))
+    assert bundle_check(alpha, bundle_data(alpha)) == []
+
+
+def _forged(data, **fields):
+    """A hand-built BundleData: the fields of data, some replaced."""
+    names = ("modulus", "q", "p", "k", "lam", "u", "v", "base_label")
+    return BundleData(*(fields.get(name, getattr(data, name)) for name in names))
+
+
+def test_bundle_check_names_each_wrong_field(thirds_2):
+    data = bundle_data(thirds_2)
+    two_phases = SimpleNamespace(rows=((Angle(0), Angle(0), None),) + data.u.rows[1:])
+    wide = SimpleNamespace(rows=tuple(row + (None,) for row in data.u.rows))  # 3 x 4
+    for fields, failure in [
+        ({"k": 1}, "k is not the least k >= 1 with alpha_k = alpha_0"),
+        ({"k": 4}, "k is not the least k >= 1 with alpha_k = alpha_0"),  # a period, not the least
+        ({"lam": Angle(Fraction(2, 3))}, "lam is not e(alpha_0)"),
+        ({"q": 4}, "p/q is not alpha_0 in lowest terms"),
+        ({"u": two_phases}, "u is not q x q with one phase per row"),
+        ({"u": wide}, "u is not q x q with one phase per row"),
+        ({"v": AngleMatrix.cyclic(4)}, "v is not q x q with one phase per row"),
+    ]:
+        assert bundle_check(thirds_2, _forged(data, **fields)) == [failure]
+    # nothing but the dense rows is read
+    rows_only = {name: SimpleNamespace(rows=getattr(data, name).rows) for name in ("u", "v")}
+    assert bundle_check(thirds_2, _forged(data, **rows_only)) == []
 
 
 # ---------------------------------------------------------------- colimit fault injection
