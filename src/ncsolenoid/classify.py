@@ -8,7 +8,8 @@ value, alpha_n = (h + J_n)/N**n with J_n = w mod N**n; rescaling keeps
 the pair verbatim, frac(mu**n * alpha_n) = (h + J_n mod R**n)/R**n.
 Equal pairs at one scale are equal sequences.  The known sufficient
 condition for isomorphism is that one pair equals the other moved by a
-shift, an optional block shift and an optional sign (:func:`_move`):
+shift, an optional block shift and an optional sign (``sequences._move``,
+which also makes ``AngleSequence.shift`` and negation):
 
 * the shift q drops the first q terms: (h + J_q, w - J_q) / R**q;
 * the block shift by a proper divisor d of R interleaves the division
@@ -31,9 +32,11 @@ by rescaling) give sound No verdicts:
 * the prime-to-R part of the denominator of the head, stripped the same way;
 * periodicity (w = -h), and with it simplicity of the algebra.
 
-None of them factors anything.  R is factored once, after them, only to
-list the blocks and to tell whether R is a prime power; an R with a
-cofactor that cannot be proven prime gets the trivial block only.
+None of them factors anything.  Equal pairs, at any two scales of one
+prime support, answer Yes with the zero move before them.  R is factored
+once, after them, only to list the blocks and to tell whether R is a
+prime power; an R with a cofactor that cannot be proven prime gets the
+trivial block only and never a No.
 
 For a periodic sequence the shift moves cycle with the period, the first
 shift q >= 1 that brings the pair back to itself, so the search space is
@@ -57,9 +60,8 @@ from .nadic import (
     format_fraction,
     is_prime,
     prime_factors,
-    residue,
 )
-from .sequences import Angle, AngleSequence, check_sequence
+from .sequences import Angle, AngleSequence, _move, check_sequence
 
 
 class IsoVerdict(_Frozen):
@@ -145,18 +147,6 @@ def _proper_divisors(factors):
     return divisors[:-1]
 
 
-def _move(pair, k, sign):
-    """The pair (h, w) at scale R divided by k = R**q * d (shift q, block d), then signed."""
-    h, w = pair
-    if k > 1:
-        t = residue(w, k)
-        h, w = (h + t) / k, (w - t) / k
-    if sign < 0:
-        c = 1 if h else 0
-        h, w = c - h, -w - c
-    return h, w
-
-
 def _witness(alpha, beta, scale, direction, shift, block, sign, image):
     """The JSON witness of a hit: the moves and the pair they reach."""
     return {
@@ -181,29 +171,13 @@ def isomorphic(alpha, beta, bound=32):
     periodic search at a prime-power R; everything else, prefix
     carriers included, is Unknown at the given shift bound.
 
-    Equal exact pairs at one scale answer Yes before anything is
-    factored, with the witness of the search's first step: the zero move.
+    The first candidate is the zero move, tried before the invariants.
+    A periodic pair's period is the first shift that brings it back to
+    itself, where the shift loop stops; one shift past the bound tells
+    whether a search that never met it is exhausted all the same.
     """
     check_sequence(alpha, beta)
     check_int(bound, "bound", 0)
-    N = alpha.modulus
-    if N == beta.modulus and alpha.carrier.is_exact and beta.carrier.is_exact:
-        pair = (alpha.base, alpha.carrier.value)
-        if pair == (beta.base, beta.carrier.value):
-            return IsoVerdict.yes(_witness(alpha, beta, N, "forward", 0, 1, 1, pair))
-    return _search(alpha, beta, bound)
-
-
-def _search(alpha, beta, bound):
-    """The search of :func:`isomorphic`, past its argument checks and the zero move.
-
-    The invariants strip gcds and factor nothing; R is factored once, after
-    them, for the blocks and the prime-power test.  An R that cannot be
-    factored gets the trivial block only and never a No.  A periodic pair's
-    period is the first shift that brings it back to itself, where the shift
-    loop stops; one shift past the bound tells whether a search that never
-    met it is exhausted all the same.
-    """
     n, m = alpha.modulus, beta.modulus
     scale = gcd(n, m)
     if _prime_to(n, scale) != 1 or _prime_to(m, scale) != 1:
@@ -211,11 +185,13 @@ def _search(alpha, beta, bound):
     if not (alpha.carrier.is_exact and beta.carrier.is_exact):
         return IsoVerdict.unknown(bound)
     a, b = (alpha.base, alpha.carrier.value), (beta.base, beta.carrier.value)
+    if a == b:
+        return IsoVerdict.yes(_witness(alpha, beta, scale, "forward", 0, 1, 1, a))
     reason = _obstruction(a, b, scale)
     if reason is not None:
         return IsoVerdict.no(reason)
-    periodic = a[1] == -a[0]
-    if periodic != (b[1] == -b[0]):
+    periodic = alpha.has_finite_range()
+    if periodic != beta.has_finite_range():
         return IsoVerdict.no("exactly one side is periodic")
     try:
         factors = prime_factors(scale)
@@ -246,23 +222,19 @@ def _search(alpha, beta, bound):
 def prime_case_isomorphic(alpha, beta, bound=32):
     """The prime-scale specialisation: shifts and signs only.
 
-    Distinct primes are never isomorphic; equal primes reduce to the
-    general search, whose only block is the trivial one.  A scale that
-    passes every Miller-Rabin base past the proven bound is answered by
-    :func:`isomorphic`, which is sound at every scale; a proven composite
-    raises.
+    A proven composite scale raises; every other pair is answered by
+    :func:`isomorphic`, which is sound at every scale.  Distinct primes
+    have gcd 1, so its prime-support invariant answers No; equal primes
+    reach its search, whose only block is the trivial one.
     """
     check_sequence(alpha, beta)
-    proven = set()
     for n in (alpha.modulus, beta.modulus):
         try:
-            proven.add(is_prime(n))
+            prime = is_prime(n)
         except ValueError:  # n passes every Miller-Rabin base past the proven bound
-            proven.add(None)
-    if False in proven:
-        raise ValueError("prime scales only; use isomorphic() for composites")
-    if None not in proven and alpha.modulus != beta.modulus:
-        return IsoVerdict.no("distinct primes %d and %d" % (alpha.modulus, beta.modulus))
+            continue
+        if not prime:
+            raise ValueError("prime scales only; use isomorphic() for composites")
     return isomorphic(alpha, beta, bound)
 
 

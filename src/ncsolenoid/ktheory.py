@@ -67,8 +67,8 @@ from fractions import Fraction
 from operator import attrgetter
 
 from .nadic import (
-    NadicInteger, QnRational, _Frozen, _sampler, _Value, as_fraction, check_carrier, check_int,
-    check_point, check_scale, format_fraction, frac_part,
+    DEFAULT_SEED, NadicInteger, QnRational, _Frozen, _sampler, _Value, as_fraction, check_carrier,
+    check_int, check_point, check_scale, format_fraction, frac_part,
 )
 from .sequences import Angle, AngleSequence, check_sequence
 
@@ -219,24 +219,8 @@ class GeneratorCochain(_Frozen):
     def to_json(self):
         return {"psi": {str(k): str(v) for k, v in sorted(self.table.items())}}
 
-    @classmethod
-    def from_difference(cls, J, R, psi1, depth):
-        """The linear cochain with psi_k = (psi1 + J_k - R_k) / N**k.
 
-        Raises if some stage fails the integrality requirement.  J and R
-        are carriers at one scale; :func:`cohomologous` checks them.
-        """
-        table = {}
-        for k in range(depth + 1):
-            num = psi1 + J.at(k) - R.at(k)
-            den = J.modulus ** k
-            if num % den:
-                raise ValueError("no integral cochain at level %d" % k)
-            table[k] = num // den
-        return cls(J.modulus, table)
-
-
-def cohomologous(J, R, depth=8, samples=100, seed=20260817):
+def cohomologous(J, R, depth=8, samples=100, seed=DEFAULT_SEED):
     """A witness cochain with xi_J - xi_R = d(psi), or None.
 
     The cocycles are cohomologous exactly when J - R is the canonical
@@ -252,8 +236,9 @@ def cohomologous(J, R, depth=8, samples=100, seed=20260817):
     diff = J.exact_value("cohomology") - R.exact_value("cohomology")
     if diff.denominator != 1:
         return None
-    psi = GeneratorCochain.from_difference(J, R, -int(diff), depth)
-    draw = _sampler(random.Random(seed), J.modulus, 50, depth - 1)
+    m, n = int(diff), J.modulus
+    psi = GeneratorCochain(n, {k: (J._at(k) - R._at(k) - m) // n**k for k in range(depth + 1)})
+    draw = _sampler(random.Random(seed), n, 50, depth - 1)
     for _ in range(samples):
         x, y = draw(), draw()
         want = _xi(J, x, y) - _xi(R, x, y)

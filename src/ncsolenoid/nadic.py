@@ -385,6 +385,9 @@ class QnRational(_Value):
 _set_num, _set_exp, _set_modulus = QnRational._setters
 
 
+DEFAULT_SEED = 20260817
+
+
 def _below(rng, n):
     """Draws from range(n), n >= 1, by getrandbits(n.bit_length()) with rejection.
 

@@ -6,7 +6,7 @@ they may use the definitional formulas (the multiplier, the cocycle,
 the stage matrices) as inputs, because those are the objects under
 test, not the answers, and import nothing from ``classify``.  Only
 ``classify.replay_witness`` has no independent check here yet (ROADMAP
-item 6): it re-runs ``_move``, the move that made the witness.
+item 6): it re-runs ``sequences._move``, the move that made the witness.
 
 The oracles compute in integers.  ``colimit_report`` holds each point
 of Q x Q_N as an integer pair over the one denominator N**(2 * depth),
@@ -50,10 +50,8 @@ from .ktheory import (
     r_digit,
 )
 from .multiplier import _bichar_frac, _psi_frac, _theta_frac
-from .nadic import QnRational, _below, _Frozen, _sampler, check_carrier, check_int
+from .nadic import DEFAULT_SEED, QnRational, _below, _Frozen, _sampler, check_carrier, check_int
 from .sequences import Angle, AngleSequence, check_sequence
-
-DEFAULT_SEED = 20260817
 
 _FUZZ_NUM, _FUZZ_EXP = 60, 6  # bounds on |p| and k of the fuzz points p/N**k
 _SOLVE_DEPTH, _SOLVE_SAMPLES = 8, 60  # coboundary_solve: digits read, pairs replayed

@@ -32,6 +32,7 @@ from .nadic import (
     format_fraction,
     frac_part,
     multiplicative_order,
+    residue,
 )
 
 
@@ -156,10 +157,8 @@ class AngleSequence(_Value):
         """
         if check_int(s, "shift", 0) == 0:
             return self
-        moved = (self.carrier.exact_value("a shift") - self.carrier.at(s)) / self.modulus ** s
-        return AngleSequence(
-            self.modulus, self.value(s), NadicInteger.from_value(moved, self.modulus)
-        )
+        h, w = _move((self.base, self.carrier.exact_value("a shift")), self.modulus ** s, 1)
+        return AngleSequence(self.modulus, h, NadicInteger.from_value(w, self.modulus))
 
     def period(self):
         """Minimal p with alpha_{n+p} == alpha_n for all n, or None.
@@ -193,10 +192,8 @@ class AngleSequence(_Value):
         return AngleSequence(self.modulus, total - carry, carrier)
 
     def __neg__(self):
-        carry = 1 if self.base > 0 else 0
-        value = self.carrier.exact_value("negation") + carry
-        carrier = NadicInteger.from_value(-value, self.modulus)
-        return AngleSequence(self.modulus, carry - self.base, carrier)
+        h, w = _move((self.base, self.carrier.exact_value("negation")), 1, -1)
+        return AngleSequence(self.modulus, h, NadicInteger.from_value(w, self.modulus))
 
     def __repr__(self):
         return "AngleSequence(scale=%d, head=%s, carrier=%r)" % (
@@ -211,6 +208,18 @@ class AngleSequence(_Value):
             "alpha0": format_fraction(self.base),
             "carrier": self.carrier.to_json(),
         }
+
+
+def _move(pair, k, sign):
+    """The exact pair (h, w) at scale R divided by k = R**q * d (shift q, block d), then signed."""
+    h, w = pair
+    if k > 1:
+        t = residue(w, k)
+        h, w = (h + t) / k, (w - t) / k
+    if sign < 0:
+        c = 1 if h else 0
+        h, w = c - h, -w - c
+    return h, w
 
 
 def check_sequence(*seqs):

@@ -12,10 +12,8 @@ from ncsolenoid.classify import (
     AngleMatrix,
     IsoVerdict,
     MAX_BUNDLE_Q,
-    _move,
     _prime_to,
     _proper_divisors,
-    _search,
     bundle_data,
     isomorphic,
     prime_case_isomorphic,
@@ -25,7 +23,7 @@ from ncsolenoid.cli import main
 from ncsolenoid.multiplier import classify_type, is_simple, symmetrizer, theta_phase
 from ncsolenoid.nadic import NadicInteger, QnRational, format_fraction, prime_factors
 from ncsolenoid.oracle import bundle_check
-from ncsolenoid.sequences import Angle, AngleSequence
+from ncsolenoid.sequences import Angle, AngleSequence, _move
 
 
 # ---------------------------------------------------------------- moves
@@ -90,23 +88,49 @@ def _from_pair(pair, scale):
     return AngleSequence(scale, pair[0], NadicInteger.from_value(pair[1], scale))
 
 
+def _zero_move(scale, mu, nu, pair):
+    """The witness of the search's first candidate, the zero move."""
+    return {
+        "R": scale, "mu": mu, "nu": nu, "direction": "forward", "shift": 0, "block": 1, "sign": 1,
+        "matched": {"alpha0": format_fraction(pair[0]), "carrier": format_fraction(pair[1])},
+    }
+
+
 @given(exact_sequences(scales=tuple(range(2, 31))), st.integers(0, 40))
 def test_identical_inputs_answer_with_the_witness_of_the_search(seq, bound):
     twin = _from_pair(_pair(seq), seq.modulus)
     verdict = isomorphic(seq, twin, bound)
     assert verdict.is_yes and replay_witness(seq, twin, verdict)
-    assert verdict.witness == _search(seq, twin, bound).witness
-    assert (verdict.witness["R"], verdict.witness["shift"], verdict.witness["block"]) == (
-        seq.modulus, 0, 1
-    )
+    assert verdict.witness == _zero_move(seq.modulus, 1, 1, _pair(seq))
+
+
+def _no_factoring(n):
+    raise AssertionError("prime_factors(%d)" % n)
+
+
+@given(exact_sequences(), st.data())
+def test_equal_pairs_at_two_scales_answer_with_the_zero_move_before_factoring(seq, data):
+    n, mu = seq.modulus, 1
+    for p in set(prime_factors(n)):
+        mu *= p ** data.draw(st.integers(0, 3))
+    wide = _from_pair(_pair(seq), n * mu)
+    for a, b, witness in ((seq, wide, (n, 1, mu)), (wide, seq, (n, mu, 1))):
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(classify, "prime_factors", _no_factoring)
+            verdict = isomorphic(a, b)
+        assert verdict.is_yes and verdict.witness == _zero_move(*witness, _pair(seq))
+        assert replay_witness(a, b, verdict)
 
 
 @given(exact_sequences(), st.integers(0, 6), st.data())
 def test_moves_agree_with_shift_negation_and_the_block_rule(seq, q, data):
     n = seq.modulus
     d = data.draw(st.sampled_from(_proper_divisors(prime_factors(n))))
-    assert _move(_pair(seq), n**q, 1) == _pair(seq.shift(q))
-    assert _move(_pair(seq), 1, -1) == _pair(-seq)
+    shifted = _from_pair(_move(_pair(seq), n**q, 1), n)
+    negated = _from_pair(_move(_pair(seq), 1, -1), n)
+    for k in range(8):
+        assert shifted.value(k) == seq.value(q + k)
+        assert negated.value(k) == -seq.value(k) % 1
     blocked = _from_pair(_move(_pair(seq), d, 1), n)
     for k in range(8):
         assert blocked.value(k) == (seq.value(k) + seq.digit(k) % d) / d
@@ -175,11 +199,11 @@ def test_isomorphic_factors_only_r_and_only_past_the_invariants(
         (thirds_2, fifths_2, "no", []),
         (_from_pair((Fraction(1, 14), fifth), 6), _from_pair((Fraction(1, 22), fifth), 6), "no", []),
         (thirds_2, _from_pair((third, third), 2), "no", []),
-        # equal pairs and prefix carriers factor nothing either
+        # equal pairs, at one scale or two, and prefix carriers factor nothing either
         (five_62, five_62, "yes", []),
+        (thirds_2, thirds_4, "yes", []),
         (AngleSequence(4, third, NadicInteger.from_prefix([2, 3], 4)), thirds_4, "unknown", []),
         # everything else factors R once, and nothing else
-        (thirds_2, thirds_4, "yes", [2]),
         (five_62, AngleSequence.constant(5, Fraction(3, 62)), "no", [5]),  # exhausted
         (*_units_pair(), "unknown", [12]),
         (_from_pair((third, fifth), 6).shift(2), _from_pair((third, fifth), 6), "yes", [6]),
@@ -191,6 +215,7 @@ def test_isomorphic_factors_only_r_and_only_past_the_invariants(
 
 BIG = 10 ** 30 + 57  # past the Miller-Rabin proof bound, so factoring it raises
 THIRDS = _from_pair((Fraction(1, 2), Fraction(1, 3)), BIG)
+SEMI = (10 ** 17 + 3) * (1001 * 10 ** 14 + 9)  # 35 digits; Pollard rho runs past a minute on it
 
 
 @pytest.mark.parametrize(
@@ -236,11 +261,18 @@ THIRDS = _from_pair((Fraction(1, 2), Fraction(1, 3)), BIG)
             }},
             id="scale-shift",
         ),
+        pytest.param(
+            _from_pair((Fraction(1, 2), Fraction(1, 3)), SEMI),
+            _from_pair((Fraction(1, 2), Fraction(1, 3)), SEMI ** 2),
+            {"verdict": "Yes", "witness": _zero_move(SEMI, 1, SEMI, _pair(THIRDS))},
+            id="cross-scale-equal",
+        ),
     ],
 )
 def test_isomorphic_answers_at_an_unprovable_scale_or_period_without_factoring_it(a, b, want):
     # each raised "cannot prove ... prime": the first three while R and the period were
-    # factored before the invariants, the last three from factoring R for the search's blocks
+    # factored before the invariants, the next three from factoring R for the search's blocks;
+    # the last factored its R = SEMI for the blocks, past any deadline, before the zero move
     start = time.process_time()
     verdict = isomorphic(a, b)
     assert time.process_time() - start < 0.05
@@ -368,7 +400,9 @@ def test_prime_case_shift_pairs(three_half, fifths_2):
 
 
 def test_prime_case_distinct_primes(thirds_2, three_half):
-    assert prime_case_isomorphic(thirds_2, three_half).is_no
+    assert prime_case_isomorphic(thirds_2, three_half).to_json() == {
+        "verdict": "No", "reason": "prime supports differ (2 vs 3)"
+    }
     with pytest.raises(ValueError):
         prime_case_isomorphic(thirds_2, AngleSequence.zero(4))
 

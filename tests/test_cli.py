@@ -106,6 +106,7 @@ def test_iso_unknown_exit_code(capsys, tmp_path):
 
 
 BIG = 10 ** 30 + 57  # past the Miller-Rabin proof bound, so factoring it raises
+SEMI = (10 ** 17 + 3) * (1001 * 10 ** 14 + 9)  # 35 digits; Pollard rho runs past a minute on it
 
 
 @pytest.mark.parametrize(
@@ -185,13 +186,23 @@ THIRDS_3 = "%d/%d" % ((Fraction(1, 2) + pow(3, -1, BIG ** 3)) / BIG ** 3).as_int
             }},
             id="scale-shift",
         ),
+        pytest.param(
+            (_element(SEMI, "1/2", "1/3"), _element(SEMI ** 2, "1/2", "1/3")),
+            0,
+            {"verdict": "Yes", "witness": {
+                "R": SEMI, "mu": 1, "nu": SEMI, "direction": "forward", "shift": 0, "block": 1,
+                "sign": 1, "matched": {"alpha0": "1/2", "carrier": "1/3"},
+            }},
+            id="cross-scale-equal",
+        ),
     ],
 )
 def test_iso_answers_at_an_unprovable_scale_or_period_without_factoring_it(
     capsys, tmp_path, texts, code, want
 ):
     # each exited 2 with "cannot prove ... prime": the first three while R and the period were
-    # factored before the invariants, the last three from factoring R for the search's blocks
+    # factored before the invariants, the next three from factoring R for the search's blocks;
+    # the last factored its R = SEMI for the blocks, past any deadline, before the zero move
     paths = [tmp_path / "a.json", tmp_path / "b.json"]
     for path, text in zip(paths, texts):
         path.write_text(text)

@@ -27,14 +27,17 @@
 * The trusted constructors ``_of`` and ``AngleMatrix._canonical``, the
   trusted residue reads ``NadicInteger._at`` and ``NadicInteger._segment``,
   the cores ``ktheory._xi``, ``_zeta``, ``_prufer``, ``_mu`` and
-  ``GeneratorCochain._eval``, the integer cores ``multiplier._psi_frac``,
-  ``_theta_frac`` and ``_bichar_frac``, and the isomorphism search
-  ``classify._search`` skip the argument checks, so they never run on
-  user input: ``codec`` and ``cli`` do not call them, and no private name
-  enters ``ncsolenoid.__all__``.
+  ``GeneratorCochain._eval``, and the integer cores ``multiplier._psi_frac``,
+  ``_theta_frac`` and ``_bichar_frac`` skip the argument checks, so they
+  never run on user input: ``codec`` and ``cli`` do not call them, and no
+  private name enters ``ncsolenoid.__all__``.
 * The N-adic residue has one home: ``pow(x, -1, m)`` appears only in
-  ``nadic.residue``, which ``NadicInteger._at`` and the isomorphism
-  moves both call.
+  ``nadic.residue``, and only ``NadicInteger._at`` and ``sequences._move``
+  call it.
+* The exact-pair move has one home: only ``sequences`` defines ``_move``,
+  which makes ``AngleSequence.shift``, negation and the isomorphism
+  moves; ``classify`` defines neither ``_move`` nor a separate search
+  ``_search`` beside ``isomorphic``.
 * The multiplicative order has one home: only ``nadic`` (which defines
   it), ``sequences`` (``AngleSequence.period``) and the ``__init__``
   export name ``multiplicative_order``.
@@ -204,7 +207,7 @@ def test_only_check_carrier_tests_for_a_carrier():
 
 
 UNCHECKED = ("_of", "_canonical", "_at", "_segment", "_xi", "_zeta", "_prufer", "_mu",
-             "_eval", "_psi_frac", "_theta_frac", "_bichar_frac", "_search")
+             "_eval", "_psi_frac", "_theta_frac", "_bichar_frac")
 
 
 def test_trusted_constructors_stay_off_user_input():
@@ -229,6 +232,17 @@ def test_the_nadic_residue_has_one_home():
         and ast.unparse(node.args[1]) == "-1"
     ]
     assert found == ["nadic.residue"]
+    callers = [
+        scope
+        for stem, tree in TREES.items()
+        for node, scope in _scoped_nodes(tree, stem)
+        if isinstance(node, ast.Call) and getattr(node.func, "id", None) == "residue"
+    ]
+    assert sorted(callers) == ["nadic.NadicInteger._at", "sequences._move"]
+
+
+def test_the_pair_move_has_one_home():
+    assert _definitions({"_move", "_search"}) == ["sequences.<module>._move"]
 
 
 def test_the_multiplicative_order_has_one_home():
