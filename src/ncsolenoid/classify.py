@@ -32,11 +32,12 @@ by rescaling) give sound No verdicts:
 * the prime-to-R part of the denominator of the head, stripped the same way;
 * periodicity (w = -h), and with it simplicity of the algebra.
 
-None of them factors anything.  Equal pairs, at any two scales of one
-prime support, answer Yes with the zero move before them.  R is factored
-once, after them, only to list the blocks and to tell whether R is a
-prime power; an R with a cofactor that cannot be proven prime gets the
-trivial block only and never a No.
+None of them factors anything.  Equal pairs answer Yes by the zero move
+after the prime-support check (equal pairs at N = 2 and N = 3 must
+answer No) and before the other invariants.  R is factored once, after
+them, only to list the blocks and to tell whether R is a prime power; an
+R with a cofactor that cannot be proven prime gets the trivial block
+only and never a No.
 
 For a periodic sequence the shift moves cycle with the period, the first
 shift q >= 1 that brings the pair back to itself, so the search space is
@@ -171,7 +172,8 @@ def isomorphic(alpha, beta, bound=32):
     periodic search at a prime-power R; everything else, prefix
     carriers included, is Unknown at the given shift bound.
 
-    The first candidate is the zero move, tried before the invariants.
+    The zero move comes after the prime-support and exactness checks
+    (equal pairs at N = 2 and N = 3 answer No) and before the other invariants.
     A periodic pair's period is the first shift that brings it back to
     itself, where the shift loop stops; one shift past the bound tells
     whether a search that never met it is exhausted all the same.

@@ -33,11 +33,6 @@ EXIT_UNKNOWN = 3
 _TRIALS, _WINDOW_P, _WINDOW_K, _DEPTH = 200, 40, 2, 3
 
 
-def _parse_qn(text, modulus):
-    """Read a Q_N element given as an ordinary fraction string."""
-    return QnRational.from_fraction(as_fraction(text), modulus)
-
-
 def _emit(obj):
     print(dump_json(obj))
 
@@ -69,22 +64,23 @@ def cmd_symmetrizer(args):
 
 def cmd_k0_trace(args):
     seq = sequence_from_file(args.file)
-    elem = ktheory.ExtensionElement(seq, args.z, _parse_qn(args.x, seq.modulus))
+    elem = ktheory.ExtensionElement(seq, args.z, QnRational.from_fraction(args.x, seq.modulus))
     _emit({"trace": format_fraction(ktheory.trace(elem))})
     return EXIT_OK
 
 
 def cmd_k0_member(args):
     seq = sequence_from_file(args.file)
-    ok = ktheory.k_member(seq, as_fraction(args.first), _parse_qn(args.second, seq.modulus))
+    second = QnRational.from_fraction(args.second, seq.modulus)
+    ok = ktheory.k_member(seq, as_fraction(args.first), second)
     _emit({"member": ok})
     return EXIT_OK
 
 
 def cmd_k0_add(args):
     seq = sequence_from_file(args.file)
-    a = ktheory.ExtensionElement(seq, args.az, _parse_qn(args.ax, seq.modulus))
-    b = ktheory.ExtensionElement(seq, args.bz, _parse_qn(args.bx, seq.modulus))
+    a = ktheory.ExtensionElement(seq, args.az, QnRational.from_fraction(args.ax, seq.modulus))
+    b = ktheory.ExtensionElement(seq, args.bz, QnRational.from_fraction(args.bx, seq.modulus))
     _emit((a + b).to_json())
     return EXIT_OK
 
@@ -134,7 +130,7 @@ def cmd_selftest(args):
     brute_ok = all(described.contains(g) for g in got)
     reports.append({"kind": "brute_symmetrizer", "points": len(got), "passed": brute_ok})
 
-    colimit_ok = oracle.colimit_compare(alpha, depth=_DEPTH, num_window=8, int_window=3)
+    colimit_ok = oracle.colimit_compare(alpha, depth=_DEPTH, num_window=8)
     reports.append({"kind": "colimit", "passed": colimit_ok})
 
     J = NadicInteger.iota(5, 3)

@@ -20,6 +20,7 @@ from ncsolenoid.classify import (
     replay_witness,
 )
 from ncsolenoid.cli import main
+from ncsolenoid.ktheory import ExtensionElement, KPairElement, k_member, trace
 from ncsolenoid.multiplier import classify_type, is_simple, symmetrizer, theta_phase
 from ncsolenoid.nadic import NadicInteger, QnRational, format_fraction, prime_factors
 from ncsolenoid.oracle import bundle_check
@@ -554,13 +555,18 @@ def _unit_image(seq, u):
 
 
 @st.composite
-def unit_orbit_pairs(draw):
-    """(alpha, u * alpha): alpha exact, periodic or not, and u = +-prod p**e, p | N, |e| <= 3."""
+def unit_orbits(draw):
+    """(alpha, u, u * alpha): alpha exact, periodic or not, u = +-prod p**e, p | N, |e| <= 3."""
     alpha = draw(exact_sequences())
     u = Fraction(draw(st.sampled_from([1, -1])))
     for p in set(prime_factors(alpha.modulus)):
         u *= Fraction(p) ** draw(st.integers(-3, 3))
-    return alpha, _unit_image(alpha, u)
+    return alpha, u, _unit_image(alpha, u)
+
+
+def unit_orbit_pairs():
+    """(alpha, u * alpha) of :func:`unit_orbits`."""
+    return unit_orbits().map(lambda orbit: (orbit[0], orbit[2]))
 
 
 @given(exact_sequences(), st.integers(0, 6))
@@ -577,6 +583,43 @@ def test_invariants_agree_along_a_unit_orbit(pair):
     if a.period() is not None:
         da, db = bundle_data(a), bundle_data(b)
         assert (da.q, da.k) == (db.q, db.k)
+
+
+def _carried_point(a, b, v, z, x):
+    """The point (z, x) of K_a, carried to K_b as x -> x / v with its trace kept."""
+    t = trace(ExtensionElement(a, z, x))
+    image = QnRational.from_fraction(x.fraction / v, a.modulus)
+    first = t - b.base * image.fraction
+    return t, first, image
+
+
+@given(
+    unit_orbits(),
+    st.integers(-5, 5),
+    st.integers(-60, 60),
+    st.integers(0, 6),
+)
+def test_k0_points_follow_a_unit_orbit(orbit, z, num, exp):
+    # beta = u * alpha multiplies h + w by u, so x -> x / u carries K_alpha onto K_beta
+    alpha, u, beta = orbit
+    x = QnRational(num, exp, alpha.modulus)
+    for a, b, v in ((alpha, beta, u), (beta, alpha, 1 / u)):
+        t, first, image = _carried_point(a, b, v, z, x)
+        assert k_member(b, first, image)
+        assert trace(KPairElement(b, first, image)) == t
+
+
+def test_the_unit_orbit_divides_the_q_n_part_and_does_not_multiply_it():
+    # N = 6, u = 2: beta has head 2/5; x = 1 has trace 1/5 and x / u = 1/2 stays in K_beta
+    alpha = AngleSequence.constant(6, Fraction(1, 5))
+    beta = _unit_image(alpha, Fraction(2))
+    assert beta.base == Fraction(2, 5)
+    one = QnRational(1, 0, 6)
+    t, first, image = _carried_point(alpha, beta, Fraction(2), 0, one)
+    assert (t, first, image) == (Fraction(1, 5), 0, QnRational.from_fraction(Fraction(1, 2), 6))
+    assert k_member(beta, first, image)
+    two = QnRational(2, 0, 6)  # x -> u * x sends 1 to 2, which leaves K_beta
+    assert not k_member(beta, t - beta.base * two.fraction, two)
 
 
 @given(unit_orbit_pairs().filter(lambda pair: pair[0].period() is None))

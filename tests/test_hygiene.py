@@ -54,6 +54,9 @@
   ``_twisted_commute`` and ``_power_is_one`` and the "bundle relation"
   raises are gone, and ``AngleMatrix.__pow__`` multiplies through ``@``
   without reading the fields.
+* The colimit oracle reads its points at z = 0 and the CLI reads a Q_N
+  argument through ``QnRational.from_fraction``: the names ``int_window``
+  and ``_parse_qn`` appear nowhere in the package.
 * Every name in ``ncsolenoid.__all__`` resolves.
 * ``import ncsolenoid`` loads neither ``dataclasses`` nor ``typing``
   (the start-up cost of the CLI and of every library user).
@@ -320,6 +323,16 @@ def test_bundle_data_builds_and_does_not_check():
     ]
     assert raises == []
     assert _matrix_reads(_function("classify.AngleMatrix.__pow__")) == ["MatMult"]
+
+
+def test_the_removed_knobs_stay_removed():
+    found = [
+        "%s.py: %s" % (path.stem, name)
+        for path in SOURCES
+        for name in ("int_window", "_parse_qn")
+        if name in path.read_text()
+    ]
+    assert found == []
 
 
 def test_every_exported_name_resolves():

@@ -126,12 +126,12 @@ def test_brute_symmetrizer_aperiodic_is_origin():
 
 
 def test_colimit_matches(three_half):
-    report = colimit_report(three_half, depth=3, num_window=8, int_window=3)
+    report = colimit_report(three_half, depth=3, num_window=8)
     assert report["match"]
     assert report["stages"] == 4
     assert report["covered"] > 0
     assert report["failures"] == []
-    assert colimit_compare(three_half, depth=2, num_window=6, int_window=2)
+    assert colimit_compare(three_half, depth=2, num_window=6)
 
 
 def test_colimit_stage_image_frozen(three_half):
@@ -149,9 +149,9 @@ def test_colimit_stage_image_frozen(three_half):
 )
 def test_colimit_coherence_checks_the_library_stage_matrices(three_half, monkeypatch, name, wrong):
     # three_half has r_k = 4, so either stand-in breaks the identity at stage 0
-    assert colimit_report(three_half, depth=2, num_window=4, int_window=1)["match"]
+    assert colimit_report(three_half, depth=2, num_window=4)["match"]
     monkeypatch.setattr("ncsolenoid.oracle." + name, wrong)
-    report = colimit_report(three_half, depth=2, num_window=4, int_window=1)
+    report = colimit_report(three_half, depth=2, num_window=4)
     assert not report["match"]
     assert report["failures"][0] == "mirrored connecting identity fails at stage 0"
 
@@ -161,7 +161,7 @@ def test_colimit_random_carrier():
     d = rng.choice([5, 7, 11])
     carrier = NadicInteger.from_value(Fraction(rng.randint(-20, 20), d), 2)
     a = AngleSequence(2, Fraction(1, 3), carrier)
-    assert colimit_compare(a, depth=2, num_window=6, int_window=2)
+    assert colimit_compare(a, depth=2, num_window=6)
 
 
 # ---------------------------------------------------------------- fuzz sweeps
@@ -278,21 +278,21 @@ def test_colimit_report_at_depth_6_with_the_default_windows(three_half):
     assert colimit_report(three_half) == {
         "match": True,
         "stages": 7,
-        "stage_points": 12937,
-        "covered": 8281,
-        "checks": 21482,
+        "stage_points": 1009,
+        "covered": 637,
+        "checks": 1658,
         "failures": [],
     }
 
 
 def test_colimit_report_at_a_composite_scale():
     a = AngleSequence(6, Fraction(1, 5), NadicInteger.from_value(Fraction(7, 11), 6))
-    assert colimit_report(a, depth=3, num_window=4, int_window=2) == {
+    assert colimit_report(a, depth=3, num_window=4) == {
         "match": True,
         "stages": 4,
-        "stage_points": 965,
-        "covered": 315,
-        "checks": 1298,
+        "stage_points": 193,
+        "covered": 63,
+        "checks": 262,
         "failures": [],
     }
 
@@ -300,7 +300,7 @@ def test_colimit_report_at_a_composite_scale():
 def test_colimit_nesting_fails_on_a_wrong_stage_digit(three_half, monkeypatch):
     # three_half has r_k = 4; a stand-in digit 5 breaks every nesting step
     monkeypatch.setattr("ncsolenoid.oracle.r_digit", lambda alpha, k: 5)
-    report = colimit_report(three_half, depth=1, num_window=1, int_window=0)
+    report = colimit_report(three_half, depth=1, num_window=1)
     assert report == {
         "match": False,
         "stages": 2,
@@ -329,7 +329,7 @@ class _OffAtFive(NadicInteger):
 
 def test_colimit_membership_and_coverage_fail_on_a_wrong_residue():
     a = AngleSequence(3, Fraction(1, 2), _OffAtFive(3, value=Fraction(-1, 2)))
-    report = colimit_report(a, depth=3, num_window=1, int_window=0)
+    report = colimit_report(a, depth=3, num_window=1)
     assert report == {
         "match": False,
         "stages": 4,
@@ -451,8 +451,6 @@ def test_cocycle_fuzz_names_every_trial_a_wrong_formula_fails(
         pytest.param(lambda a: colimit_report(a, depth=-1), "depth", id="colimit-depth"),
         pytest.param(lambda a: colimit_report(a, depth=0, num_window=-3), "num_window",
                      id="colimit-num_window"),
-        pytest.param(lambda a: colimit_compare(a, int_window=-1), "int_window",
-                     id="colimit_compare-int_window"),
         pytest.param(lambda a: cocycle_fuzz("xi", a.carrier, trials=-5), "trials", id="xi-trials"),
         pytest.param(lambda a: cocycle_fuzz("zeta", a.carrier, trials=0), "trials",
                      id="zeta-trials-0"),
@@ -472,7 +470,7 @@ def test_oracle_sizes_that_would_check_nothing_raise_and_name_the_argument(three
 
 def test_oracle_sizes_at_their_least_still_check(three_half):
     a = three_half
-    report = colimit_report(a, depth=0, num_window=0, int_window=0)
+    report = colimit_report(a, depth=0, num_window=0)
     assert report["match"] and report["checks"] == 2
     assert len(brute_symmetrizer(a, window_num=0, window_exp=0, spot_checks=0)) == 1
     assert cocycle_fuzz("xi", a.carrier, trials=1).checks == 4
