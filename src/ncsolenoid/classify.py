@@ -27,7 +27,7 @@ The search tries both directions and both signs.  A hit is returned as
 a replayable witness.  Exact invariants preserved by every move (and
 by rescaling) give sound No verdicts:
 
-* the prime support, by gcd stripping (:func:`_prime_to`);
+* the prime support, by gcd stripping (``nadic._prime_to``);
 * the reduced denominator of the carrier value;
 * the prime-to-R part of the denominator of the head, stripped the same way;
 * periodicity (w = -h), and with it simplicity of the algebra.
@@ -57,6 +57,7 @@ from operator import attrgetter
 from .nadic import (
     _Frozen,
     _Value,
+    _prime_to,
     check_int,
     format_fraction,
     is_prime,
@@ -114,20 +115,11 @@ class IsoVerdict(_Frozen):
         return {"verdict": "Unknown", "bound": self.bound}
 
 
-def _prime_to(n, r):
-    """The largest divisor of n prime to r: divide n by gcd(n, r) until the gcd is 1."""
-    g = gcd(n, r)
-    while g > 1:
-        n //= g
-        g = gcd(n, r)
-    return n
-
-
 def _obstruction(a, b, scale):
     """A reason string if an exact invariant separates the pairs a and b, else None."""
     if a[1].denominator != b[1].denominator:
         return "carrier denominators differ (%d vs %d)" % (a[1].denominator, b[1].denominator)
-    da, db = (_prime_to(x[0].denominator, scale) for x in (a, b))
+    da, db = (_prime_to(x[0].denominator, scale)[0] for x in (a, b))
     if da != db:
         return "prime-to-scale parts of the head denominators differ (%d vs %d)" % (da, db)
     return None
@@ -182,7 +174,7 @@ def isomorphic(alpha, beta, bound=32):
     check_int(bound, "bound", 0)
     n, m = alpha.modulus, beta.modulus
     scale = gcd(n, m)
-    if _prime_to(n, scale) != 1 or _prime_to(m, scale) != 1:
+    if _prime_to(n, scale)[0] != 1 or _prime_to(m, scale)[0] != 1:
         return IsoVerdict.no("prime supports differ (%d vs %d)" % (n, m))
     if not (alpha.carrier.is_exact and beta.carrier.is_exact):
         return IsoVerdict.unknown(bound)

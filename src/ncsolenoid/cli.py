@@ -123,9 +123,8 @@ def cmd_selftest(args):
         reports.append(oracle.cocycle_fuzz(kind, subject, trials=trials, seed=seed).to_json())
 
     five = AngleSequence(5, Fraction(1, 62), NadicInteger.from_value(Fraction(-1, 62), 5))
-    got = oracle.brute_symmetrizer(
-        five, window_num=_WINDOW_P, window_exp=_WINDOW_K, spot_checks=200, seed=seed
-    )
+    # the window's only member is the identity, where every Theta is 0: no spot check
+    got = oracle.brute_symmetrizer(five, window_num=_WINDOW_P, window_exp=_WINDOW_K, spot_checks=0)
     described = multiplier.symmetrizer(five)
     brute_ok = all(described.contains(g) for g in got)
     reports.append({"kind": "brute_symmetrizer", "points": len(got), "passed": brute_ok})

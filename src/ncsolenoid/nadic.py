@@ -113,6 +113,21 @@ def residue(value, m):
     return value.numerator * pow(value.denominator, -1, m) % m
 
 
+def _prime_to(n, r):
+    """(m, k): the largest divisor m of n prime to r, and the least k with n / m dividing r**k.
+
+    Divides n by gcd(n, r) until the gcd is 1; k counts the divisions.
+
+    >>> _prime_to(360, 6)
+    (5, 3)
+    """
+    k, g = 0, gcd(n, r)
+    while g > 1:
+        n, k = n // g, k + 1
+        g = gcd(n, r)
+    return n, k
+
+
 def prime_factors(n):
     """Prime factors of n >= 2 in ascending order with multiplicity.
 
@@ -341,16 +356,9 @@ class QnRational(_Value):
         q = as_fraction(value)
         modulus = check_scale(modulus)
         d = q.denominator
-        k = 0
-        t = d
-        while t != 1:
-            g = gcd(t, modulus)
-            if g == 1:
-                raise ValueError(
-                    "denominator %d is not supported by scale %d" % (d, modulus)
-                )
-            t //= g
-            k += 1
+        rest, k = _prime_to(d, modulus)
+        if rest != 1:
+            raise ValueError("denominator %d is not supported by scale %d" % (d, modulus))
         return cls._of(q.numerator * (modulus ** k // d), k, modulus)
 
     @property

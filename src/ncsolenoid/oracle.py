@@ -11,18 +11,22 @@ item 6): it re-runs ``sequences._move``, the move that made the witness.
 The oracles compute in integers.  ``colimit_report`` holds each point of
 Q x Q_N as an integer pair over the one denominator N**(2 * depth), read
 at z = 0: Z x {0} lies in both sets it compares, and no check moves
-under it.  ``brute_symmetrizer`` clears term numerators.  Every seeded
-draw is ``nadic._below``, getrandbits with rejection (the stream of
+under it; its stage nesting is the (0, 1) entry of the coherence
+identity.  ``brute_symmetrizer`` clears term numerators read from
+``value`` and spot-checks Theta on members with ``_theta_frac``.
+``coboundary_solve`` reads 8 digits, so it certifies J - R only mod
+N**8 (it passes J - R = 256/3 at N = 2).  Every seeded draw is
+``nadic._below``, getrandbits with rejection (the stream of
 ``randrange`` and ``choice``); the fuzzes draw points through
 ``nadic._sampler``, evaluate each shared value (xi(x, y), Theta(g, h))
 once per trial, and check the pairing-lift route of xi as an integer
-identity over N**max(k1, k2).  On points they drew themselves, they and
-``coboundary_solve`` call the cores that the public formulas run after
-their argument checks: ``ktheory._xi``, ``_zeta``, ``_prufer``, ``_mu``
-and ``GeneratorCochain._eval``, and ``multiplier._theta_frac``,
-``_psi_frac`` and ``_bichar_frac``, which give a phase as an integer
-pair (num, den), so the laws of Theta and Psi are congruences mod 1
-checked by cross-multiplying.
+identity over N**max(k1, k2).  On points they drew themselves, they,
+``brute_symmetrizer`` and ``coboundary_solve`` call the cores that the
+public formulas run after their argument checks: ``ktheory._xi``,
+``_zeta``, ``_prufer``, ``_mu`` and ``GeneratorCochain._eval``, and
+``multiplier._theta_frac``, ``_psi_frac`` and ``_bichar_frac``, which
+give a phase as an integer pair (num, den), so the laws of Theta and
+Psi are congruences mod 1 checked by cross-multiplying.
 
 Defaults are sized for desk use: windows around 150 numerators and
 exponent 4, depth 6 stages, 1000 fuzz trials on points p/N**k with
@@ -48,7 +52,6 @@ from .ktheory import (
     cross_section_carry,
     embedding_matrix,
     mat_mul,
-    r_digit,
 )
 from .multiplier import _bichar_frac, _psi_frac, _theta_frac
 from .nadic import DEFAULT_SEED, QnRational, _below, _Frozen, _sampler, check_carrier, check_int
@@ -103,8 +106,12 @@ def brute_symmetrizer(alpha, window_num=150, window_exp=4, spot_checks=2000, see
     against the whole window reduces to one coordinate clearance per
     slot, because Theta is additive in each slot separately (that
     additivity is fuzzed independently; see cocycle_fuzz with kind
-    "psi_bichar").  A seeded sample of full pairs is replayed both to
-    exercise the reduction and to catch formula drift.
+    "psi_bichar"): p/N**k clears when p * alpha_{k+j} is integral for
+    every j <= window_exp, with the terms read from ``value``.  Each
+    spot check draws a member g and a window pair h and tests
+    Theta_alpha(g, h) == 0 with ``multiplier._theta_frac``, which reads
+    the terms through its own numerator formula; a disagreement raises
+    AssertionError.
 
     Returns a frozenset of pairs of QnRationals.
     """
@@ -117,33 +124,23 @@ def brute_symmetrizer(alpha, window_num=150, window_exp=4, spot_checks=2000, see
     denom = lcm(*(v.denominator for v in values))  # common denominator of the terms
     nums = [v.numerator * (denom // v.denominator) for v in values]
 
-    cleared = {}  # (p, k) in lowest terms -> p * alpha_{k+j} integral for every j <= window_exp
+    cleared = {}  # (p, k) in lowest terms -> the point p/N**k if it clears, else None
     for k in range(window_exp + 1):
         for p in range(-window_num, window_num + 1):
             x = QnRational._of(p, k, N)
             if (x.num, x.exp) not in cleared:
-                cleared[x.num, x.exp] = all(
-                    x.num * nums[x.exp + j] % denom == 0 for j in range(window_exp + 1)
-                )
+                ok = all(x.num * nums[x.exp + j] % denom == 0 for j in range(window_exp + 1))
+                cleared[x.num, x.exp] = x if ok else None
+    good = [x for x in cleared.values() if x is not None]
 
-    coords = sorted(cleared)
-    good = [c for c in coords if cleared[c]]
-    members = {(x, y) for x in good for y in good}
-
-    pick = _below(random.Random(seed), len(coords))  # the draws of rng.choice(coords)
+    rng = random.Random(seed)
+    pick, draw = _below(rng, len(good)), _sampler(rng, N, window_num, window_exp)
     for _ in range(spot_checks):
-        (p1, k1), (p2, k2) = coords[pick()], coords[pick()]
-        (p3, k3), (p4, k4) = coords[pick()], coords[pick()]
-        lhs = (p1 * p4 * nums[k1 + k4] - p2 * p3 * nums[k2 + k3]) % denom
-        if ((p1, k1), (p2, k2)) in members and lhs:
-            raise AssertionError(
-                "member (%r, %r) fails against (%r, %r)"
-                % ((p1, k1), (p2, k2), (p3, k3), (p4, k4))
-            )
-
-    return frozenset(
-        (QnRational(p1, k1, N), QnRational(p2, k2, N)) for (p1, k1), (p2, k2) in members
-    )
+        g, h = (good[pick()], good[pick()]), (draw(), draw())
+        num, den = _theta_frac(alpha, g, h)
+        if num % den:
+            raise AssertionError("member %r fails against %r" % (g, h))
+    return frozenset((x, y) for x in good for y in good)
 
 
 def colimit_report(alpha, depth=6, num_window=24):
@@ -154,17 +151,17 @@ def colimit_report(alpha, depth=6, num_window=24):
     different stages are identified exactly when their images agree.
     Every point (first, second) is held as an integer pair (A, B) over
     the one denominator M = N**(2 * depth); Fractions are built only for
-    failure messages.  The checks are integer products and tests mod M:
+    failure messages.  Three checks, integer products and tests mod M:
 
+    * coherence: the mirrored connecting identity U_{k+1} D F_k D == U_k
+      on the library's stage matrices (``ktheory.embedding_matrix``,
+      ``connecting_matrix`` and ``MIRROR``).  Its (0, 1) entry is the
+      nesting of the stages, J_2k+2 - J_2k == r_k N**2k: stage k images
+      recur at stage k+1 via (z, p) -> (z - p r_k, N**2 p);
     * inclusion: enumerated stage points satisfy the K0 membership test,
       A == B * J_k (mod M) for the least k with N**k * second integral;
     * coverage: every enumerated K0 window point has a stage preimage
-      (z, p N**(2s - k)) at stage s = ceil(k / 2): A == B * J_2s (mod M);
-    * nesting: stage k images recur at stage k+1 via (z, p) ->
-      (z - p r_k, N**2 p);
-    * coherence: the mirrored connecting identity U_{k+1} D F_k D == U_k
-      on the library's stage matrices (``ktheory.embedding_matrix``,
-      ``connecting_matrix`` and ``MIRROR``).
+      (z, p N**(2s - k)) at stage s = ceil(k / 2): A == B * J_2s (mod M).
 
     Points are read at z = 0 only.  Both sets contain Z x {0}, and no
     check changes when (z, 0) is added to a point: it adds z * M to A on
@@ -187,16 +184,11 @@ def colimit_report(alpha, depth=6, num_window=24):
     M = P[-1]
     J = [alpha.carrier._at(k) for k in range(2 * depth + 1)]  # the coherence loop read these
 
-    def image(k, p):
-        """The image (A, B) of (0, p) at stage k."""
-        B = p * P[2 * (depth - k)]
-        return B * J[2 * k], B
-
     stage_points = set()
     for k in range(depth + 1):
-        r_k = r_digit(alpha, k) if k < depth else None
         for p in range(-num_window * N, num_window * N + 1):
-            A, B = image(k, p)
+            B = p * P[2 * (depth - k)]  # the image (A, B) of (0, p) at stage k
+            A = B * J[2 * k]
             stage_points.add((A, B))
             checks += 1
             level = 0  # membership reads J at the least level with N**level * B / M integral
@@ -204,9 +196,6 @@ def colimit_report(alpha, depth=6, num_window=24):
                 level += 1
             if (A - B * J[level]) % M:
                 failures.append("stage %d point (0, %d) misses K0" % (k, p))
-            # nesting: (0, p) -> (-p r_k, N**2 p) has the same image at stage k + 1
-            if k < depth and image(k + 1, P[2] * p) != (A + p * r_k * M, B):
-                failures.append("stage %d point (0, %d) not nested" % (k, p))
 
     covered = 0
     for k in range(2 * depth + 1):
@@ -347,14 +336,17 @@ def coboundary_solve(J, R, seed=DEFAULT_SEED):
     last three depths and the coboundary identity replays on seeded
     samples.  Returns the cochain, or None.
 
-    Independent of :func:`ncsolenoid.ktheory.cohomologous`, which
-    decides via exact carrier arithmetic.
+    It reads 8 digits, so it certifies only J - R == m (mod N**8) for an
+    integer m: at N = 2, J = 256/3 and R = 0 it returns the zero cochain,
+    where :func:`ncsolenoid.ktheory.cohomologous`, which decides via
+    exact carrier arithmetic and is independent of this routine,
+    returns None.
     """
     check_carrier(J, R)
     if J.modulus != R.modulus:
         raise ValueError("carriers live at different scales")
     N = J.modulus
-    sums, candidates = [], []  # sums: (sigma_0 + ... + N**i sigma_i, N**(i+1))
+    sums, candidates = [(0, 1)], []  # then (sigma_0 + ... + N**i sigma_i, N**(i+1))
     acc, w = 0, 1
     for i in range(_SOLVE_DEPTH):
         x, y = QnRational._of(1, i + 1, N), QnRational._of(N - 1, i + 1, N)
@@ -367,12 +359,8 @@ def coboundary_solve(J, R, seed=DEFAULT_SEED):
         return None
     psi1 = candidates[-1]
 
-    table = {0: psi1}
-    for k, (acc, w) in enumerate(sums, 1):
-        if (psi1 + acc) % w:
-            return None
-        table[k] = (psi1 + acc) // w
-    psi = GeneratorCochain(N, table)
+    # psi1 == -acc (mod w) for the last sum, and each sum agrees with it mod its own w
+    psi = GeneratorCochain(N, dict(enumerate((psi1 + acc) // w for acc, w in sums)))
 
     draw = _sampler(random.Random(seed), N, 40, _SOLVE_DEPTH - 1)
     for _ in range(_SOLVE_SAMPLES):

@@ -12,7 +12,6 @@ from ncsolenoid.classify import (
     AngleMatrix,
     IsoVerdict,
     MAX_BUNDLE_Q,
-    _prime_to,
     _proper_divisors,
     bundle_data,
     isomorphic,
@@ -22,7 +21,7 @@ from ncsolenoid.classify import (
 from ncsolenoid.cli import main
 from ncsolenoid.ktheory import ExtensionElement, KPairElement, k_member, trace
 from ncsolenoid.multiplier import classify_type, is_simple, symmetrizer, theta_phase
-from ncsolenoid.nadic import NadicInteger, QnRational, format_fraction, prime_factors
+from ncsolenoid.nadic import NadicInteger, QnRational, _prime_to, format_fraction, prime_factors
 from ncsolenoid.oracle import bundle_check
 from ncsolenoid.sequences import Angle, AngleSequence, _move
 
@@ -56,7 +55,10 @@ def test_gcd_stripping_removes_exactly_the_primes_of_r(n, r):
     for p in set(prime_factors(r)) if r > 1 else ():
         while want % p == 0:
             want //= p
-    assert _prime_to(n, r) == want
+    part, k = _prime_to(n, r)
+    assert part == want
+    # k is the least power of r that n / part divides
+    assert (r ** k) % (n // part) == 0 and (k == 0 or (r ** (k - 1)) % (n // part))
 
 
 @given(st.integers(min_value=2, max_value=5000))

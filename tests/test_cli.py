@@ -252,35 +252,43 @@ HALF3_CARRIER, IOTA0_3 = str(GOLDEN / "half3_carrier.json"), str(GOLDEN / "iota0
 
 
 @pytest.mark.parametrize(
-    "command, text",
+    "command, text, message",
     [
-        pytest.param(["info"], None, id="carrier-file-info"),
-        pytest.param(["simple"], None, id="carrier-file-simple"),
-        pytest.param(["iso", IOTA0_3], None, id="carrier-file-iso"),
-        pytest.param(["info"], '{"N": 3, "carrier": {"value": "-1/2"}}', id="missing-alpha0"),
-        pytest.param(["simple"], '{"N": 3, "alpha0": "1/2", "carier": {"value": "-1/2"}}',
+        pytest.param(["info"], None, None, id="carrier-file-info"),
+        pytest.param(["simple"], None, None, id="carrier-file-simple"),
+        pytest.param(["iso", IOTA0_3], None, None, id="carrier-file-iso"),
+        pytest.param(["info"], '{"N": 3, "carrier": {"value": "-1/2"}}', None,
+                     id="missing-alpha0"),
+        pytest.param(["simple"], '{"N": 3, "alpha0": "1/2", "carier": {"value": "-1/2"}}', None,
                      id="misspelled-carrier"),
         pytest.param(["info"], '{"N": 3, "alpha0": "1/2", "carrier": {"value": "0"}, "x": 1}',
-                     id="extra-key"),
+                     None, id="extra-key"),
         pytest.param(["info"], '{"N": 3, "alpha0": "0", "carrier": {"prefix": [1], "value": "0"}}',
-                     id="value-and-prefix"),
-        pytest.param(["info"], '{"N": 3, "alpha0": "0", "carrier": {"prefix": 5}}',
+                     None, id="value-and-prefix"),
+        pytest.param(["info"], '{"N": 3, "alpha0": "0", "carrier": {"prefix": 5}}', None,
                      id="prefix-int"),
-        pytest.param(["info"], '{"N": 3, "alpha0": "0", "carrier": {"prefix": true}}',
+        pytest.param(["info"], '{"N": 3, "alpha0": "0", "carrier": {"prefix": true}}', None,
                      id="prefix-bool"),
-        pytest.param(["cohomologous", IOTA0_3], '{"N": 3, "value": "0", "prefix": [1]}',
+        pytest.param(["cohomologous", IOTA0_3], '{"N": 3, "value": "0", "prefix": [1]}', None,
                      id="carrier-file-value-and-prefix"),
-        pytest.param(["cohomologous", IOTA0_3], '{"N": 3, "value": "0", "x": 1}',
+        pytest.param(["cohomologous", IOTA0_3], '{"N": 3, "value": "0", "x": 1}', None,
                      id="carrier-file-extra-key"),
+        pytest.param(["cohomologous", IOTA0_3], '{"value": "0"}',
+                     "carrier files need an N field", id="carrier-file-without-N"),
     ],
 )
-def test_a_file_of_another_shape_exits_2_with_empty_stdout(capsys, tmp_path, command, text):
+def test_a_file_of_another_shape_exits_2_with_empty_stdout(
+    capsys, tmp_path, command, text, message
+):
+    # message, where a row gives one, pins the whole error line
     path = HALF3_CARRIER
     if text is not None:
         path = str(tmp_path / "element.json")
         Path(path).write_text(text)
     assert main(command[:1] + [path] + command[1:]) == 2
-    assert capsys.readouterr().out == ""
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert message is None or captured.err == "error: %s: %s\n" % (path, message)
 
 
 def test_float_literals_rejected(capsys, tmp_path):
@@ -359,6 +367,8 @@ def test_selftest_output_is_pinned_at_33_seeds(capsys):
                      "scale must be at least 2", id="scale-one"),
         pytest.param('{"N": "3", "alpha0": "0", "carrier": {"value": "0"}}',
                      "scale must be an integer", id="scale-string"),
+        pytest.param('{"N": 3,', "Expecting property name enclosed in double quotes: line 1 "
+                     "column 9 (char 8)", id="malformed-json"),
     ],
 )
 def test_a_bad_value_exits_2_naming_the_file(capsys, tmp_path, text, message):

@@ -3,7 +3,8 @@
 Each case calls one entry point with one bad argument (a bool, a float,
 a str, a negative int, an object of the wrong class, or an element at a
 mismatched scale) and pins the exception type it raises.  Messages are
-not pinned: only the type is part of the contract.
+not part of the contract; they are pinned only on the rows for raises
+that no other in-process test reaches, as a record of what they say.
 """
 
 from fractions import Fraction
@@ -12,7 +13,7 @@ import pytest
 
 from ncsolenoid import classify, ktheory, multiplier, oracle
 from ncsolenoid.nadic import (
-    NadicInteger, QnRational, check_scale, multiplicative_order, prime_factors,
+    NadicInteger, QnRational, as_fraction, check_scale, multiplicative_order, prime_factors,
 )
 from ncsolenoid.sequences import AngleSequence
 
@@ -33,18 +34,23 @@ COCHAIN = ktheory.GeneratorCochain(3, {0: 1, 1: 0})
 BAD_INTS = [("bool", True), ("float", 1.5), ("str", "1")]
 
 
+def _case(call, bad, exc, id, message=None):
+    """One row: call(bad) raises exc, with exactly message when it is given."""
+    return pytest.param(call, bad, exc, message, id=id)
+
+
 def _ints(name, call, negative=True):
     """ValueError cases for an integer argument; call takes the bad value."""
-    cases = [pytest.param(call, v, ValueError, id="%s-%s" % (name, kind)) for kind, v in BAD_INTS]
+    cases = [_case(call, v, ValueError, id="%s-%s" % (name, kind)) for kind, v in BAD_INTS]
     if negative:
-        cases.append(pytest.param(call, -2, ValueError, id="%s-negative" % name))
+        cases.append(_case(call, -2, ValueError, id="%s-negative" % name))
     return cases
 
 
 def _sequence_args(name, call):
     """TypeError for a non-sequence where an AngleSequence is expected."""
     return [
-        pytest.param(call, bad, TypeError, id="%s-%s" % (name, kind))
+        _case(call, bad, TypeError, id="%s-%s" % (name, kind))
         for kind, bad in (("qn", X3), ("str", "x"), ("bool", True))
     ]
 
@@ -56,12 +62,12 @@ CASES = (
     + _ints("QnRational-scale", lambda v: QnRational(1, 0, v))
     + _ints("QnRational.scaled", X3.scaled, negative=False)
     + _ints("NadicInteger-digit", lambda v: NadicInteger.from_prefix([0, v], 3))
-    + [pytest.param(lambda v: NadicInteger.from_prefix([v], 3), 3, ValueError, id="digit-high")]
+    + [_case(lambda v: NadicInteger.from_prefix([v], 3), 3, ValueError, id="digit-high")]
     + _ints("NadicInteger.iota", lambda v: NadicInteger.iota(v, 3), negative=False)
     + _ints("NadicInteger.at", J3.at)
     + _ints("AngleSequence.shift", A3.shift)
     + [
-        pytest.param(call, v, ValueError, id="%s-%s" % (name, kind))
+        _case(call, v, ValueError, id="%s-%s" % (name, kind))
         for name, call in (
             ("NadicInteger.segment-k", lambda v: J3.segment(v, 3)),
             ("NadicInteger.segment-m", lambda v: J3.segment(0, v)),
@@ -86,33 +92,33 @@ CASES = (
         )
         for case in _ints(name, call)
     ]
-    + [pytest.param(lambda v: oracle.cocycle_fuzz("xi", J3, trials=v), 0, ValueError,
-                    id="cocycle_fuzz-xi-trials-0")]
+    + [_case(lambda v: oracle.cocycle_fuzz("xi", J3, trials=v), 0, ValueError,
+             id="cocycle_fuzz-xi-trials-0")]
     + _ints("isomorphic-bound", lambda v: classify.isomorphic(A3, A3, v))
     + _ints("Symmetrizer-b", lambda v: multiplier.Symmetrizer("ScaledLattice", v))
-    + [pytest.param(multiplier.Symmetrizer.scaled_lattice, 1, ValueError, id="Symmetrizer-b-1")]
+    + [_case(multiplier.Symmetrizer.scaled_lattice, 1, ValueError, id="Symmetrizer-b-1")]
     + _ints("GeneratorCochain-value", lambda v: ktheory.GeneratorCochain(3, {0: v}), False)
-    + [pytest.param(lambda v: ktheory.GeneratorCochain(3, {0: 0, v: 0}), -1, ValueError,
-                    id="GeneratorCochain-level-negative"),
-       pytest.param(lambda v: ktheory.GeneratorCochain(3, {0: 0, v: 0}), "1", ValueError,
-                    id="GeneratorCochain-level-str")]
+    + [_case(lambda v: ktheory.GeneratorCochain(3, {0: 0, v: 0}), -1, ValueError,
+             id="GeneratorCochain-level-negative"),
+       _case(lambda v: ktheory.GeneratorCochain(3, {0: 0, v: 0}), "1", ValueError,
+             id="GeneratorCochain-level-str")]
     + _ints("ExtensionElement-z", lambda v: ktheory.ExtensionElement(A3, v, X3), False)
     + _ints("GeneratorCochain-scale", lambda v: ktheory.GeneratorCochain(v, {0: 1}))
     + _ints("cohomologous-depth", lambda v: ktheory.cohomologous(J5, J0, depth=v))
     + _ints("cohomologous-samples", lambda v: ktheory.cohomologous(J5, J0, samples=v))
-    + [pytest.param(lambda v: ktheory.cohomologous(J5, J0, depth=v), 0, ValueError,
-                    id="cohomologous-depth-0"),
-       pytest.param(lambda v: ktheory.cohomologous(J5, J0, samples=v), 0, ValueError,
-                    id="cohomologous-samples-0"),
-       pytest.param(lambda v: ktheory.cohomologous(J5, J0, depth=v), 2.0, ValueError,
-                    id="cohomologous-depth-integral-float")]
+    + [_case(lambda v: ktheory.cohomologous(J5, J0, depth=v), 0, ValueError,
+             id="cohomologous-depth-0"),
+       _case(lambda v: ktheory.cohomologous(J5, J0, samples=v), 0, ValueError,
+             id="cohomologous-samples-0"),
+       _case(lambda v: ktheory.cohomologous(J5, J0, depth=v), 2.0, ValueError,
+             id="cohomologous-depth-integral-float")]
     + _ints("prime_factors", prime_factors)
-    + [pytest.param(prime_factors, 12.0, ValueError, id="prime_factors-integral-float"),
-       pytest.param(prime_factors, 1, ValueError, id="prime_factors-1")]
+    + [_case(prime_factors, 12.0, ValueError, id="prime_factors-integral-float"),
+       _case(prime_factors, 1, ValueError, id="prime_factors-1")]
     + _ints("multiplicative_order-base", lambda v: multiplicative_order(v, 7), negative=False)
     + _ints("multiplicative_order-modulus", lambda v: multiplicative_order(2, v))
-    + [pytest.param(lambda v: multiplicative_order(2, v), 7.0, ValueError,
-                    id="multiplicative_order-modulus-integral-float")]
+    + [_case(lambda v: multiplicative_order(2, v), 7.0, ValueError,
+             id="multiplicative_order-modulus-integral-float")]
     + _sequence_args("isomorphic", lambda s: classify.isomorphic(A3, s))
     + _sequence_args("prime_case_isomorphic", lambda s: classify.prime_case_isomorphic(s, A3))
     + _sequence_args("bundle_data", classify.bundle_data)
@@ -130,7 +136,7 @@ CASES = (
     + _sequence_args("colimit_report", oracle.colimit_report)
     + _sequence_args("cocycle_fuzz-psi", lambda s: oracle.cocycle_fuzz("psi_bichar", s, 1))
     + [
-        pytest.param(f, bad, exc, id=name)
+        _case(f, bad, exc, id=name)
         for name, f, bad, exc in [
             # wrong class and mismatched scale in the group operations
             ("QnRational-add-class", X3.__add__, J3, TypeError),
@@ -211,10 +217,30 @@ CASES = (
              ValueError),
         ]
     ]
+    + [
+        _case(f, bad, exc, name, message)
+        for name, f, bad, exc, message in [
+            # raises that no other in-process test reaches, with their messages
+            ("as_fraction-decimal", as_fraction, "0.5", ValueError,
+             "floating point literals are not accepted: '0.5'"),
+            ("QnRational-frozen", lambda v: setattr(X3, "num", v), 5, AttributeError,
+             "QnRational is immutable"),
+            ("NadicInteger-neither", lambda v: NadicInteger(3, value=v), None, ValueError,
+             "exactly one of value and prefix is required"),
+            ("NadicInteger-both", lambda p: NadicInteger(3, value=0, prefix=p), [1], ValueError,
+             "exactly one of value and prefix is required"),
+            ("NadicInteger.segment-order", lambda k: J3.segment(k, 1), 3, ValueError,
+             "need 0 <= k <= m"),
+            ("trace-class", ktheory.trace, X3, TypeError, "expected a K0 element"),
+            ("coboundary_solve-scale", lambda R: oracle.coboundary_solve(J3, R), J2, ValueError,
+             "carriers live at different scales"),
+        ]
+    ]
 )
 
 
-@pytest.mark.parametrize("call, bad, exc", CASES)
-def test_bad_argument_raises_its_pinned_type(call, bad, exc):
-    with pytest.raises(exc):
+@pytest.mark.parametrize("call, bad, exc, message", CASES)
+def test_bad_argument_raises_its_pinned_type(call, bad, exc, message):
+    with pytest.raises(exc) as raised:
         call(bad)
+    assert message is None or str(raised.value) == message

@@ -50,6 +50,11 @@
   imports nothing from ``classify``, and ``oracle.bundle_check`` reads
   the bundle unitaries only through their dense ``rows`` (no ``perm``,
   ``num``, ``den`` or ``scaled``, no ``@`` or ``**``).
+* One oracle check per identity, and none that cannot fail: ``oracle``
+  imports no ``r_digit`` (the nesting of the colimit stages is the
+  coherence identity it checks through ``connecting_matrix``), and
+  ``oracle.brute_symmetrizer`` calls ``_theta_frac``, so its spot checks
+  read Theta apart from the term values that decide membership.
 * ``bundle_data`` builds and does not check: the relation helpers
   ``_twisted_commute`` and ``_power_is_one`` and the "bundle relation"
   raises are gone, and ``AngleMatrix.__pow__`` multiplies through ``@``
@@ -311,6 +316,22 @@ def _matrix_reads(node):
 def test_bundle_check_reads_only_the_dense_rows():
     for name in ("bundle_check", "_phases", "_compose"):
         assert _matrix_reads(_function("oracle." + name)) == []
+
+
+def test_the_colimit_oracle_reads_no_stage_digit():
+    found = [
+        "oracle.py:%d" % node.lineno
+        for node in ast.walk(TREES["oracle"])
+        if isinstance(node, (ast.Import, ast.ImportFrom))
+        and any(a.name == "r_digit" for a in node.names)
+    ]
+    assert found == []
+
+
+def test_brute_symmetrizer_spot_checks_through_theta():
+    node = _function("oracle.brute_symmetrizer")
+    called = {getattr(n.func, "id", None) for n in ast.walk(node) if isinstance(n, ast.Call)}
+    assert "_theta_frac" in called
 
 
 def test_bundle_data_builds_and_does_not_check():
