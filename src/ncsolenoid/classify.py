@@ -241,6 +241,11 @@ def replay_witness(alpha, beta, verdict):
     shift >= 0, a proper divisor of R as block, a sign of +-1, and the
     moved pair as ``matched``.  Raises on a verdict that is not a Yes and
     on a prefix carrier.
+
+    The cost is bounded by the input at any shift q: a periodic pair moves
+    to (h, -h) with h = c R**-q mod b over b, for the head c/b, and as a
+    move scales s = h + w by +-1/(R**q d), an aperiodic pair refuses
+    R**q > |s(y)/s(x)| before any power.
     """
     if not isinstance(verdict, IsoVerdict) or not verdict.is_yes:
         raise ValueError("only Yes verdicts can be replayed")
@@ -256,7 +261,16 @@ def replay_witness(alpha, beta, verdict):
     q, d, sign = got["shift"], got["block"], got["sign"]
     if q < 0 or d < 1 or scale % d or d == scale or sign not in (1, -1):
         return False
-    image = _move(y, scale ** q * d, sign)
+    sx, sy = x[0] + x[1], y[0] + y[1]
+    if not sy:
+        c, b = y[0].numerator, y[0].denominator
+        head = Fraction(c * pow(scale, -q, b) % b, b)
+        moved = (head, -head)
+    elif not sx or q * (scale.bit_length() - 1) >= (sy / sx).numerator.bit_length():
+        return False  # R**q >= 2**(q (bits(R) - 1)) > |s(y)/s(x)|
+    else:
+        moved = _move(y, scale ** q, 1)
+    image = _move(moved, d, sign)
     return image == x and w == _witness(alpha, beta, scale, w["direction"], q, d, sign, image)
 
 

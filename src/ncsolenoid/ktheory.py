@@ -67,8 +67,8 @@ from fractions import Fraction
 from operator import attrgetter
 
 from .nadic import (
-    DEFAULT_SEED, NadicInteger, QnRational, _Frozen, _sampler, _Value, as_fraction, check_carrier,
-    check_int, check_point, check_scale, format_fraction, frac_part,
+    DEFAULT_SEED, NadicInteger, QnRational, _Frozen, _pair_sum, _sampler, _Value, as_fraction,
+    check_carrier, check_int, check_point, check_scale, format_fraction, frac_part,
 )
 from .sequences import Angle, AngleSequence, check_sequence
 
@@ -90,30 +90,32 @@ def xi_cocycle(J, x, y):
     check_carrier(J)
     check_point(x, J.modulus)
     check_point(y, J.modulus)
-    return _xi(J, x, y)
+    return _xi(J, (x.num, x.exp), (y.num, y.exp))
 
 
 def _xi(J, x, y):
-    """xi_cocycle without the argument checks, on points the caller built at J's scale."""
-    if x.exp < y.exp:
-        return -x.num * J._segment(x.exp, y.exp)
-    if y.exp < x.exp:
-        return -y.num * J._segment(y.exp, x.exp)
-    s = QnRational._of(x.num + y.num, x.exp, J.modulus)  # one exponent: no rescaling
-    return s.num * J._segment(s.exp, x.exp)
+    """xi_cocycle without the argument checks, on lowest-terms pairs (num, exp) at J's scale."""
+    (p1, k1), (p2, k2) = x, y
+    if k1 < k2:
+        return -p1 * J._segment(k1, k2)
+    if k2 < k1:
+        return -p2 * J._segment(k2, k1)
+    q, r = _pair_sum(x, y, J.modulus)
+    return q * J._segment(r, k1)
 
 
 def prufer_pair(J, x):
     """The pairing  p/N**k |-> frac(p * J_k / N**k)  into Q/Z."""
     check_carrier(J)
     check_point(x, J.modulus)
-    return _prufer(J, x)
+    return _prufer(J, (x.num, x.exp))
 
 
 def _prufer(J, x):
-    """prufer_pair without the argument checks, on a point the caller built at J's scale."""
-    m = J.modulus ** x.exp
-    return Angle._of(Fraction(x.num * J._at(x.exp) % m, m))
+    """prufer_pair without the argument checks, on a lowest-terms pair (num, exp) at J's scale."""
+    p, k = x
+    m = J.modulus ** k
+    return Angle._of(Fraction(p * J._at(k) % m, m))
 
 
 def mu_cochain(J, x):
@@ -125,12 +127,13 @@ def mu_cochain(J, x):
     """
     check_carrier(J)
     check_point(x, J.modulus)
-    return _mu(J, x)
+    return _mu(J, (x.num, x.exp))
 
 
 def _mu(J, x):
-    """mu_cochain without the argument checks, on a point the caller built at J's scale."""
-    return -(x.num * J._at(x.exp) // J.modulus ** x.exp)
+    """mu_cochain without the argument checks, on a lowest-terms pair (num, exp) at J's scale."""
+    p, k = x
+    return -(p * J._at(k) // J.modulus ** k)
 
 
 def cross_section_carry(t1, t2):
@@ -161,15 +164,15 @@ def zeta_cocycle(J, x, y):
     check_carrier(J)
     check_point(x, J.modulus)
     check_point(y, J.modulus)
-    return _zeta(J, x, y)
+    return _zeta(J, (x.num, x.exp), (y.num, y.exp))
 
 
 def _zeta(J, x, y):
-    """zeta_cocycle without the argument checks, on points the caller built at J's scale."""
-    N, k1, k2 = J.modulus, x.exp, y.exp
+    """zeta_cocycle without the argument checks, on lowest-terms pairs (num, exp) at J's scale."""
+    N, (p1, k1), (p2, k2) = J.modulus, x, y
     e = max(k1, k2)
-    a1 = x.num * J._at(k1) % N ** k1
-    a2 = y.num * J._at(k2) % N ** k2
+    a1 = p1 * J._at(k1) % N ** k1
+    a2 = p2 * J._at(k2) % N ** k2
     return (a1 * N ** (e - k1) + a2 * N ** (e - k2)) // N ** e
 
 
@@ -207,11 +210,12 @@ class GeneratorCochain(_Frozen):
     def __call__(self, x):
         if check_point(x, self.modulus).exp not in self.table:
             raise ValueError("level %d exceeds the recorded depth" % x.exp)
-        return self._eval(x)
+        return self._eval((x.num, x.exp))
 
     def _eval(self, x):
-        """The cochain at x without the argument checks, for points within the recorded depth."""
-        return x.num * self.table[x.exp]
+        """The cochain at a lowest-terms pair (num, exp) within the recorded depth, unchecked."""
+        p, k = x
+        return p * self.table[k]
 
     def __repr__(self):
         return "GeneratorCochain(scale=%d, table=%r)" % (self.modulus, self.table)
@@ -238,11 +242,10 @@ def cohomologous(J, R, depth=8, samples=100, seed=DEFAULT_SEED):
         return None
     m, n = int(diff), J.modulus
     psi = GeneratorCochain(n, {k: (J._at(k) - R._at(k) - m) // n**k for k in range(depth + 1)})
-    draw = _sampler(random.Random(seed), n, 50, depth - 1)
+    draw, c = _sampler(random.Random(seed), n, 50, depth - 1), psi._eval
     for _ in range(samples):
         x, y = draw(), draw()
-        want = _xi(J, x, y) - _xi(R, x, y)
-        if coboundary(psi._eval, x, y) != want:
+        if c(x) + c(y) - c(_pair_sum(x, y, n)) != _xi(J, x, y) - _xi(R, x, y):
             raise AssertionError("witness failed replay at (%r, %r)" % (x, y))
     return psi
 
@@ -267,14 +270,14 @@ class ExtensionElement(_Value):
 
     def __add__(self, other):
         self._require_same(other, "alpha")
-        z = self.z + other.z + _xi(self.alpha.carrier, self.x, other.x)
-        return ExtensionElement(self.alpha, z, self.x + other.x)
+        x, y = self.x, other.x
+        z = self.z + other.z + _xi(self.alpha.carrier, (x.num, x.exp), (y.num, y.exp))
+        return ExtensionElement(self.alpha, z, x + y)
 
     def __neg__(self):
-        mx = -self.x
-        return ExtensionElement(
-            self.alpha, -self.z - _xi(self.alpha.carrier, self.x, mx), mx
-        )
+        p, k = self.x.num, self.x.exp
+        xi = _xi(self.alpha.carrier, (p, k), (-p, k))
+        return ExtensionElement(self.alpha, -self.z - xi, -self.x)
 
     def __repr__(self):
         return "ExtensionElement(z=%d, x=%r)" % (self.z, self.x)

@@ -77,12 +77,12 @@ class Symmetrizer(_Value):
 
     def contains(self, g):
         """Whether a pair of QnRationals lies in the described subgroup."""
-        x, y = _as_pair(g, None)
+        (p, _), (q, _) = _as_pair(g, None)
         if self.variant == "Full":
             return True
         if self.variant == "Trivial":
-            return x.num == 0 and y.num == 0
-        return x.num % self.b == 0 and y.num % self.b == 0
+            return p == 0 and q == 0
+        return p % self.b == 0 and q % self.b == 0
 
     def __repr__(self):
         if self.variant == "ScaledLattice":
@@ -96,13 +96,13 @@ class Symmetrizer(_Value):
 
 
 def _as_pair(g, modulus):
-    """Validate g as a pair of QnRationals (optionally at a given scale)."""
+    """Validate g as a pair of QnRationals (optionally at a given scale); the pairs (num, exp)."""
     try:
         x, y = g
     except (TypeError, ValueError):
         raise ValueError("expected a pair of Q_N elements") from None
     check_point(y, check_point(x, modulus).modulus)
-    return x, y
+    return (x.num, x.exp), (y.num, y.exp)
 
 
 def psi_phase(alpha, g, h):
@@ -119,10 +119,10 @@ def psi_phase(alpha, g, h):
 
 
 def _psi_frac(alpha, g, h):
-    """psi_phase unchecked, on pairs at alpha's scale: the pair (num, b * N**n), not mod 1."""
-    g1, h2 = g[0], h[1]
-    n, b = g1.exp + h2.exp, alpha.base.denominator
-    return _numerator(alpha, n, b) * g1.num * h2.num, b * alpha.modulus ** n
+    """psi_phase unchecked, on pairs of lowest-terms pairs (num, exp): (num, b N**n), not mod 1."""
+    (p1, k1), (p4, k4) = g[0], h[1]
+    n, b = k1 + k4, alpha.base.denominator
+    return _numerator(alpha, n, b) * p1 * p4, b * alpha.modulus ** n
 
 
 def _numerator(alpha, n, b):
@@ -152,12 +152,12 @@ def theta_phase(alpha, g, h):
 
 def _theta_frac(alpha, g, h):
     """Theta_alpha(g, h) as an integer pair (num, b * N**max(n, m)), as :func:`_psi_frac`."""
-    (g1, g2), (h1, h2) = g, h
-    N, n, m, b = alpha.modulus, g1.exp + h2.exp, h1.exp + g2.exp, alpha.base.denominator
+    ((p1, k1), (p2, k2)), ((p3, k3), (p4, k4)) = g, h
+    N, n, m, b = alpha.modulus, k1 + k4, k3 + k2, alpha.base.denominator
     e = max(n, m)
     num = (
-        _numerator(alpha, n, b) * g1.num * h2.num * N ** (e - n)
-        - _numerator(alpha, m, b) * h1.num * g2.num * N ** (e - m)
+        _numerator(alpha, n, b) * p1 * p4 * N ** (e - n)
+        - _numerator(alpha, m, b) * p3 * p2 * N ** (e - m)
     )
     return num, b * N ** e
 
@@ -182,16 +182,16 @@ def bicharacter(zeta, xi, eta, chi, g, h):
 
 def _bichar_frac(zeta, xi, eta, chi, g, h):
     """The bicharacter as an integer pair (num, lcm(b_i) * N**e), as :func:`_psi_frac`."""
-    (g1, g2), (h1, h2) = g, h
-    terms = (
-        (zeta, g1.exp + h1.exp, g1.num * h1.num),
-        (eta, g2.exp + h1.exp, g2.num * h1.num),
-        (chi, g2.exp + h2.exp, g2.num * h2.num),
-        (xi, g1.exp + h2.exp, g1.num * h2.num),
+    ((p1, k1), (p2, k2)), ((p3, k3), (p4, k4)) = g, h
+    n1, n2, n3, n4 = k1 + k3, k2 + k3, k2 + k4, k1 + k4
+    N, e = zeta.modulus, max(n1, n2, n3, n4)
+    b = lcm(zeta.base.denominator, eta.base.denominator, chi.base.denominator, xi.base.denominator)
+    num = (
+        _numerator(zeta, n1, b) * p1 * p3 * N ** (e - n1)
+        + _numerator(eta, n2, b) * p2 * p3 * N ** (e - n2)
+        + _numerator(chi, n3, b) * p2 * p4 * N ** (e - n3)
+        + _numerator(xi, n4, b) * p1 * p4 * N ** (e - n4)
     )
-    N, b = zeta.modulus, lcm(*(s.base.denominator for s, _, _ in terms))
-    e = max(n for _, n, _ in terms)
-    num = sum(_numerator(s, n, b) * p * N ** (e - n) for s, n, p in terms)
     return num, b * N ** e
 
 

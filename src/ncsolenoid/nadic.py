@@ -369,9 +369,7 @@ class QnRational(_Value):
         N = self.modulus
         if type(other) is not QnRational or other.modulus != N:
             self._require_same(other, "modulus")
-        k, m = self.exp, other.exp
-        e = max(k, m)
-        return QnRational._of(self.num * N ** (e - k) + other.num * N ** (e - m), e, N)
+        return QnRational._of(*_pair_sum((self.num, self.exp), (other.num, other.exp), N), N)
 
     def __neg__(self):
         return QnRational._of(-self.num, self.exp, self.modulus)
@@ -391,6 +389,24 @@ class QnRational(_Value):
 
 
 _set_num, _set_exp, _set_modulus = QnRational._setters
+
+
+def _pair_sum(x, y, N):
+    """The sum of two points of Q_N held as lowest-terms pairs (num, exp), as such a pair.
+
+    At unequal exponents k < m the sum is in lowest terms: q is prime to N.
+
+    >>> _pair_sum((1, 1), (2, 1), 3)
+    (1, 0)
+    """
+    (p, k), (q, m) = (x, y) if x[1] <= y[1] else (y, x)
+    if k < m:
+        return p * N ** (m - k) + q, m
+    p += q
+    while k > 0 and p % N == 0:  # zero ends at (0, 0)
+        p //= N
+        k -= 1
+    return p, k
 
 
 DEFAULT_SEED = 20260817
@@ -419,11 +435,19 @@ def _sampler(rng, scale, max_num, max_exp):
     """Draws of points p/N**k with |p| <= max_num and k <= max_exp; the scale is checked once.
 
     p and k are the draws of ``rng.randrange(-max_num, max_num + 1)`` and
-    ``rng.randrange(0, max_exp + 1)``, in that order.
+    ``rng.randrange(0, max_exp + 1)``, in that order.  Each point is the
+    lowest-terms pair (num, exp) that ``QnRational._of`` would store.
     """
-    num, exp, scale = _below(rng, 2 * max_num + 1), _below(rng, max_exp + 1), check_scale(scale)
-    of = QnRational._of
-    return lambda: of(num() - max_num, exp(), scale)
+    num, exp, N = _below(rng, 2 * max_num + 1), _below(rng, max_exp + 1), check_scale(scale)
+
+    def draw():
+        p, k = num() - max_num, exp()
+        while k > 0 and p % N == 0:  # zero ends at (0, 0)
+            p //= N
+            k -= 1
+        return p, k
+
+    return draw
 
 
 class NadicInteger(_Value):

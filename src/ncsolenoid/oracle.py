@@ -14,19 +14,22 @@ at z = 0: Z x {0} lies in both sets it compares, and no check moves
 under it; its stage nesting is the (0, 1) entry of the coherence
 identity.  ``brute_symmetrizer`` clears term numerators read from
 ``value`` and spot-checks Theta on members with ``_theta_frac``.
-``coboundary_solve`` reads 8 digits, so it certifies J - R only mod
-N**8 (it passes J - R = 256/3 at N = 2).  Every seeded draw is
-``nadic._below``, getrandbits with rejection (the stream of
-``randrange`` and ``choice``); the fuzzes draw points through
-``nadic._sampler``, evaluate each shared value (xi(x, y), Theta(g, h))
-once per trial, and check the pairing-lift route of xi as an integer
-identity over N**max(k1, k2).  On points they drew themselves, they,
-``brute_symmetrizer`` and ``coboundary_solve`` call the cores that the
-public formulas run after their argument checks: ``ktheory._xi``,
-``_zeta``, ``_prufer``, ``_mu`` and ``GeneratorCochain._eval``, and
+``coboundary_solve`` reads as many digits as the heights of J and R
+require, so its answer is exact.  Every seeded draw is ``nadic._below``,
+getrandbits with rejection (the stream of ``randrange`` and ``choice``).
+
+A point p/N**k of Q_N is the lowest-terms pair (p, k) here, and a point
+of (Q_N)**2 a pair of them: the fuzzes, the spot checks and the replays
+draw them with ``nadic._sampler``, add them only with ``nadic._pair_sum``
+(``+`` joins tuples), and pass them to the cores that the public
+formulas run after their argument checks: ``ktheory._xi``, ``_zeta``,
+``_prufer``, ``_mu`` and ``GeneratorCochain._eval``, and
 ``multiplier._theta_frac``, ``_psi_frac`` and ``_bichar_frac``, which
 give a phase as an integer pair (num, den), so the laws of Theta and
-Psi are congruences mod 1 checked by cross-multiplying.
+Psi are congruences mod 1 checked by cross-multiplying.  The fuzzes
+evaluate each shared value (xi(x, y), Theta(g, h)) once per trial and
+check the pairing-lift route of xi as an integer identity over
+N**max(k1, k2).
 
 Defaults are sized for desk use: windows around 150 numerators and
 exponent 4, depth 6 stages, 1000 fuzz trials on points p/N**k with
@@ -47,18 +50,19 @@ from .ktheory import (
     _prufer,
     _xi,
     _zeta,
-    coboundary,
     connecting_matrix,
     cross_section_carry,
     embedding_matrix,
     mat_mul,
 )
 from .multiplier import _bichar_frac, _psi_frac, _theta_frac
-from .nadic import DEFAULT_SEED, QnRational, _below, _Frozen, _sampler, check_carrier, check_int
+from .nadic import (
+    DEFAULT_SEED, QnRational, _below, _Frozen, _pair_sum, _sampler, check_carrier, check_int,
+)
 from .sequences import Angle, AngleSequence, check_sequence
 
 _FUZZ_NUM, _FUZZ_EXP = 60, 6  # bounds on |p| and k of the fuzz points p/N**k
-_SOLVE_DEPTH, _SOLVE_SAMPLES = 8, 60  # coboundary_solve: digits read, pairs replayed
+_SOLVE_SAMPLES = 60  # coboundary_solve: pairs replayed
 
 
 class FuzzReport(_Frozen):
@@ -95,7 +99,7 @@ class FuzzReport(_Frozen):
 
 def sample_qn(rng, scale, max_num, max_exp):
     """A random Q_N element with bounded numerator and exponent."""
-    return _sampler(rng, scale, max_num, max_exp)()
+    return QnRational._of(*_sampler(rng, scale, max_num, max_exp)(), scale)
 
 
 def brute_symmetrizer(alpha, window_num=150, window_exp=4, spot_checks=2000, seed=DEFAULT_SEED):
@@ -131,7 +135,7 @@ def brute_symmetrizer(alpha, window_num=150, window_exp=4, spot_checks=2000, see
             if (x.num, x.exp) not in cleared:
                 ok = all(x.num * nums[x.exp + j] % denom == 0 for j in range(window_exp + 1))
                 cleared[x.num, x.exp] = x if ok else None
-    good = [x for x in cleared.values() if x is not None]
+    good = [pair for pair, x in cleared.items() if x is not None]
 
     rng = random.Random(seed)
     pick, draw = _below(rng, len(good)), _sampler(rng, N, window_num, window_exp)
@@ -140,7 +144,7 @@ def brute_symmetrizer(alpha, window_num=150, window_exp=4, spot_checks=2000, see
         num, den = _theta_frac(alpha, g, h)
         if num % den:
             raise AssertionError("member %r fails against %r" % (g, h))
-    return frozenset((x, y) for x in good for y in good)
+    return frozenset((cleared[x], cleared[y]) for x in good for y in good)
 
 
 def colimit_report(alpha, depth=6, num_window=24):
@@ -230,25 +234,24 @@ def _fuzz_xi(carrier, trials, seed):
     N = carrier.modulus
     failures = []
     checks = 0
-    zero = QnRational(0, 0, N)
 
     def lift(u, e):
-        """N**e times the pairing lift u.num * J_k / N**k of u = p / N**k, k <= e."""
-        return u.num * carrier._at(u.exp) * N ** (e - u.exp)
+        """N**e times the pairing lift p * J_k / N**k of u = (p, k), k <= e."""
+        return u[0] * carrier._at(u[1]) * N ** (e - u[1])
 
     for t in range(trials):
         x, y, z = draw(), draw(), draw()
-        s = x + y
+        s = _pair_sum(x, y, N)
         xy = _xi(carrier, x, y)
         checks += 4
         if xy != _xi(carrier, y, x):
             failures.append("symmetry fails at trial %d" % t)
-        if _xi(carrier, s, z) + xy != _xi(carrier, y + z, x) + _xi(carrier, y, z):
+        if _xi(carrier, s, z) + xy != _xi(carrier, _pair_sum(y, z, N), x) + _xi(carrier, y, z):
             failures.append("cocycle identity fails at trial %d" % t)
-        if _xi(carrier, x, zero) != 0:
+        if _xi(carrier, x, (0, 0)) != 0:
             failures.append("normalisation fails at trial %d" % t)
         # independent route: xi as the coboundary defect of the pairing lift
-        e = max(x.exp, y.exp)  # the level of x + y is at most e
+        e = max(x[1], y[1])  # the level of x + y is at most e
         if lift(x, e) + lift(y, e) - lift(s, e) != xy * N ** e:
             failures.append("pairing-lift route disagrees at trial %d" % t)
     return FuzzReport("xi", trials, seed, checks, failures)
@@ -256,9 +259,9 @@ def _fuzz_xi(carrier, trials, seed):
 
 def _fuzz_zeta(carrier, trials, seed):
     draw = _sampler(random.Random(seed), carrier.modulus, _FUZZ_NUM, _FUZZ_EXP)
+    N = carrier.modulus
     failures = []
     checks = 0
-    neg_mu = lambda u: -_mu(carrier, u)
     for t in range(trials):
         x, y = draw(), draw()
         checks += 3
@@ -269,7 +272,8 @@ def _fuzz_zeta(carrier, trials, seed):
         carry = cross_section_carry(_prufer(carrier, x), _prufer(carrier, y))
         if zc != carry:
             failures.append("zeta disagrees with its carry form at trial %d" % t)
-        if zc + coboundary(neg_mu, x, y) != _xi(carrier, x, y):
+        d_neg_mu = _mu(carrier, _pair_sum(x, y, N)) - _mu(carrier, x) - _mu(carrier, y)
+        if zc + d_neg_mu != _xi(carrier, x, y):
             failures.append("zeta + d(-mu) != xi at trial %d" % t)
     return FuzzReport("zeta", trials, seed, checks, failures)
 
@@ -283,14 +287,14 @@ def _congruent(x, *terms):
 
 
 def _fuzz_psi_bichar(alpha, trials, seed):
-    draw = _sampler(random.Random(seed), alpha.modulus, _FUZZ_NUM, _FUZZ_EXP)
+    N = alpha.modulus
+    draw = _sampler(random.Random(seed), N, _FUZZ_NUM, _FUZZ_EXP)
     failures = []
     checks = 0
-    zero_seq = AngleSequence.zero(alpha.modulus)
-    zero = (0, 1)
+    zero_seq, zero = AngleSequence.zero(N), (0, 1)
     for t in range(trials):
         g, g2, h = (draw(), draw()), (draw(), draw()), (draw(), draw())
-        gg2 = (g[0] + g2[0], g[1] + g2[1])
+        gg2 = (_pair_sum(g[0], g2[0], N), _pair_sum(g[1], g2[1], N))
         checks += 5
         gh = _theta_frac(alpha, g, h)
         if not _congruent(zero, gh, _theta_frac(alpha, h, g)):
@@ -299,7 +303,7 @@ def _fuzz_psi_bichar(alpha, trials, seed):
             failures.append("theta not alternating at trial %d" % t)
         if not _congruent(_theta_frac(alpha, gg2, h), gh, _theta_frac(alpha, g2, h)):
             failures.append("theta not additive in slot 1 at trial %d" % t)
-        hg2 = (h[0] + g2[0], h[1] + g2[1])
+        hg2 = (_pair_sum(h[0], g2[0], N), _pair_sum(h[1], g2[1], N))
         if not _congruent(_theta_frac(alpha, g, hg2), gh, _theta_frac(alpha, g, g2)):
             failures.append("theta not additive in slot 2 at trial %d" % t)
         psi = _psi_frac(alpha, g, h)
@@ -330,43 +334,43 @@ def coboundary_solve(J, R, seed=DEFAULT_SEED):
     """Solve xi_J - xi_R = d(psi) on generators from cocycle values alone.
 
     Works digit by digit: the difference cocycle evaluated at
-    (1/N**(k+1), (N-1)/N**(k+1)) recovers the digit gap, the candidate
-    psi(1) is the minimal-magnitude representative forced at each
-    depth, and a candidate is accepted only if it stabilises over the
-    last three depths and the coboundary identity replays on seeded
-    samples.  Returns the cochain, or None.
+    (1/N**(k+1), (N-1)/N**(k+1)) recovers the digit gap, and after D
+    digits the candidate psi(1) is the minimal-magnitude representative
+    forced mod N**D.  With ht(a/b) = max(|a|, b) and H = 2 ht(J) ht(R),
+    D is the least depth with N**D > H (H + 1) + H, and the candidate is
+    accepted only if |psi(1)| <= H and the coboundary identity replays on
+    seeded samples.  Returns the cochain, or None.
 
-    It reads 8 digits, so it certifies only J - R == m (mod N**8) for an
-    integer m: at N = 2, J = 256/3 and R = 0 it returns the zero cochain,
-    where :func:`ncsolenoid.ktheory.cohomologous`, which decides via
-    exact carrier arithmetic and is independent of this routine,
-    returns None.
+    The answer is exact: J - R = p/q with |p|, q <= H, and a candidate -m
+    with |m| <= H and q > 1 would give 0 < |p - q m| < N**D, although N**D
+    divides p - q m.  The heights only size D (a prefix carrier has none,
+    and raises ValueError); J - R is never formed.
     """
     check_carrier(J, R)
     if J.modulus != R.modulus:
         raise ValueError("carriers live at different scales")
     N = J.modulus
-    sums, candidates = [(0, 1)], []  # then (sigma_0 + ... + N**i sigma_i, N**(i+1))
-    acc, w = 0, 1
-    for i in range(_SOLVE_DEPTH):
-        x, y = QnRational._of(1, i + 1, N), QnRational._of(N - 1, i + 1, N)
-        acc += w * (_xi(J, x, y) - _xi(R, x, y))
+    H = 2
+    for value in (J.exact_value("coboundary_solve"), R.exact_value("coboundary_solve")):
+        H *= max(abs(value.numerator), value.denominator)
+    sums, acc, w, D = [(0, 1)], 0, 1, 0  # sums then (sigma_0 + ... + N**i sigma_i, N**(i+1))
+    while w <= H * (H + 1) + H:
+        D += 1
+        acc += w * (_xi(J, (1, D), (N - 1, D)) - _xi(R, (1, D), (N - 1, D)))
         w *= N
         sums.append((acc, w))
-        rep = (-acc) % w
-        candidates.append(rep - w if rep > w // 2 else rep)
-    if len(set(candidates[-3:])) != 1:
+    rep = (-acc) % w
+    psi1 = rep - w if rep > w // 2 else rep
+    if abs(psi1) > H:
         return None
-    psi1 = candidates[-1]
 
     # psi1 == -acc (mod w) for the last sum, and each sum agrees with it mod its own w
     psi = GeneratorCochain(N, dict(enumerate((psi1 + acc) // w for acc, w in sums)))
 
-    draw = _sampler(random.Random(seed), N, 40, _SOLVE_DEPTH - 1)
+    draw, c = _sampler(random.Random(seed), N, 40, D - 1), psi._eval
     for _ in range(_SOLVE_SAMPLES):
         x, y = draw(), draw()
-        want = _xi(J, x, y) - _xi(R, x, y)
-        if coboundary(psi._eval, x, y) != want:
+        if c(x) + c(y) - c(_pair_sum(x, y, N)) != _xi(J, x, y) - _xi(R, x, y):
             return None
     return psi
 

@@ -475,6 +475,30 @@ def test_replay_rejects_a_witness_at_a_divisor_of_R():
     assert not replay_witness(a, a, IsoVerdict.yes("forward"))
 
 
+APERIODIC = AngleSequence(3, Fraction(1, 2), NadicInteger.iota(0, 3))
+PERIOD_2 = AngleSequence(2, Fraction(1, 3), NadicInteger.from_value(Fraction(-1, 3), 2))
+
+
+@pytest.mark.parametrize(
+    "seq, shift, replays",
+    [
+        # a move scales s = h + w by 1/R**q, so on an aperiodic pair the input fixes q
+        pytest.param(APERIODIC, 10**9, False, id="aperiodic-1e9"),
+        pytest.param(APERIODIC, 10**18, False, id="aperiodic-1e18"),
+        # a periodic pair moves to head c R**-q mod b over b: every multiple of the period replays
+        pytest.param(AngleSequence.constant(3, Fraction(1, 2)), 10**9, True, id="constant-1e9"),
+        pytest.param(PERIOD_2, 10**18, True, id="period-2-1e18"),
+        pytest.param(PERIOD_2, 10**9 + 1, False, id="period-2-odd"),
+    ],
+)
+def test_a_replay_costs_no_more_than_its_input_at_any_shift(seq, shift, replays):
+    # the replay computed R**q: 0.39 s at q = 2 * 10**6, and minutes at a forged 10**9
+    verdict = IsoVerdict.yes(dict(isomorphic(seq, seq).witness, shift=shift))
+    start = time.process_time()
+    assert replay_witness(seq, seq, verdict) is replays
+    assert time.process_time() - start < 0.05
+
+
 def test_replay_needs_exact_carriers(thirds_4):
     prefix = AngleSequence(4, Fraction(1, 3), NadicInteger.from_prefix([2, 3], 4))
     assert isomorphic(prefix, thirds_4).is_unknown

@@ -234,6 +234,10 @@ CASES = (
             ("trace-class", ktheory.trace, X3, TypeError, "expected a K0 element"),
             ("coboundary_solve-scale", lambda R: oracle.coboundary_solve(J3, R), J2, ValueError,
              "carriers live at different scales"),
+            # the digits it reads are sized by the heights of exact carriers
+            ("coboundary_solve-prefix", lambda R: oracle.coboundary_solve(J3, R),
+             NadicInteger.from_prefix([1] * 12, 3), ValueError,
+             "coboundary_solve is undecidable from a finite prefix: it needs an exact carrier"),
         ]
     ]
 )

@@ -9,6 +9,11 @@
   slotted class; only ``_Frozen`` defines ``_fill`` (no per-class setter
   table such as ``_slot_setters`` or ``_BUNDLE_SLOTS``, and no
   ``Angle._plus``).
+* Points of Q_N below the public API are lowest-terms integer pairs
+  (num, exp), and only ``nadic._pair_sum`` adds them (``+`` on two tuples
+  joins them): no pair is an operand of ``+`` or reaches ``coboundary``
+  in the cores that read pairs or in the loops that draw them, and
+  ``QnRational.__add__`` calls ``_pair_sum``.
 * Value equality has one home: only ``nadic._Value`` defines ``__eq__``
   and ``__hash__``.
 * Group subtraction and the operand check of ``__add__`` have one home:
@@ -26,9 +31,10 @@
   appears only in ``nadic.check_carrier``.
 * The trusted constructors ``_of`` and ``AngleMatrix._canonical``, the
   trusted residue reads ``NadicInteger._at`` and ``NadicInteger._segment``,
-  the cores ``ktheory._xi``, ``_zeta``, ``_prufer``, ``_mu`` and
-  ``GeneratorCochain._eval``, and the integer cores ``multiplier._psi_frac``,
-  ``_theta_frac`` and ``_bichar_frac`` skip the argument checks, so they
+  the pair sum ``nadic._pair_sum``, the cores ``ktheory._xi``, ``_zeta``,
+  ``_prufer``, ``_mu`` and ``GeneratorCochain._eval``, and the integer cores
+  ``multiplier._psi_frac``, ``_theta_frac`` and ``_bichar_frac`` skip the
+  argument checks, so they
   never run on user input: ``codec`` and ``cli`` do not call them, and no
   private name enters ``ncsolenoid.__all__``.
 * The N-adic residue has one home: ``pow(x, -1, m)`` appears only in
@@ -141,6 +147,52 @@ def test_slot_writes_have_one_home():
     assert _definitions(names) == ["nadic._Frozen._fill"]
 
 
+PAIR_READERS = (
+    "ktheory._xi", "ktheory._zeta", "ktheory._prufer", "ktheory._mu",
+    "ktheory.GeneratorCochain._eval", "ktheory.cohomologous", "multiplier._psi_frac",
+    "multiplier._theta_frac", "multiplier._bichar_frac", "oracle._fuzz_xi", "oracle._fuzz_zeta",
+    "oracle._fuzz_psi_bichar", "oracle.coboundary_solve", "oracle.brute_symmetrizer",
+)
+
+
+def _makes_pairs(value):
+    """Whether an expression is a draw, a pair sum, or a tuple that holds one."""
+    if isinstance(value, ast.Tuple):
+        return any(_makes_pairs(v) for v in value.elts)
+    return isinstance(value, ast.Call) and getattr(value.func, "id", None) in ("draw", "_pair_sum")
+
+
+def _pair_names(node):
+    """The names of a def that hold pairs: point parameters, and targets of draws and sums."""
+    names = {a.arg for a in node.args.args if a.arg in ("x", "y", "g", "h")}
+    for n in ast.walk(node):
+        if isinstance(n, ast.Assign) and _makes_pairs(n.value):
+            names |= {t.id for t in ast.walk(n.targets[0]) if isinstance(t, ast.Name)}
+    return names
+
+
+def test_only_pair_sum_adds_pairs():
+    assert _definitions({"_pair_sum"}) == ["nadic.<module>._pair_sum"]
+    found = []
+    for dotted in PAIR_READERS:
+        node = _function(dotted)
+        pairs = _pair_names(node)
+        for n in ast.walk(node):
+            operands = []
+            if isinstance(n, ast.BinOp) and isinstance(n.op, ast.Add):
+                operands = [n.left, n.right]
+            elif isinstance(n, ast.Call) and getattr(n.func, "id", None) == "coboundary":
+                operands = n.args
+            while any(isinstance(o, ast.Subscript) for o in operands):  # g[0] is a pair too
+                operands = [o.value if isinstance(o, ast.Subscript) else o for o in operands]
+            if any(getattr(o, "id", None) in pairs for o in operands):
+                found.append("%s:%d" % (dotted, n.lineno))
+    assert found == []
+    called = {getattr(n.func, "id", None) for n in ast.walk(_function("nadic.QnRational.__add__"))
+              if isinstance(n, ast.Call)}
+    assert "_pair_sum" in called
+
+
 def test_only_value_defines_eq_and_hash():
     assert _definitions({"__eq__", "__hash__"}) == ["nadic._Value.__eq__", "nadic._Value.__hash__"]
 
@@ -214,8 +266,8 @@ def test_only_check_carrier_tests_for_a_carrier():
     assert _isinstance_scopes("NadicInteger") == ["nadic.check_carrier"]
 
 
-UNCHECKED = ("_of", "_canonical", "_at", "_segment", "_xi", "_zeta", "_prufer", "_mu",
-             "_eval", "_psi_frac", "_theta_frac", "_bichar_frac")
+UNCHECKED = ("_of", "_canonical", "_at", "_segment", "_pair_sum", "_xi", "_zeta", "_prufer",
+             "_mu", "_eval", "_psi_frac", "_theta_frac", "_bichar_frac")
 
 
 def test_trusted_constructors_stay_off_user_input():

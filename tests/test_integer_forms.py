@@ -7,7 +7,8 @@ operators reduce mod 1 by an integer floor, ``psi_phase``, ``prufer_pair``,
 and ``bicharacter`` form one numerator over a common denominator.  Each
 test writes the Fraction formula out as its oracle, at scales 2 to 30
 (composite ones included).  On prefix carriers read past their window,
-both forms raise the same ValueError.
+both forms raise the same ValueError.  The unchecked cores, which take
+points as lowest-terms pairs (num, exp), agree with their public wrappers.
 """
 
 from fractions import Fraction
@@ -15,9 +16,14 @@ from math import floor, gcd
 
 from hypothesis import example, given, strategies as st
 
-from ncsolenoid.ktheory import cross_section_carry, mu_cochain, prufer_pair, zeta_cocycle
-from ncsolenoid.multiplier import bicharacter, psi_phase, theta_phase
-from ncsolenoid.nadic import NadicInteger, QnRational
+from ncsolenoid.ktheory import (
+    GeneratorCochain, _mu, _prufer, _xi, _zeta, cross_section_carry, mu_cochain, prufer_pair,
+    xi_cocycle, zeta_cocycle,
+)
+from ncsolenoid.multiplier import (
+    _bichar_frac, _psi_frac, _theta_frac, bicharacter, psi_phase, theta_phase,
+)
+from ncsolenoid.nadic import NadicInteger, QnRational, _pair_sum
 from ncsolenoid.sequences import Angle, AngleSequence
 
 scales = st.integers(min_value=2, max_value=30)
@@ -183,3 +189,35 @@ def test_a_prefix_past_its_window_raises_the_same_error():
     assert outcome(mu_cochain, J, x) == message
     for pair in ((x, y), (y, x)):
         assert outcome(zeta_cocycle, J, *pair) == outcome(old_zeta, J, *pair) == message
+
+
+@st.composite
+def core_args(draw):
+    """Four sequences, four points and a cochain table to depth 8, at one scale."""
+    n = draw(st.sampled_from([2, 3, 6, 10]))
+    seqs = [AngleSequence(n, draw(heads), draw(carriers(n))) for _ in range(4)]
+    table = draw(st.lists(st.integers(-10**6, 10**6), min_size=9, max_size=9))
+    return seqs, [draw(points(n)) for _ in range(4)], GeneratorCochain(n, enumerate(table))
+
+
+def phase(pair):
+    return Angle(mod_one(Fraction(*pair)))
+
+
+@given(core_args())
+def test_each_pair_core_matches_its_public_wrapper(args):
+    (a, b, c, d), (x, y, z, w), psi = args
+    J, n = a.carrier, a.modulus
+    X, Y, Z, W = ((u.num, u.exp) for u in (x, y, z, w))
+    s = x + y
+    assert _pair_sum(X, Y, n) == (s.num, s.exp) == lowest_terms(x.fraction + y.fraction, n)
+    for core, wrapper in ((_xi, xi_cocycle), (_zeta, zeta_cocycle)):
+        assert outcome(core, J, X, Y) == outcome(wrapper, J, x, y)
+    for core, wrapper in ((_prufer, prufer_pair), (_mu, mu_cochain)):
+        assert outcome(core, J, X) == outcome(wrapper, J, x)
+    for core, wrapper in ((_psi_frac, psi_phase), (_theta_frac, theta_phase)):
+        got = outcome(lambda: phase(core(a, (X, Y), (Z, W))))
+        assert got == outcome(wrapper, a, (x, y), (z, w))
+    got = outcome(lambda: phase(_bichar_frac(a, b, c, d, (X, Y), (Z, W))))
+    assert got == outcome(bicharacter, a, b, c, d, (x, y), (z, w))
+    assert psi._eval(X) == psi(x)

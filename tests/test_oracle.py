@@ -11,11 +11,10 @@ from types import SimpleNamespace
 import pytest
 from hypothesis import example, given, strategies as st
 
-from ncsolenoid import multiplier, nadic
+from ncsolenoid import ktheory, multiplier, nadic
 from ncsolenoid.classify import AngleMatrix, BundleData, bundle_data
 from ncsolenoid.cli import main
-from ncsolenoid.ktheory import cohomologous, embedding_matrix, xi_cocycle, zeta_cocycle
-from ncsolenoid.multiplier import bicharacter, theta_phase
+from ncsolenoid.ktheory import cohomologous, embedding_matrix
 from ncsolenoid.nadic import NadicInteger, QnRational
 from ncsolenoid.oracle import (
     DEFAULT_SEED,
@@ -57,15 +56,15 @@ def test_sample_qn_is_reduced_and_deterministic():
 
 
 def test_the_fuzz_draws_are_pinned():
-    # the selftest's sampler shapes: the fuzzes at (60, 6), coboundary_solve at (40, 7), N = 3;
-    # the fault-injection rows name trial indices, so a faster draw path must draw these points
+    # sampler shapes at N = 3: the fuzzes' (60, 6) and a replay's (40, 7); the draws are
+    # lowest-terms pairs (num, exp), and the fault-injection rows name trial indices, so a
+    # faster draw path must draw these points
     digest = hashlib.sha256()
     for max_num, max_exp in ((60, 6), (40, 7)):
         for seed in (5, 7, DEFAULT_SEED):
             draw = _sampler(random.Random(seed), 3, max_num, max_exp)
             for _ in range(600):
-                x = draw()
-                digest.update(b"%d/%d " % (x.num, x.exp))
+                digest.update(b"%d/%d " % draw())
     assert digest.hexdigest() == "716e623ea6b7a5ce7018affff926675e8fe4fb409d818d514b6272b0ff6b07e3"
 
 
@@ -91,6 +90,27 @@ def test_selftest_checks_its_arguments_once():
     golden = Path(__file__).parent / "golden" / "expected" / "selftest_seed_7.out"
     assert (code, out.getvalue()) == (0, golden.read_text())
     assert counts == {"check_point": 2, "check_carrier": 8}
+
+
+def test_selftest_builds_points_only_for_the_symmetrizer_window():
+    # the fuzzes and replays draw and add integer pairs (num, exp); a selftest built
+    # 3,125 QnRationals when they drew points, and the cores read only .num and .exp.
+    # What is left is the window the brute symmetrizer returns: 81 numerators at 3 levels
+    of, callers = QnRational._of.__func__.__code__, []
+
+    def count(frame, event, arg):
+        if event == "call" and frame.f_code is of:
+            callers.append(frame.f_back.f_code.co_name)
+
+    previous = sys.getprofile()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        sys.setprofile(count)
+        try:
+            code = main(["selftest", "--seed=7"])
+        finally:
+            sys.setprofile(previous)
+    assert code == 0
+    assert len(callers) == 243 and set(callers) == {"brute_symmetrizer"}
 
 
 # ---------------------------------------------------------------- symmetrizer
@@ -224,12 +244,42 @@ def test_coboundary_solve_none_case():
     assert coboundary_solve(J, NadicInteger.iota(0, 3)) is None
 
 
-def test_coboundary_solve_certifies_only_8_digits():
-    # the known limit: J - R = 256/3 is no integer, so the cocycles are not
-    # cohomologous, but it is 0 mod 2**8, and the 8 digits read see only zeros
-    J, R = NadicInteger.from_value(Fraction(256, 3), 2), NadicInteger.iota(0, 2)
-    assert cohomologous(J, R) is None
-    assert coboundary_solve(J, R).table == dict.fromkeys(range(9), 0)
+@pytest.mark.parametrize(
+    "J, R, psi1",
+    [
+        # a fixed 8 digits gave candidates -22, 42, 42 at the last three depths: no answer
+        pytest.param(-439883, -439841, 42, id="integer-gap-read-too-shallow"),
+        # 8 digits passed psi(1) = 27, where J - R is no integer
+        pytest.param(Fraction(20, 13), 9343, None, id="false-pass"),
+        # 8 digits gave psi(1) = 30
+        pytest.param(-4394, -12, 4382, id="wrong-psi1"),
+        # J - R = 256/3 is 0 mod 2**8, so 8 digits saw only zeros; it takes 19
+        pytest.param(Fraction(256, 3), 0, None, id="256/3"),
+    ],
+)
+def test_coboundary_solve_reads_the_digits_the_heights_require(J, R, psi1):
+    J, R = NadicInteger.from_value(J, 2), NadicInteger.from_value(R, 2)
+    for witness in (cohomologous(J, R), coboundary_solve(J, R)):
+        assert (witness if witness is None else witness.psi1()) == psi1
+
+
+def test_coboundary_solve_agrees_with_cohomologous_on_seeded_carrier_pairs():
+    # 2,000 pairs with numerators up to 10**6 over denominators prime to N, about half of
+    # them an integer apart; reading a fixed 8 digits disagreed on 242 of them
+    rng = random.Random(DEFAULT_SEED)
+    dens, disagree = (1, 7, 11, 13), []
+    for _ in range(2000):
+        N = rng.choice((2, 3, 5, 6, 10))
+        J = Fraction(rng.randint(-10**6, 10**6), rng.choice(dens))
+        if rng.randint(0, 1):
+            R = J - rng.randint(-50, 50)
+        else:
+            R = Fraction(rng.randint(-10**6, 10**6), rng.choice(dens))
+        J, R = NadicInteger.from_value(J, N), NadicInteger.from_value(R, N)
+        got = [w if w is None else w.psi1() for w in (coboundary_solve(J, R), cohomologous(J, R))]
+        if got[0] != got[1]:
+            disagree.append((J, R, got))
+    assert disagree == []
 
 
 def test_coboundary_solve_reflexive(three_half):
@@ -365,18 +415,21 @@ def test_colimit_membership_and_coverage_fail_on_a_wrong_residue():
 # trial where one of its laws sees the fault.  The lists are pinned, so a
 # fuzz that reuses one value across its checks cannot blind any of them.
 
+# The stand-ins take what the cores take: points as lowest-terms pairs (num, exp),
+# and points of (Q_N)**2 as pairs of them.
+
 HALF = Fraction(1, 2)
 
 
-def _frac(angle, plus=0):
-    """angle + plus as an integer pair (num, den), the return form of the integer cores."""
-    value = angle.value + plus
+def _frac(pair, plus):
+    """num/den + plus as an integer pair (num, den), the return form of the integer cores."""
+    value = Fraction(*pair) + plus
     return value.numerator, value.denominator
 
 
 FUZZ_FAULTS = [
     pytest.param(
-        "_xi", lambda J, x, y: xi_cocycle(J, x, y) + (x.num > 0 > y.num), "xi",
+        "_xi", lambda J, x, y: ktheory._xi(J, x, y) + (x[0] > 0 > y[0]), "xi",
         ["cocycle identity fails at trial 2", "symmetry fails at trial 5",
          "cocycle identity fails at trial 5", "pairing-lift route disagrees at trial 5",
          "symmetry fails at trial 6", "cocycle identity fails at trial 6",
@@ -384,39 +437,39 @@ FUZZ_FAULTS = [
         id="xi-asymmetric",
     ),
     pytest.param(
-        "_xi", lambda J, x, y: xi_cocycle(J, x, y) + (x.exp == y.exp > 0), "xi",
+        "_xi", lambda J, x, y: ktheory._xi(J, x, y) + (x[1] == y[1] > 0), "xi",
         ["cocycle identity fails at trial 0", "pairing-lift route disagrees at trial 0",
          "pairing-lift route disagrees at trial 1"],
         id="xi-equal-levels",
     ),
     pytest.param(
-        "_xi", lambda J, x, y: xi_cocycle(J, x, y) + (y.num == 0), "xi",
+        "_xi", lambda J, x, y: ktheory._xi(J, x, y) + (y[0] == 0), "xi",
         ["normalisation fails at trial %d" % t for t in range(4)]
         + ["symmetry fails at trial 4", "cocycle identity fails at trial 4"]
         + ["normalisation fails at trial %d" % t for t in range(4, 8)],
         id="xi-at-zero",
     ),
     pytest.param(
-        "_xi", lambda J, x, y: xi_cocycle(J, x, y) + (x.exp == y.exp > 0), "zeta",
+        "_xi", lambda J, x, y: ktheory._xi(J, x, y) + (x[1] == y[1] > 0), "zeta",
         ["zeta + d(-mu) != xi at trial 0", "zeta + d(-mu) != xi at trial 1"],
         id="zeta-fuzz-xi-equal-levels",
     ),
     pytest.param(
-        "_zeta", lambda J, x, y: zeta_cocycle(J, x, y) ^ (x.exp == 0), "zeta",
+        "_zeta", lambda J, x, y: ktheory._zeta(J, x, y) ^ (x[1] == 0), "zeta",
         ["zeta disagrees with its carry form at trial 4", "zeta + d(-mu) != xi at trial 4",
          "zeta disagrees with its carry form at trial 6", "zeta + d(-mu) != xi at trial 6",
          "zeta disagrees with its carry form at trial 7", "zeta + d(-mu) != xi at trial 7"],
         id="zeta-flipped-at-level-0",
     ),
     pytest.param(
-        "_zeta", lambda J, x, y: zeta_cocycle(J, x, y) * (1 + (x.num < 0)), "zeta",
+        "_zeta", lambda J, x, y: ktheory._zeta(J, x, y) * (1 + (x[0] < 0)), "zeta",
         ["zeta out of range at trial 3", "zeta disagrees with its carry form at trial 3",
          "zeta + d(-mu) != xi at trial 3"],
         id="zeta-out-of-range",
     ),
     pytest.param(
         "_theta_frac",
-        lambda a, g, h: _frac(theta_phase(a, g, h), HALF if g[0].exp > h[0].exp else 0),
+        lambda a, g, h: _frac(multiplier._theta_frac(a, g, h), HALF if g[0][1] > h[0][1] else 0),
         "psi_bichar",
         ["theta not antisymmetric at trial 0", "theta not antisymmetric at trial 1",
          "theta not additive in slot 2 at trial 1", "theta not antisymmetric at trial 2",
@@ -425,14 +478,17 @@ FUZZ_FAULTS = [
         id="theta-level-ordered",
     ),
     pytest.param(
-        "_theta_frac", lambda a, g, h: _frac(theta_phase(a, g, h), HALF if g == h else 0),
+        "_theta_frac",
+        lambda a, g, h: _frac(multiplier._theta_frac(a, g, h), HALF if g == h else 0),
         "psi_bichar",
         ["theta not alternating at trial %d" % t for t in range(6)],
         id="theta-on-the-diagonal",
     ),
     pytest.param(
         "_bichar_frac",
-        lambda z, x, e, c, g, h: _frac(bicharacter(z, x, e, c, g, h), Fraction(g[1].num % 2, 3)),
+        lambda z, x, e, c, g, h: _frac(
+            multiplier._bichar_frac(z, x, e, c, g, h), Fraction(g[1][0] % 2, 3)
+        ),
         "psi_bichar",
         ["psi disagrees with its bicharacter form at trial %d" % t for t in (1, 2, 3)],
         id="bicharacter-odd-second-numerator",
