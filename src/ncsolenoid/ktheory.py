@@ -64,11 +64,12 @@ from __future__ import annotations
 
 import random
 from fractions import Fraction
+from math import gcd
 from operator import attrgetter
 
 from .nadic import (
-    DEFAULT_SEED, NadicInteger, QnRational, _Frozen, _pair_sum, _sampler, _Value, as_fraction,
-    check_carrier, check_int, check_point, check_scale, format_fraction, frac_part,
+    DEFAULT_SEED, NadicInteger, QnRational, _Frozen, _pair_sum, _sampler, _tower, _Value, _view,
+    as_fraction, check_carrier, check_int, check_point, check_scale, format_fraction, frac_part,
 )
 from .sequences import Angle, AngleSequence, check_sequence
 
@@ -90,32 +91,33 @@ def xi_cocycle(J, x, y):
     check_carrier(J)
     check_point(x, J.modulus)
     check_point(y, J.modulus)
-    return _xi(J, (x.num, x.exp), (y.num, y.exp))
+    return _xi(_view(J), (x.num, x.exp), (y.num, y.exp))
 
 
-def _xi(J, x, y):
-    """xi_cocycle without the argument checks, on lowest-terms pairs (num, exp) at J's scale."""
-    (p1, k1), (p2, k2) = x, y
+def _xi(T, x, y):
+    """xi_cocycle unchecked, on lowest-terms pairs and a tower (N, J, P): S(k, m) = J_m // N**k."""
+    (N, J, P), (p1, k1), (p2, k2) = T, x, y
     if k1 < k2:
-        return -p1 * J._segment(k1, k2)
+        return -p1 * (J[k2] // P[k1])
     if k2 < k1:
-        return -p2 * J._segment(k2, k1)
-    q, r = _pair_sum(x, y, J.modulus)
-    return q * J._segment(r, k1)
+        return -p2 * (J[k1] // P[k2])
+    q, r = _pair_sum(x, y, N)
+    return q * (J[k1] // P[r])
 
 
 def prufer_pair(J, x):
     """The pairing  p/N**k |-> frac(p * J_k / N**k)  into Q/Z."""
     check_carrier(J)
     check_point(x, J.modulus)
-    return _prufer(J, (x.num, x.exp))
+    return Angle._of(Fraction(*_prufer(_view(J), (x.num, x.exp))))
 
 
-def _prufer(J, x):
-    """prufer_pair without the argument checks, on a lowest-terms pair (num, exp) at J's scale."""
-    p, k = x
-    m = J.modulus ** k
-    return Angle._of(Fraction(p * J._at(k) % m, m))
+def _prufer(T, x):
+    """prufer_pair unchecked, on a lowest-terms pair and a tower (N, J, P); (num, den) reduced."""
+    (_, J, P), (p, k) = T, x
+    a = p * J[k] % P[k]
+    g = gcd(a, P[k])
+    return a // g, P[k] // g
 
 
 def mu_cochain(J, x):
@@ -127,13 +129,13 @@ def mu_cochain(J, x):
     """
     check_carrier(J)
     check_point(x, J.modulus)
-    return _mu(J, (x.num, x.exp))
+    return _mu(_view(J), (x.num, x.exp))
 
 
-def _mu(J, x):
-    """mu_cochain without the argument checks, on a lowest-terms pair (num, exp) at J's scale."""
-    p, k = x
-    return -(p * J._at(k) // J.modulus ** k)
+def _mu(T, x):
+    """mu_cochain unchecked, on a lowest-terms pair and a tower (N, J, P)."""
+    (_, J, P), (p, k) = T, x
+    return -(p * J[k] // P[k])
 
 
 def cross_section_carry(t1, t2):
@@ -144,8 +146,13 @@ def cross_section_carry(t1, t2):
     """
     a1 = t1.value if isinstance(t1, Angle) else frac_part(as_fraction(t1))
     a2 = t2.value if isinstance(t2, Angle) else frac_part(as_fraction(t2))
-    d1, d2 = a1.denominator, a2.denominator
-    return (a1.numerator * d2 + a2.numerator * d1) // (d1 * d2)
+    return _carry(a1.as_integer_ratio(), a2.as_integer_ratio())
+
+
+def _carry(t1, t2):
+    """cross_section_carry on angles held as integer pairs (num, den), 0 <= num < den."""
+    (n1, d1), (n2, d2) = t1, t2
+    return (n1 * d2 + n2 * d1) // (d1 * d2)
 
 
 def zeta_cocycle(J, x, y):
@@ -164,16 +171,16 @@ def zeta_cocycle(J, x, y):
     check_carrier(J)
     check_point(x, J.modulus)
     check_point(y, J.modulus)
-    return _zeta(J, (x.num, x.exp), (y.num, y.exp))
+    return _zeta(_view(J), (x.num, x.exp), (y.num, y.exp))
 
 
-def _zeta(J, x, y):
-    """zeta_cocycle without the argument checks, on lowest-terms pairs (num, exp) at J's scale."""
-    N, (p1, k1), (p2, k2) = J.modulus, x, y
+def _zeta(T, x, y):
+    """zeta_cocycle unchecked, on lowest-terms pairs and a tower (N, J, P)."""
+    (_, J, P), (p1, k1), (p2, k2) = T, x, y
     e = max(k1, k2)
-    a1 = p1 * J._at(k1) % N ** k1
-    a2 = p2 * J._at(k2) % N ** k2
-    return (a1 * N ** (e - k1) + a2 * N ** (e - k2)) // N ** e
+    a1 = p1 * J[k1] % P[k1]
+    a2 = p2 * J[k2] % P[k2]
+    return (a1 * P[e - k1] + a2 * P[e - k2]) // P[e]
 
 
 def coboundary(c, x, y):
@@ -240,12 +247,13 @@ def cohomologous(J, R, depth=8, samples=100, seed=DEFAULT_SEED):
     diff = J.exact_value("cohomology") - R.exact_value("cohomology")
     if diff.denominator != 1:
         return None
-    m, n = int(diff), J.modulus
-    psi = GeneratorCochain(n, {k: (J._at(k) - R._at(k) - m) // n**k for k in range(depth + 1)})
+    m, n, TJ, TR = int(diff), J.modulus, _tower(J, depth), _tower(R, depth)
+    (_, JK, P), RK = TJ, TR[1]
+    psi = GeneratorCochain(n, {k: (JK[k] - RK[k] - m) // P[k] for k in range(depth + 1)})
     draw, c = _sampler(random.Random(seed), n, 50, depth - 1), psi._eval
     for _ in range(samples):
         x, y = draw(), draw()
-        if c(x) + c(y) - c(_pair_sum(x, y, n)) != _xi(J, x, y) - _xi(R, x, y):
+        if c(x) + c(y) - c(_pair_sum(x, y, n)) != _xi(TJ, x, y) - _xi(TR, x, y):
             raise AssertionError("witness failed replay at (%r, %r)" % (x, y))
     return psi
 
@@ -271,12 +279,12 @@ class ExtensionElement(_Value):
     def __add__(self, other):
         self._require_same(other, "alpha")
         x, y = self.x, other.x
-        z = self.z + other.z + _xi(self.alpha.carrier, (x.num, x.exp), (y.num, y.exp))
+        z = self.z + other.z + _xi(_view(self.alpha.carrier), (x.num, x.exp), (y.num, y.exp))
         return ExtensionElement(self.alpha, z, x + y)
 
     def __neg__(self):
         p, k = self.x.num, self.x.exp
-        xi = _xi(self.alpha.carrier, (p, k), (-p, k))
+        xi = _xi(_view(self.alpha.carrier), (p, k), (-p, k))
         return ExtensionElement(self.alpha, -self.z - xi, -self.x)
 
     def __repr__(self):

@@ -29,7 +29,7 @@ from fractions import Fraction
 from math import lcm
 from operator import attrgetter
 
-from .nadic import QnRational, _Value, check_int, check_point
+from .nadic import QnRational, _tower, _Value, _view, check_int, check_point
 from .sequences import Angle, AngleSequence, check_sequence
 
 
@@ -115,24 +115,31 @@ def psi_phase(alpha, g, h):
     Angle(1/2)
     """
     check_sequence(alpha)
-    return _angle(*_psi_frac(alpha, _as_pair(g, alpha.modulus), _as_pair(h, alpha.modulus)))
+    g, h = _as_pair(g, alpha.modulus), _as_pair(h, alpha.modulus)
+    return _angle(*_psi_frac(_terms(alpha), g, h))
 
 
-def _psi_frac(alpha, g, h):
-    """psi_phase unchecked, on pairs of lowest-terms pairs (num, exp): (num, b N**n), not mod 1."""
+def _terms(alpha, K=None):
+    """(a, c, N, J, P): alpha_0 = a/c, and its carrier's tower to level K (None: the view)."""
+    a, c = alpha.base.as_integer_ratio()
+    return (a, c, *(_view(alpha.carrier) if K is None else _tower(alpha.carrier, K)))
+
+
+def _psi_frac(t, g, h):
+    """psi_phase unchecked, on pairs of lowest-terms pairs and alpha's terms: (num, c N**n)."""
     (p1, k1), (p4, k4) = g[0], h[1]
-    n, b = k1 + k4, alpha.base.denominator
-    return _numerator(alpha, n, b) * p1 * p4, b * alpha.modulus ** n
+    n, c = k1 + k4, t[1]
+    return _numerator(t, n, c) * p1 * p4, c * t[4][n]
 
 
-def _numerator(alpha, n, b):
+def _numerator(t, n, b):
     """The integer alpha_n * b * N**n, for a multiple b of alpha_0's denominator.
 
-    With alpha_0 = a/c, alpha_n = (a + c J_n) / (c N**n), so the numerator
-    is a * (b // c) + b * J_n.
+    With t = (a, c, N, J, P), alpha_n = (a + c J_n) / (c N**n), so the
+    numerator is a * (b // c) + b * J_n.
     """
-    a, c = alpha.base.numerator, alpha.base.denominator
-    return a * (b // c) + b * alpha.carrier._at(n)
+    a, c, _, J, _ = t
+    return a * (b // c) + b * J[n]
 
 
 def _angle(num, den):
@@ -147,19 +154,17 @@ def theta_phase(alpha, g, h):
     n = k1 + k4 and m = k3 + k2 are the levels of Psi(g, h) and Psi(h, g).
     """
     check_sequence(alpha)
-    return _angle(*_theta_frac(alpha, _as_pair(g, alpha.modulus), _as_pair(h, alpha.modulus)))
+    g, h = _as_pair(g, alpha.modulus), _as_pair(h, alpha.modulus)
+    return _angle(*_theta_frac(_terms(alpha), g, h))
 
 
-def _theta_frac(alpha, g, h):
+def _theta_frac(t, g, h):
     """Theta_alpha(g, h) as an integer pair (num, b * N**max(n, m)), as :func:`_psi_frac`."""
     ((p1, k1), (p2, k2)), ((p3, k3), (p4, k4)) = g, h
-    N, n, m, b = alpha.modulus, k1 + k4, k3 + k2, alpha.base.denominator
+    n, m, b, P = k1 + k4, k3 + k2, t[1], t[4]
     e = max(n, m)
-    num = (
-        _numerator(alpha, n, b) * p1 * p4 * N ** (e - n)
-        - _numerator(alpha, m, b) * p3 * p2 * N ** (e - m)
-    )
-    return num, b * N ** e
+    num = _numerator(t, n, b) * p1 * p4 * P[e - n] - _numerator(t, m, b) * p3 * p2 * P[e - m]
+    return num, b * P[e]
 
 
 def bicharacter(zeta, xi, eta, chi, g, h):
@@ -177,22 +182,22 @@ def bicharacter(zeta, xi, eta, chi, g, h):
     if not zeta.modulus == xi.modulus == eta.modulus == chi.modulus:
         raise ValueError("mismatched scales")
     g, h = _as_pair(g, zeta.modulus), _as_pair(h, zeta.modulus)
-    return _angle(*_bichar_frac(zeta, xi, eta, chi, g, h))
+    return _angle(*_bichar_frac(*map(_terms, (zeta, xi, eta, chi)), g, h))
 
 
 def _bichar_frac(zeta, xi, eta, chi, g, h):
-    """The bicharacter as an integer pair (num, lcm(b_i) * N**e), as :func:`_psi_frac`."""
+    """The bicharacter on the terms of four sequences: (num, lcm(b_i) * N**e), as ``_psi_frac``."""
     ((p1, k1), (p2, k2)), ((p3, k3), (p4, k4)) = g, h
     n1, n2, n3, n4 = k1 + k3, k2 + k3, k2 + k4, k1 + k4
-    N, e = zeta.modulus, max(n1, n2, n3, n4)
-    b = lcm(zeta.base.denominator, eta.base.denominator, chi.base.denominator, xi.base.denominator)
+    e, P = max(n1, n2, n3, n4), zeta[4]
+    b = lcm(zeta[1], eta[1], chi[1], xi[1])
     num = (
-        _numerator(zeta, n1, b) * p1 * p3 * N ** (e - n1)
-        + _numerator(eta, n2, b) * p2 * p3 * N ** (e - n2)
-        + _numerator(chi, n3, b) * p2 * p4 * N ** (e - n3)
-        + _numerator(xi, n4, b) * p1 * p4 * N ** (e - n4)
+        _numerator(zeta, n1, b) * p1 * p3 * P[e - n1]
+        + _numerator(eta, n2, b) * p2 * p3 * P[e - n2]
+        + _numerator(chi, n3, b) * p2 * p4 * P[e - n3]
+        + _numerator(xi, n4, b) * p1 * p4 * P[e - n4]
     )
-    return num, b * N ** e
+    return num, b * P[e]
 
 
 def symmetrizer(alpha):

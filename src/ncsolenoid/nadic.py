@@ -251,8 +251,8 @@ class _Frozen:
     Each subclass that declares slots gets ``_setters``, the ``__set__``
     of each of its slots in slot order, bound once; a subclass that adds
     no slot keeps its parent's.  The hot trusted constructors
-    (``QnRational._of``, ``Angle._of``) and the residue cache of
-    ``NadicInteger._at`` call named setters taken from ``_setters``.
+    (``QnRational._of``, ``Angle._of``, ``_Lazy``) and the residue cache
+    of ``NadicInteger._at`` call setters taken from ``_setters``.
 
     IsoVerdict, BundleData, FuzzReport and GeneratorCochain derive from it
     directly and compare by identity; the value classes use :class:`_Value`.
@@ -554,10 +554,6 @@ class NadicInteger(_Value):
         """
         if check_int(k, "depth", 0) > check_int(m, "depth", 0):
             raise ValueError("need 0 <= k <= m")
-        return self._segment(k, m)
-
-    def _segment(self, k, m):
-        """:meth:`segment` without the argument checks, for depths the library computed."""
         return self._at(m) // self.modulus ** k  # J_k = J_m mod N**k
 
     def exact_value(self, what):
@@ -599,3 +595,31 @@ class NadicInteger(_Value):
 
 
 _set_deep = NadicInteger._setters[3]
+
+
+def _tower(J, K):
+    """The tower (N, J, P) to level K: lists of J_k, each read by ``_at`` (J_K first), and N**k.
+
+    >>> _tower(NadicInteger.iota(5, 3), 3)
+    (3, [0, 2, 5, 5], [1, 3, 9, 27])
+    """
+    N = J.modulus
+    return N, [J._at(k) for k in range(K, -1, -1)][::-1], [N ** k for k in range(K + 1)]
+
+
+class _Lazy(_Frozen):
+    """A tower row read on demand: item k is read(k), computed when asked and not kept."""
+
+    __slots__ = ("read",)
+
+    def __init__(self, read):
+        self._setters[0](self, read)  # _fill's loop would double the cost of a view
+
+    def __getitem__(self, k):
+        return self.read(k)
+
+
+def _view(J):
+    """The tower (N, J, P) of a carrier as on-demand rows, for one evaluation at any level."""
+    N = J.modulus
+    return N, _Lazy(J._at), _Lazy(N.__pow__)

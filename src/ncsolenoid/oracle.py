@@ -26,10 +26,14 @@ formulas run after their argument checks: ``ktheory._xi``, ``_zeta``,
 ``_prufer``, ``_mu`` and ``GeneratorCochain._eval``, and
 ``multiplier._theta_frac``, ``_psi_frac`` and ``_bichar_frac``, which
 give a phase as an integer pair (num, den), so the laws of Theta and
-Psi are congruences mod 1 checked by cross-multiplying.  The fuzzes
-evaluate each shared value (xi(x, y), Theta(g, h)) once per trial and
-check the pairing-lift route of xi as an integer identity over
-N**max(k1, k2).
+Psi are congruences mod 1 checked by cross-multiplying.  A carrier
+reaches the cores as a tower (N, J, P) of lists J[k] = J_k and P[k] =
+N**k, built once per oracle call by ``nadic._tower`` to the deepest
+level its own sizes reach (``multiplier._terms`` adds a head a/c).  The
+fuzzes evaluate each shared value (xi(x, y), Theta(g, h)) once per
+trial, check the pairing-lift route of xi as an integer identity over
+N**max(k1, k2), and floor the carry of the reduced angle pairs of
+``_prufer`` with ``ktheory._carry``.
 
 Defaults are sized for desk use: windows around 150 numerators and
 exponent 4, depth 6 stages, 1000 fuzz trials on points p/N**k with
@@ -44,20 +48,13 @@ from functools import reduce
 from math import lcm
 
 from .ktheory import (
-    MIRROR,
-    GeneratorCochain,
-    _mu,
-    _prufer,
-    _xi,
-    _zeta,
-    connecting_matrix,
-    cross_section_carry,
-    embedding_matrix,
+    MIRROR, GeneratorCochain, _carry, _mu, _prufer, _xi, _zeta, connecting_matrix, embedding_matrix,
     mat_mul,
 )
-from .multiplier import _bichar_frac, _psi_frac, _theta_frac
+from .multiplier import _bichar_frac, _psi_frac, _terms, _theta_frac
 from .nadic import (
-    DEFAULT_SEED, QnRational, _below, _Frozen, _pair_sum, _sampler, check_carrier, check_int,
+    DEFAULT_SEED, QnRational, _below, _Frozen, _pair_sum, _sampler, _tower, check_carrier,
+    check_int,
 )
 from .sequences import Angle, AngleSequence, check_sequence
 
@@ -79,11 +76,7 @@ class FuzzReport(_Frozen):
 
     def __repr__(self):
         return "FuzzReport(%s, trials=%d, seed=%d, checks=%d, failures=%d)" % (
-            self.kind,
-            self.trials,
-            self.seed,
-            self.checks,
-            len(self.failures),
+            self.kind, self.trials, self.seed, self.checks, len(self.failures)
         )
 
     def to_json(self):
@@ -137,11 +130,11 @@ def brute_symmetrizer(alpha, window_num=150, window_exp=4, spot_checks=2000, see
                 cleared[x.num, x.exp] = x if ok else None
     good = [pair for pair, x in cleared.items() if x is not None]
 
-    rng = random.Random(seed)
+    rng, terms = random.Random(seed), _terms(alpha, 2 * window_exp)
     pick, draw = _below(rng, len(good)), _sampler(rng, N, window_num, window_exp)
     for _ in range(spot_checks):
         g, h = (good[pick()], good[pick()]), (draw(), draw())
-        num, den = _theta_frac(alpha, g, h)
+        num, den = _theta_frac(terms, g, h)
         if num % den:
             raise AssertionError("member %r fails against %r" % (g, h))
     return frozenset((cleared[x], cleared[y]) for x in good for y in good)
@@ -184,10 +177,8 @@ def colimit_report(alpha, depth=6, num_window=24):
         if mat_mul(embedding_matrix(alpha, k + 1), mirrored) != embedding_matrix(alpha, k):
             failures.append("mirrored connecting identity fails at stage %d" % k)
 
-    P = [N ** e for e in range(2 * depth + 1)]  # every power of N the checks use
+    _, J, P = _tower(alpha.carrier, 2 * depth)  # the levels the coherence loop has read
     M = P[-1]
-    J = [alpha.carrier._at(k) for k in range(2 * depth + 1)]  # the coherence loop read these
-
     stage_points = set()
     for k in range(depth + 1):
         for p in range(-num_window * N, num_window * N + 1):
@@ -231,49 +222,48 @@ def colimit_compare(alpha, depth=6, num_window=24):
 
 def _fuzz_xi(carrier, trials, seed):
     draw = _sampler(random.Random(seed), carrier.modulus, _FUZZ_NUM, _FUZZ_EXP)
-    N = carrier.modulus
+    T = N, J, P = _tower(carrier, _FUZZ_EXP)
     failures = []
     checks = 0
 
     def lift(u, e):
         """N**e times the pairing lift p * J_k / N**k of u = (p, k), k <= e."""
-        return u[0] * carrier._at(u[1]) * N ** (e - u[1])
+        return u[0] * J[u[1]] * P[e - u[1]]
 
     for t in range(trials):
         x, y, z = draw(), draw(), draw()
         s = _pair_sum(x, y, N)
-        xy = _xi(carrier, x, y)
+        xy = _xi(T, x, y)
         checks += 4
-        if xy != _xi(carrier, y, x):
+        if xy != _xi(T, y, x):
             failures.append("symmetry fails at trial %d" % t)
-        if _xi(carrier, s, z) + xy != _xi(carrier, _pair_sum(y, z, N), x) + _xi(carrier, y, z):
+        if _xi(T, s, z) + xy != _xi(T, _pair_sum(y, z, N), x) + _xi(T, y, z):
             failures.append("cocycle identity fails at trial %d" % t)
-        if _xi(carrier, x, (0, 0)) != 0:
+        if _xi(T, x, (0, 0)) != 0:
             failures.append("normalisation fails at trial %d" % t)
         # independent route: xi as the coboundary defect of the pairing lift
         e = max(x[1], y[1])  # the level of x + y is at most e
-        if lift(x, e) + lift(y, e) - lift(s, e) != xy * N ** e:
+        if lift(x, e) + lift(y, e) - lift(s, e) != xy * P[e]:
             failures.append("pairing-lift route disagrees at trial %d" % t)
     return FuzzReport("xi", trials, seed, checks, failures)
 
 
 def _fuzz_zeta(carrier, trials, seed):
     draw = _sampler(random.Random(seed), carrier.modulus, _FUZZ_NUM, _FUZZ_EXP)
-    N = carrier.modulus
+    T = N, _, _ = _tower(carrier, _FUZZ_EXP)
     failures = []
     checks = 0
     for t in range(trials):
         x, y = draw(), draw()
         checks += 3
-        zc = _zeta(carrier, x, y)
+        zc = _zeta(T, x, y)
         if zc not in (0, 1):
             failures.append("zeta out of range at trial %d" % t)
-        # independent route: zeta_cocycle works on integer residues, not on Angles
-        carry = cross_section_carry(_prufer(carrier, x), _prufer(carrier, y))
-        if zc != carry:
+        # independent route: the carry of the two pairing angles, not zeta's own residue sum
+        if zc != _carry(_prufer(T, x), _prufer(T, y)):
             failures.append("zeta disagrees with its carry form at trial %d" % t)
-        d_neg_mu = _mu(carrier, _pair_sum(x, y, N)) - _mu(carrier, x) - _mu(carrier, y)
-        if zc + d_neg_mu != _xi(carrier, x, y):
+        d_neg_mu = _mu(T, _pair_sum(x, y, N)) - _mu(T, x) - _mu(T, y)
+        if zc + d_neg_mu != _xi(T, x, y):
             failures.append("zeta + d(-mu) != xi at trial %d" % t)
     return FuzzReport("zeta", trials, seed, checks, failures)
 
@@ -291,23 +281,24 @@ def _fuzz_psi_bichar(alpha, trials, seed):
     draw = _sampler(random.Random(seed), N, _FUZZ_NUM, _FUZZ_EXP)
     failures = []
     checks = 0
-    zero_seq, zero = AngleSequence.zero(N), (0, 1)
+    # a level k1 + k4 of two drawn points is at most 2 * _FUZZ_EXP
+    a, z = (_terms(s, 2 * _FUZZ_EXP) for s in (alpha, AngleSequence.zero(N)))
     for t in range(trials):
         g, g2, h = (draw(), draw()), (draw(), draw()), (draw(), draw())
         gg2 = (_pair_sum(g[0], g2[0], N), _pair_sum(g[1], g2[1], N))
         checks += 5
-        gh = _theta_frac(alpha, g, h)
-        if not _congruent(zero, gh, _theta_frac(alpha, h, g)):
+        gh = _theta_frac(a, g, h)
+        if not _congruent((0, 1), gh, _theta_frac(a, h, g)):
             failures.append("theta not antisymmetric at trial %d" % t)
-        if not _congruent(_theta_frac(alpha, g, g)):
+        if not _congruent(_theta_frac(a, g, g)):
             failures.append("theta not alternating at trial %d" % t)
-        if not _congruent(_theta_frac(alpha, gg2, h), gh, _theta_frac(alpha, g2, h)):
+        if not _congruent(_theta_frac(a, gg2, h), gh, _theta_frac(a, g2, h)):
             failures.append("theta not additive in slot 1 at trial %d" % t)
         hg2 = (_pair_sum(h[0], g2[0], N), _pair_sum(h[1], g2[1], N))
-        if not _congruent(_theta_frac(alpha, g, hg2), gh, _theta_frac(alpha, g, g2)):
+        if not _congruent(_theta_frac(a, g, hg2), gh, _theta_frac(a, g, g2)):
             failures.append("theta not additive in slot 2 at trial %d" % t)
-        psi = _psi_frac(alpha, g, h)
-        if not _congruent(_bichar_frac(zero_seq, alpha, zero_seq, zero_seq, g, h), psi):
+        psi = _psi_frac(a, g, h)
+        if not _congruent(_bichar_frac(z, a, z, z, g, h), psi):
             failures.append("psi disagrees with its bicharacter form at trial %d" % t)
     return FuzzReport("psi_bichar", trials, seed, checks, failures)
 
@@ -353,12 +344,14 @@ def coboundary_solve(J, R, seed=DEFAULT_SEED):
     H = 2
     for value in (J.exact_value("coboundary_solve"), R.exact_value("coboundary_solve")):
         H *= max(abs(value.numerator), value.denominator)
-    sums, acc, w, D = [(0, 1)], 0, 1, 0  # sums then (sigma_0 + ... + N**i sigma_i, N**(i+1))
+    D, w = 0, 1
     while w <= H * (H + 1) + H:
-        D += 1
-        acc += w * (_xi(J, (1, D), (N - 1, D)) - _xi(R, (1, D), (N - 1, D)))
-        w *= N
-        sums.append((acc, w))
+        D, w = D + 1, w * N
+    TJ, TR = _tower(J, D), _tower(R, D)
+    P, sums, acc = TJ[2], [(0, 1)], 0  # sums then (sigma_1 + ... + N**(d-1) sigma_d, N**d)
+    for d in range(1, D + 1):
+        acc += P[d - 1] * (_xi(TJ, (1, d), (N - 1, d)) - _xi(TR, (1, d), (N - 1, d)))
+        sums.append((acc, P[d]))
     rep = (-acc) % w
     psi1 = rep - w if rep > w // 2 else rep
     if abs(psi1) > H:
@@ -370,7 +363,7 @@ def coboundary_solve(J, R, seed=DEFAULT_SEED):
     draw, c = _sampler(random.Random(seed), N, 40, D - 1), psi._eval
     for _ in range(_SOLVE_SAMPLES):
         x, y = draw(), draw()
-        if c(x) + c(y) - c(_pair_sum(x, y, N)) != _xi(J, x, y) - _xi(R, x, y):
+        if c(x) + c(y) - c(_pair_sum(x, y, N)) != _xi(TJ, x, y) - _xi(TR, x, y):
             return None
     return psi
 

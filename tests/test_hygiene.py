@@ -30,13 +30,18 @@
 * The carrier type check has one home: ``isinstance(x, NadicInteger)``
   appears only in ``nadic.check_carrier``.
 * The trusted constructors ``_of`` and ``AngleMatrix._canonical``, the
-  trusted residue reads ``NadicInteger._at`` and ``NadicInteger._segment``,
-  the pair sum ``nadic._pair_sum``, the cores ``ktheory._xi``, ``_zeta``,
-  ``_prufer``, ``_mu`` and ``GeneratorCochain._eval``, and the integer cores
-  ``multiplier._psi_frac``, ``_theta_frac`` and ``_bichar_frac`` skip the
-  argument checks, so they
+  trusted residue read ``NadicInteger._at``, the towers ``nadic._tower``
+  and ``nadic._view`` (with its on-demand rows ``nadic._Lazy``), the pair
+  sum ``nadic._pair_sum``, the cores ``ktheory._xi``, ``_zeta``,
+  ``_prufer``, ``_mu``, ``_carry`` and ``GeneratorCochain._eval``, and
+  ``multiplier._terms`` with the integer cores ``_psi_frac``,
+  ``_theta_frac`` and ``_bichar_frac`` skip the argument checks, so they
   never run on user input: ``codec`` and ``cli`` do not call them, and no
   private name enters ``ncsolenoid.__all__``.
+* The cores read a carrier as a tower (N, J, P), by subscript only:
+  ``ktheory._xi``, ``_zeta``, ``_mu``, ``_prufer`` and
+  ``multiplier._numerator``, ``_psi_frac``, ``_theta_frac`` and
+  ``_bichar_frac`` contain no ``._at``, ``.modulus``, ``.base`` or ``**``.
 * The N-adic residue has one home: ``pow(x, -1, m)`` appears only in
   ``nadic.residue``, and only ``NadicInteger._at`` and ``sequences._move``
   call it.
@@ -193,6 +198,23 @@ def test_only_pair_sum_adds_pairs():
     assert "_pair_sum" in called
 
 
+TOWER_CORES = (
+    "ktheory._xi", "ktheory._zeta", "ktheory._mu", "ktheory._prufer", "multiplier._numerator",
+    "multiplier._psi_frac", "multiplier._theta_frac", "multiplier._bichar_frac",
+)
+
+
+def test_the_cores_read_a_tower_by_subscript_only():
+    found = []
+    for dotted in TOWER_CORES:
+        for n in ast.walk(_function(dotted)):
+            if isinstance(n, ast.Attribute) and n.attr in ("_at", "modulus", "base"):
+                found.append("%s:%d .%s" % (dotted, n.lineno, n.attr))
+            elif isinstance(n, (ast.BinOp, ast.AugAssign)) and isinstance(n.op, ast.Pow):
+                found.append("%s:%d **" % (dotted, n.lineno))
+    assert found == []
+
+
 def test_only_value_defines_eq_and_hash():
     assert _definitions({"__eq__", "__hash__"}) == ["nadic._Value.__eq__", "nadic._Value.__hash__"]
 
@@ -266,8 +288,9 @@ def test_only_check_carrier_tests_for_a_carrier():
     assert _isinstance_scopes("NadicInteger") == ["nadic.check_carrier"]
 
 
-UNCHECKED = ("_of", "_canonical", "_at", "_segment", "_pair_sum", "_xi", "_zeta", "_prufer",
-             "_mu", "_eval", "_psi_frac", "_theta_frac", "_bichar_frac")
+UNCHECKED = ("_of", "_canonical", "_at", "_tower", "_view", "_Lazy", "_pair_sum", "_xi", "_zeta",
+             "_prufer", "_mu", "_carry", "_eval", "_terms", "_psi_frac", "_theta_frac",
+             "_bichar_frac")
 
 
 def test_trusted_constructors_stay_off_user_input():

@@ -8,7 +8,9 @@ and ``bicharacter`` form one numerator over a common denominator.  Each
 test writes the Fraction formula out as its oracle, at scales 2 to 30
 (composite ones included).  On prefix carriers read past their window,
 both forms raise the same ValueError.  The unchecked cores, which take
-points as lowest-terms pairs (num, exp), agree with their public wrappers.
+points as lowest-terms pairs (num, exp) and a carrier as a tower (N, J, P),
+agree with their public wrappers, on the on-demand view the wrappers pass
+and on a dense tower; a tower holds the residues and powers ``at`` reads.
 """
 
 from fractions import Fraction
@@ -21,9 +23,9 @@ from ncsolenoid.ktheory import (
     xi_cocycle, zeta_cocycle,
 )
 from ncsolenoid.multiplier import (
-    _bichar_frac, _psi_frac, _theta_frac, bicharacter, psi_phase, theta_phase,
+    _bichar_frac, _psi_frac, _terms, _theta_frac, bicharacter, psi_phase, theta_phase,
 )
-from ncsolenoid.nadic import NadicInteger, QnRational, _pair_sum
+from ncsolenoid.nadic import NadicInteger, QnRational, _pair_sum, _tower, _view
 from ncsolenoid.sequences import Angle, AngleSequence
 
 scales = st.integers(min_value=2, max_value=30)
@@ -211,13 +213,31 @@ def test_each_pair_core_matches_its_public_wrapper(args):
     X, Y, Z, W = ((u.num, u.exp) for u in (x, y, z, w))
     s = x + y
     assert _pair_sum(X, Y, n) == (s.num, s.exp) == lowest_terms(x.fraction + y.fraction, n)
-    for core, wrapper in ((_xi, xi_cocycle), (_zeta, zeta_cocycle)):
-        assert outcome(core, J, X, Y) == outcome(wrapper, J, x, y)
-    for core, wrapper in ((_prufer, prufer_pair), (_mu, mu_cochain)):
-        assert outcome(core, J, X) == outcome(wrapper, J, x)
-    for core, wrapper in ((_psi_frac, psi_phase), (_theta_frac, theta_phase)):
-        got = outcome(lambda: phase(core(a, (X, Y), (Z, W))))
-        assert got == outcome(wrapper, a, (x, y), (z, w))
-    got = outcome(lambda: phase(_bichar_frac(a, b, c, d, (X, Y), (Z, W))))
-    assert got == outcome(bicharacter, a, b, c, d, (x, y), (z, w))
+    # the view the wrappers pass, and on exact carriers a dense tower to the deepest level, 16
+    forms = [(_view(J), _terms)]
+    if all(u.carrier.is_exact for u in (a, b, c, d)):
+        forms.append((_tower(J, 16), lambda u: _terms(u, 16)))
+    for tower, terms in forms:
+        for core, wrapper in ((_xi, xi_cocycle), (_zeta, zeta_cocycle)):
+            assert outcome(core, tower, X, Y) == outcome(wrapper, J, x, y)
+        got = outcome(lambda: phase(_prufer(tower, X)))
+        assert got == outcome(prufer_pair, J, x)
+        assert type(got) is str or got.value.as_integer_ratio() == _prufer(tower, X)
+        assert outcome(_mu, tower, X) == outcome(mu_cochain, J, x)
+        for core, wrapper in ((_psi_frac, psi_phase), (_theta_frac, theta_phase)):
+            got = outcome(lambda: phase(core(terms(a), (X, Y), (Z, W))))
+            assert got == outcome(wrapper, a, (x, y), (z, w))
+        got = outcome(lambda: phase(_bichar_frac(*map(terms, (a, b, c, d)), (X, Y), (Z, W))))
+        assert got == outcome(bicharacter, a, b, c, d, (x, y), (z, w))
     assert psi._eval(X) == psi(x)
+
+
+@given(st.sampled_from([2, 3, 6, 10]).flatmap(lambda n: st.tuples(carriers(n), st.integers(0, 12))))
+def test_a_tower_and_its_view_hold_the_residues_and_powers_of_n(args):
+    J, K = args
+    n, K = J.modulus, K if J.is_exact else min(K, J.length)
+    want = [J.at(k) for k in range(K + 1)], [n ** k for k in range(K + 1)]
+    assert _tower(J, K) == (n, *want)
+    N, residues, powers = _view(J)
+    assert N == n
+    assert ([residues[k] for k in range(K + 1)], [powers[k] for k in range(K + 1)]) == want

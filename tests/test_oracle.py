@@ -113,6 +113,26 @@ def test_selftest_builds_points_only_for_the_symmetrizer_window():
     assert len(callers) == 243 and set(callers) == {"brute_symmetrizer"}
 
 
+def test_selftest_reads_each_residue_once_per_oracle_call():
+    # the oracles' cores read residues from towers built once per call, each level
+    # through NadicInteger._at: 82 reads in 10 towers, and 26 for the term values and
+    # stage matrices; a selftest made 4,731 reads when every core call read its own
+    at, reads = NadicInteger._at.__code__, [0]
+
+    def count(frame, event, arg):
+        if event == "call" and frame.f_code is at:
+            reads[0] += 1
+
+    previous = sys.getprofile()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        sys.setprofile(count)
+        try:
+            code = main(["selftest", "--seed=7"])
+        finally:
+            sys.setprofile(previous)
+    assert (code, reads[0]) == (0, 108)
+
+
 # ---------------------------------------------------------------- symmetrizer
 
 
@@ -407,6 +427,11 @@ def test_colimit_membership_and_coverage_fail_on_a_wrong_residue():
             "K0 point (122/243, 1/243) has no stage preimage",
         ],
     }
+
+
+def test_the_xi_fuzz_reads_its_tower_through_the_residue_read():
+    report = cocycle_fuzz("xi", _OffAtFive(3, value=Fraction(-1, 2)), trials=8, seed=5)
+    assert report.failures == ["pairing-lift route disagrees at trial %d" % t for t in (1, 2, 5, 6)]
 
 
 # ---------------------------------------------------------------- fuzz fault injection
