@@ -333,19 +333,18 @@ class AngleMatrix(_Value):
         return len(self.perm)
 
     def _dense(self, cell):
-        """Rows as lists: cell(a, d) in column perm[i], a/d = num[i]/den in lowest terms."""
+        """Rows as lists: cell(Fraction(num[i], den)) in column perm[i], None elsewhere."""
         n, out = self.size, []
         for j, a in zip(self.perm, self.num):
-            g = gcd(a, self.den)
             row = [None] * n
-            row[j] = cell(a // g, self.den // g)
+            row[j] = cell(Fraction(a, self.den))
             out.append(row)
         return out
 
     @property
     def rows(self):
         """The dense form: a tuple of rows, each a tuple of Angle or None."""
-        return tuple(tuple(row) for row in self._dense(lambda a, d: Angle._of(Fraction(a, d))))
+        return tuple(tuple(row) for row in self._dense(Angle._of))
 
     @classmethod
     def identity(cls, n):
@@ -396,7 +395,7 @@ class AngleMatrix(_Value):
 
     def to_json(self):
         """The dense form: each phase in the wire form of ``format_fraction``, null elsewhere."""
-        return self._dense(lambda a, d: "%d/%d" % (a, d) if d > 1 else str(a))
+        return self._dense(format_fraction)
 
 
 class BundleData(_Frozen):

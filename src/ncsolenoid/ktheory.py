@@ -102,7 +102,7 @@ def _xi(T, x, y):
     if k2 < k1:
         return -p2 * (J[k1] // P[k2])
     q, r = _pair_sum(x, y, N)
-    return q * (J[k1] // P[r])
+    return q * (J[k1] // P[r]) if q else 0
 
 
 def prufer_pair(J, x):
@@ -283,9 +283,7 @@ class ExtensionElement(_Value):
         return ExtensionElement(self.alpha, z, x + y)
 
     def __neg__(self):
-        p, k = self.x.num, self.x.exp
-        xi = _xi(_view(self.alpha.carrier), (p, k), (-p, k))
-        return ExtensionElement(self.alpha, -self.z - xi, -self.x)
+        return ExtensionElement(self.alpha, -self.z, -self.x)  # xi(x, -x) == 0 for every carrier
 
     def __repr__(self):
         return "ExtensionElement(z=%d, x=%r)" % (self.z, self.x)

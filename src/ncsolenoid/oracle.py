@@ -12,8 +12,9 @@ The oracles compute in integers.  ``colimit_report`` holds each point of
 Q x Q_N as an integer pair over the one denominator N**(2 * depth), read
 at z = 0: Z x {0} lies in both sets it compares, and no check moves
 under it; its stage nesting is the (0, 1) entry of the coherence
-identity.  ``brute_symmetrizer`` clears term numerators read from
-``value`` and spot-checks Theta on members with ``_theta_frac``.
+identity.  ``brute_symmetrizer`` clears the window's lowest-terms pairs
+(p, k) against term numerators read from ``value``, builds a point only
+for each member, and spot-checks Theta on them with ``_theta_frac``.
 ``coboundary_solve`` reads as many digits as the heights of J and R
 require, so its answer is exact.  Every seeded draw is ``nadic._below``,
 getrandbits with rejection (the stream of ``randrange`` and ``choice``).
@@ -121,14 +122,9 @@ def brute_symmetrizer(alpha, window_num=150, window_exp=4, spot_checks=2000, see
     denom = lcm(*(v.denominator for v in values))  # common denominator of the terms
     nums = [v.numerator * (denom // v.denominator) for v in values]
 
-    cleared = {}  # (p, k) in lowest terms -> the point p/N**k if it clears, else None
-    for k in range(window_exp + 1):
-        for p in range(-window_num, window_num + 1):
-            x = QnRational._of(p, k, N)
-            if (x.num, x.exp) not in cleared:
-                ok = all(x.num * nums[x.exp + j] % denom == 0 for j in range(window_exp + 1))
-                cleared[x.num, x.exp] = x if ok else None
-    good = [pair for pair, x in cleared.items() if x is not None]
+    # the window's distinct points are its lowest-terms pairs (p, k): k == 0 or N does not divide p
+    good = [(p, k) for k in range(window_exp + 1) for p in range(-window_num, window_num + 1)
+            if (k == 0 or p % N) and all(p * nums[k + j] % denom == 0 for j in range(window_exp + 1))]
 
     rng, terms = random.Random(seed), _terms(alpha, 2 * window_exp)
     pick, draw = _below(rng, len(good)), _sampler(rng, N, window_num, window_exp)
@@ -137,7 +133,8 @@ def brute_symmetrizer(alpha, window_num=150, window_exp=4, spot_checks=2000, see
         num, den = _theta_frac(terms, g, h)
         if num % den:
             raise AssertionError("member %r fails against %r" % (g, h))
-    return frozenset((cleared[x], cleared[y]) for x in good for y in good)
+    points = [QnRational._of(p, k, N) for p, k in good]
+    return frozenset((x, y) for x in points for y in points)
 
 
 def colimit_report(alpha, depth=6, num_window=24):
@@ -224,7 +221,6 @@ def _fuzz_xi(carrier, trials, seed):
     draw = _sampler(random.Random(seed), carrier.modulus, _FUZZ_NUM, _FUZZ_EXP)
     T = N, J, P = _tower(carrier, _FUZZ_EXP)
     failures = []
-    checks = 0
 
     def lift(u, e):
         """N**e times the pairing lift p * J_k / N**k of u = (p, k), k <= e."""
@@ -234,7 +230,6 @@ def _fuzz_xi(carrier, trials, seed):
         x, y, z = draw(), draw(), draw()
         s = _pair_sum(x, y, N)
         xy = _xi(T, x, y)
-        checks += 4
         if xy != _xi(T, y, x):
             failures.append("symmetry fails at trial %d" % t)
         if _xi(T, s, z) + xy != _xi(T, _pair_sum(y, z, N), x) + _xi(T, y, z):
@@ -245,17 +240,15 @@ def _fuzz_xi(carrier, trials, seed):
         e = max(x[1], y[1])  # the level of x + y is at most e
         if lift(x, e) + lift(y, e) - lift(s, e) != xy * P[e]:
             failures.append("pairing-lift route disagrees at trial %d" % t)
-    return FuzzReport("xi", trials, seed, checks, failures)
+    return FuzzReport("xi", trials, seed, 4 * trials, failures)
 
 
 def _fuzz_zeta(carrier, trials, seed):
     draw = _sampler(random.Random(seed), carrier.modulus, _FUZZ_NUM, _FUZZ_EXP)
     T = N, _, _ = _tower(carrier, _FUZZ_EXP)
     failures = []
-    checks = 0
     for t in range(trials):
         x, y = draw(), draw()
-        checks += 3
         zc = _zeta(T, x, y)
         if zc not in (0, 1):
             failures.append("zeta out of range at trial %d" % t)
@@ -265,7 +258,7 @@ def _fuzz_zeta(carrier, trials, seed):
         d_neg_mu = _mu(T, _pair_sum(x, y, N)) - _mu(T, x) - _mu(T, y)
         if zc + d_neg_mu != _xi(T, x, y):
             failures.append("zeta + d(-mu) != xi at trial %d" % t)
-    return FuzzReport("zeta", trials, seed, checks, failures)
+    return FuzzReport("zeta", trials, seed, 3 * trials, failures)
 
 
 def _congruent(x, *terms):
@@ -280,13 +273,11 @@ def _fuzz_psi_bichar(alpha, trials, seed):
     N = alpha.modulus
     draw = _sampler(random.Random(seed), N, _FUZZ_NUM, _FUZZ_EXP)
     failures = []
-    checks = 0
     # a level k1 + k4 of two drawn points is at most 2 * _FUZZ_EXP
     a, z = (_terms(s, 2 * _FUZZ_EXP) for s in (alpha, AngleSequence.zero(N)))
     for t in range(trials):
         g, g2, h = (draw(), draw()), (draw(), draw()), (draw(), draw())
         gg2 = (_pair_sum(g[0], g2[0], N), _pair_sum(g[1], g2[1], N))
-        checks += 5
         gh = _theta_frac(a, g, h)
         if not _congruent((0, 1), gh, _theta_frac(a, h, g)):
             failures.append("theta not antisymmetric at trial %d" % t)
@@ -300,7 +291,7 @@ def _fuzz_psi_bichar(alpha, trials, seed):
         psi = _psi_frac(a, g, h)
         if not _congruent(_bichar_frac(z, a, z, z, g, h), psi):
             failures.append("psi disagrees with its bicharacter form at trial %d" % t)
-    return FuzzReport("psi_bichar", trials, seed, checks, failures)
+    return FuzzReport("psi_bichar", trials, seed, 5 * trials, failures)
 
 
 def cocycle_fuzz(kind, subject, trials=1000, seed=DEFAULT_SEED):

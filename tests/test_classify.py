@@ -647,6 +647,25 @@ def test_invariants_agree_along_a_unit_orbit(pair):
         assert (da.q, da.k) == (db.q, db.k)
 
 
+@st.composite
+def cross_scale_orbits(draw):
+    """(alpha, beta): u * alpha of :func:`unit_orbits`, read at N * p for a prime p | N."""
+    alpha, _, image = draw(unit_orbits())
+    p = draw(st.sampled_from(sorted(set(prime_factors(alpha.modulus)))))
+    return alpha, _from_pair(_pair(image), alpha.modulus * p)
+
+
+@given(cross_scale_orbits())
+def test_invariants_agree_along_a_unit_orbit_across_scales(pair):
+    # the period and the bundle's k count steps at the scale, so they are not compared
+    a, b = pair
+    for invariant in (is_simple, classify_type, symmetrizer):
+        assert invariant(a) == invariant(b)
+    if a.period() is not None:
+        assert bundle_data(a).q == bundle_data(b).q
+    assert not isomorphic(a, b).is_no
+
+
 def _carried_point(a, b, v, z, x):
     """The point (z, x) of K_a, carried to K_b as x -> x / v with its trace kept."""
     t = trace(ExtensionElement(a, z, x))

@@ -42,6 +42,8 @@
   ``ktheory._xi``, ``_zeta``, ``_mu``, ``_prufer`` and
   ``multiplier._numerator``, ``_psi_frac``, ``_theta_frac`` and
   ``_bichar_frac`` contain no ``._at``, ``.modulus``, ``.base`` or ``**``.
+* The fraction wire format has one home: the string ``"%d/%d"`` appears
+  only in ``nadic.format_fraction``.
 * The N-adic residue has one home: ``pow(x, -1, m)`` appears only in
   ``nadic.residue``, and only ``NadicInteger._at`` and ``sequences._move``
   call it.
@@ -302,6 +304,16 @@ def test_trusted_constructors_stay_off_user_input():
     ]
     assert found == []
     assert [name for name in ncsolenoid.__all__ if name.startswith("_")] == []
+
+
+def test_the_fraction_wire_format_has_one_home():
+    found = [
+        scope
+        for stem, tree in TREES.items()
+        for node, scope in _scoped_nodes(tree, stem)
+        if isinstance(node, ast.Constant) and isinstance(node.value, str) and "%d/%d" in node.value
+    ]
+    assert found == ["nadic.format_fraction"]
 
 
 def test_the_nadic_residue_has_one_home():

@@ -245,6 +245,17 @@ def test_trace_past_a_prefix_window_raises_as_the_definition_does(head):
     assert trace(inside) == trace(as_pair(inside)) == 1 + 2 * alpha.value(2)
 
 
+@pytest.mark.parametrize("head", [Fraction(0), Fraction(1, 2)])
+def test_k0_negation_and_a_sum_to_zero_read_no_carrier(head):
+    # xi(x, -x) == 0 for every carrier, so these answer exactly past a prefix window
+    J = NadicInteger.from_prefix([1, 2], 3)
+    alpha, x = AngleSequence(3, head, J), QnRational(1, 5, 3)
+    e = ExtensionElement(alpha, 4, x)
+    assert -e == ExtensionElement(alpha, -4, -x)
+    assert e - e == e + (-e) == ExtensionElement(alpha, 0, QnRational(0, 0, 3))
+    assert xi_cocycle(J, x, -x) == xi_cocycle(J, -x, x) == 0
+
+
 def test_trace_additive(three_half):
     a = ExtensionElement(three_half, 2, QnRational(5, 2, 3))
     b = ExtensionElement(three_half, -1, QnRational(7, 3, 3))
