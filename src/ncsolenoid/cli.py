@@ -4,8 +4,10 @@ Results go to stdout as one deterministic JSON document; diagnostics go
 to stderr.  Exit codes: 0 on success, 1 when a selftest oracle fails, 2
 on domain or input errors, 3 when a query comes back Unknown.
 
-The subcommands are one table.  A call builds only the parsers its
-arguments name; help or an unknown or missing name builds them all.
+The subcommands are one table.  A call that names a leaf command
+(``info``, ``k0 trace``, ...) builds that command's parser alone; a call
+that names none, or leaves arguments over, builds the whole table, whose
+usage, help and errors it prints.
 
     ncsolenoid info n5.json
     ncsolenoid symmetrizer n5.json
@@ -176,35 +178,56 @@ _COMMANDS = {
 }
 
 
-def _add_commands(parser, table, dest, argv):
-    """Give parser the subcommands of table: only the one argv[0] names, else all.
+def _add_arguments(parser, fn, arguments):
+    for flag, options in arguments:
+        parser.add_argument(flag, **options)
+    parser.set_defaults(fn=fn)
 
-    A lone subparser lists every name in usage lines through the metavar;
-    the full build sets none, so that its errors name ``dest``.
-    """
-    one = bool(argv) and argv[0] in table
-    sub = parser.add_subparsers(dest=dest, required=True,
-                                metavar="{%s}" % ",".join(table) if one else None)
-    for name in argv[:1] if one else table:
-        fn, text, arguments = table[name]
+
+def _add_commands(parser, table, dest):
+    """Give parser every subcommand of table; a table entry nests its own."""
+    sub = parser.add_subparsers(dest=dest, required=True)
+    for name, (fn, text, arguments) in table.items():
         p = sub.add_parser(name, help=text)
         if fn is None:
-            _add_commands(p, arguments, name + "_command", argv[1:] if one else ())
-            continue
-        for flag, options in arguments:
-            p.add_argument(flag, **options)
-        p.set_defaults(fn=fn)
+            _add_commands(p, arguments, name + "_command")
+        else:
+            _add_arguments(p, fn, arguments)
+
+
+def _leaf_parser(argv):
+    """(parser, rest of argv) for the leaf command argv starts with, or None if it names none.
+
+    The parser is the one the full build gives that command, down to its
+    prog, so its help and errors read the same.
+    """
+    table = _COMMANDS
+    for depth, name in enumerate(argv, 1):
+        if name not in table:
+            return None
+        fn, _, arguments = table[name]
+        if fn is not None:
+            parser = argparse.ArgumentParser(prog=" ".join(["ncsolenoid"] + argv[:depth]))
+            _add_arguments(parser, fn, arguments)
+            return parser, argv[depth:]
+        table = arguments
+    return None
 
 
 def main(argv=None):
     argv = sys.argv[1:] if argv is None else list(argv)
-    parser = argparse.ArgumentParser(
-        prog="ncsolenoid",
-        description="Exact invariants of twisted solenoid algebras over Q_N.",
-    )
-    _add_commands(parser, _COMMANDS, "command", argv)
+    leaf = _leaf_parser(argv)
     try:
-        args = parser.parse_args(argv)
+        if leaf is not None:
+            parser, rest = leaf
+            args, extra = parser.parse_known_args(rest)
+        if leaf is None or extra:  # the full build names the command and prints the top usage
+            parser = argparse.ArgumentParser(
+                prog="ncsolenoid",
+                description="Exact invariants of twisted solenoid algebras over Q_N.",
+            )
+            _add_commands(parser, _COMMANDS, "command")
+            args = parser.parse_args(argv)
     except SystemExit as err:
         return EXIT_DOMAIN if err.code not in (0, None) else 0
     try:

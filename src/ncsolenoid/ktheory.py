@@ -388,10 +388,9 @@ def embedding_matrix(alpha, k):
 
 
 def mat_mul(A, B):
-    """2x2 matrix product over the rationals, each entry a Fraction."""
+    """2x2 matrix product of int and Fraction entries; each entry is exact as computed."""
     (a, b), (c, d), (e, f), (g, h) = *A, *B
-    return ((Fraction(a * e + b * g), Fraction(a * f + b * h)),
-            (Fraction(c * e + d * g), Fraction(c * f + d * h)))
+    return ((a * e + b * g, a * f + b * h), (c * e + d * g, c * f + d * h))
 
 
 #: The mirror D = diag(1, -1); U_{k+1} * (D F_k D) == U_k holds exactly.

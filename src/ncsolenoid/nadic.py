@@ -88,11 +88,11 @@ def as_fraction(value):
 
 
 def format_fraction(q):
-    """Render a Fraction as 'a' or 'a/b' (the JSON wire form)."""
-    q = Fraction(q)
-    if q.denominator == 1:
-        return str(q.numerator)
-    return "%d/%d" % (q.numerator, q.denominator)
+    """Render an int or Fraction as 'a' or 'a/b' (the JSON wire form)."""
+    a, b = q.numerator, q.denominator
+    if b == 1:
+        return str(a)
+    return "%d/%d" % (a, b)
 
 
 def frac_part(q):
@@ -412,15 +412,20 @@ def _pair_sum(x, y, N):
 DEFAULT_SEED = 20260817
 
 
+def _bits(n):
+    """The bit length of n, the width of a draw below n >= 1."""
+    if n < 1:
+        raise ValueError("empty range for a draw below %d" % n)
+    return n.bit_length()
+
+
 def _below(rng, n):
     """Draws from range(n), n >= 1, by getrandbits(n.bit_length()) with rejection.
 
     The stream of CPython 3.11's ``random.Random``: ``randrange(a, b)`` is
     a + (a draw below b - a) and ``choice(seq)`` is seq[a draw below len(seq)].
     """
-    if n < 1:
-        raise ValueError("empty range for a draw below %d" % n)
-    bits, k = rng.getrandbits, n.bit_length()
+    bits, k = rng.getrandbits, _bits(n)
 
     def draw():
         r = bits(k)
@@ -435,13 +440,21 @@ def _sampler(rng, scale, max_num, max_exp):
     """Draws of points p/N**k with |p| <= max_num and k <= max_exp; the scale is checked once.
 
     p and k are the draws of ``rng.randrange(-max_num, max_num + 1)`` and
-    ``rng.randrange(0, max_exp + 1)``, in that order.  Each point is the
-    lowest-terms pair (num, exp) that ``QnRational._of`` would store.
+    ``rng.randrange(0, max_exp + 1)``, in that order, each a draw below its
+    width as in :func:`_below`.  Each point is the lowest-terms pair
+    (num, exp) that ``QnRational._of`` would store.
     """
-    num, exp, N = _below(rng, 2 * max_num + 1), _below(rng, max_exp + 1), check_scale(scale)
+    nums, exps = 2 * max_num + 1, max_exp + 1
+    bits, n_bits, e_bits, N = rng.getrandbits, _bits(nums), _bits(exps), check_scale(scale)
 
     def draw():
-        p, k = num() - max_num, exp()
+        p = bits(n_bits)
+        while p >= nums:
+            p = bits(n_bits)
+        k = bits(e_bits)
+        while k >= exps:
+            k = bits(e_bits)
+        p -= max_num
         while k > 0 and p % N == 0:  # zero ends at (0, 0)
             p //= N
             k -= 1
