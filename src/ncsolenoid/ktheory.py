@@ -250,9 +250,8 @@ def cohomologous(J, R, depth=8, samples=100, seed=DEFAULT_SEED):
     m, n, TJ, TR = int(diff), J.modulus, _tower(J, depth), _tower(R, depth)
     (_, JK, P), RK = TJ, TR[1]
     psi = GeneratorCochain(n, {k: (JK[k] - RK[k] - m) // P[k] for k in range(depth + 1)})
-    draw, c = _sampler(random.Random(seed), n, 50, depth - 1), psi._eval
-    for _ in range(samples):
-        x, y = draw(), draw()
+    points, c = iter(_sampler(random.Random(seed), n, 50, depth - 1)(2 * samples)), psi._eval
+    for x, y in zip(points, points):
         if c(x) + c(y) - c(_pair_sum(x, y, n)) != _xi(TJ, x, y) - _xi(TR, x, y):
             raise AssertionError("witness failed replay at (%r, %r)" % (x, y))
     return psi

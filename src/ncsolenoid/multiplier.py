@@ -29,7 +29,7 @@ from fractions import Fraction
 from math import lcm
 from operator import attrgetter
 
-from .nadic import QnRational, _tower, _Value, _view, check_int, check_point
+from .nadic import QnRational, _Lazy, _tower, _Value, _view, check_int, check_point
 from .sequences import Angle, AngleSequence, check_sequence
 
 
@@ -120,26 +120,35 @@ def psi_phase(alpha, g, h):
 
 
 def _terms(alpha, K=None):
-    """(a, c, N, J, P): alpha_0 = a/c, and its carrier's tower to level K (None: the view)."""
-    a, c = alpha.base.as_integer_ratio()
-    return (a, c, *(_view(alpha.carrier) if K is None else _tower(alpha.carrier, K)))
+    """(c, A, P): alpha_0 = a/c, the numerator row A[n] = alpha_n * c * N**n, and N**n.
+
+    A is built by :func:`_numerator` on the carrier's tower to level K, or with
+    K None read on demand through its view (a prefix raises only past its window).
+    """
+    head = alpha.base.as_integer_ratio()
+    if K is None:
+        _, J, P = _view(alpha.carrier)
+        return head[1], _Lazy(lambda n: _numerator(head, n, J)), P
+    _, J, P = _tower(alpha.carrier, K)
+    return head[1], [_numerator(head, n, J) for n in range(K + 1)], P
 
 
 def _psi_frac(t, g, h):
     """psi_phase unchecked, on pairs of lowest-terms pairs and alpha's terms: (num, c N**n)."""
     (p1, k1), (p4, k4) = g[0], h[1]
-    n, c = k1 + k4, t[1]
-    return _numerator(t, n, c) * p1 * p4, c * t[4][n]
+    c, A, P = t
+    n = k1 + k4
+    return A[n] * p1 * p4, c * P[n]
 
 
-def _numerator(t, n, b):
-    """The integer alpha_n * b * N**n, for a multiple b of alpha_0's denominator.
+def _numerator(head, n, J):
+    """The integer alpha_n * c * N**n = a + c * J_n, for head = (a, c) with alpha_0 = a/c.
 
-    With t = (a, c, N, J, P), alpha_n = (a + c J_n) / (c N**n), so the
-    numerator is a * (b // c) + b * J_n.
+    J is a row of carrier residues J_n, and alpha_n = (a + c J_n) / (c N**n).
+    A common denominator b, a multiple of c, scales it by b // c.
     """
-    a, c, _, J, _ = t
-    return a * (b // c) + b * J[n]
+    a, c = head
+    return a + c * J[n]
 
 
 def _angle(num, den):
@@ -150,7 +159,7 @@ def _angle(num, den):
 def theta_phase(alpha, g, h):
     """The skew bicharacter Theta_alpha(g, h) = Psi(g, h) - Psi(h, g).
 
-    One Fraction over b * N**max(n, m), where b is alpha_0's denominator,
+    One Fraction over c * N**max(n, m), where c is alpha_0's denominator,
     n = k1 + k4 and m = k3 + k2 are the levels of Psi(g, h) and Psi(h, g).
     """
     check_sequence(alpha)
@@ -159,12 +168,12 @@ def theta_phase(alpha, g, h):
 
 
 def _theta_frac(t, g, h):
-    """Theta_alpha(g, h) as an integer pair (num, b * N**max(n, m)), as :func:`_psi_frac`."""
+    """Theta_alpha(g, h) as an integer pair (num, c * N**max(n, m)), as :func:`_psi_frac`."""
     ((p1, k1), (p2, k2)), ((p3, k3), (p4, k4)) = g, h
-    n, m, b, P = k1 + k4, k3 + k2, t[1], t[4]
+    c, A, P = t
+    n, m = k1 + k4, k3 + k2
     e = max(n, m)
-    num = _numerator(t, n, b) * p1 * p4 * P[e - n] - _numerator(t, m, b) * p3 * p2 * P[e - m]
-    return num, b * P[e]
+    return A[n] * p1 * p4 * P[e - n] - A[m] * p3 * p2 * P[e - m], c * P[e]
 
 
 def bicharacter(zeta, xi, eta, chi, g, h):
@@ -186,16 +195,16 @@ def bicharacter(zeta, xi, eta, chi, g, h):
 
 
 def _bichar_frac(zeta, xi, eta, chi, g, h):
-    """The bicharacter on the terms of four sequences: (num, lcm(b_i) * N**e), as ``_psi_frac``."""
+    """The bicharacter on four sequences' terms: (num, lcm(c_i) * N**e), as ``_psi_frac``."""
     ((p1, k1), (p2, k2)), ((p3, k3), (p4, k4)) = g, h
+    (c1, Z, P), (c2, E, _), (c3, C, _), (c4, X, _) = zeta, eta, chi, xi
     n1, n2, n3, n4 = k1 + k3, k2 + k3, k2 + k4, k1 + k4
-    e, P = max(n1, n2, n3, n4), zeta[4]
-    b = lcm(zeta[1], eta[1], chi[1], xi[1])
+    e, b = max(n1, n2, n3, n4), lcm(c1, c2, c3, c4)
     num = (
-        _numerator(zeta, n1, b) * p1 * p3 * P[e - n1]
-        + _numerator(eta, n2, b) * p2 * p3 * P[e - n2]
-        + _numerator(chi, n3, b) * p2 * p4 * P[e - n3]
-        + _numerator(xi, n4, b) * p1 * p4 * P[e - n4]
+        Z[n1] * (b // c1) * p1 * p3 * P[e - n1]
+        + E[n2] * (b // c2) * p2 * p3 * P[e - n2]
+        + C[n3] * (b // c3) * p2 * p4 * P[e - n3]
+        + X[n4] * (b // c4) * p1 * p4 * P[e - n4]
     )
     return num, b * P[e]
 

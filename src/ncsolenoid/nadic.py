@@ -439,26 +439,31 @@ def _below(rng, n):
 def _sampler(rng, scale, max_num, max_exp):
     """Draws of points p/N**k with |p| <= max_num and k <= max_exp; the scale is checked once.
 
-    p and k are the draws of ``rng.randrange(-max_num, max_num + 1)`` and
-    ``rng.randrange(0, max_exp + 1)``, in that order, each a draw below its
-    width as in :func:`_below`.  Each point is the lowest-terms pair
+    ``draw(count)`` returns a list of count points, a loop's in one call.
+    Per point, p and k are the draws of ``rng.randrange(-max_num, max_num + 1)``
+    and ``rng.randrange(0, max_exp + 1)``, in that order, each a draw below
+    its width as in :func:`_below`; the point is the lowest-terms pair
     (num, exp) that ``QnRational._of`` would store.
     """
     nums, exps = 2 * max_num + 1, max_exp + 1
     bits, n_bits, e_bits, N = rng.getrandbits, _bits(nums), _bits(exps), check_scale(scale)
 
-    def draw():
-        p = bits(n_bits)
-        while p >= nums:
+    def draw(count):
+        points = []
+        append = points.append
+        for _ in range(count):
             p = bits(n_bits)
-        k = bits(e_bits)
-        while k >= exps:
+            while p >= nums:
+                p = bits(n_bits)
             k = bits(e_bits)
-        p -= max_num
-        while k > 0 and p % N == 0:  # zero ends at (0, 0)
-            p //= N
-            k -= 1
-        return p, k
+            while k >= exps:
+                k = bits(e_bits)
+            p -= max_num
+            while k > 0 and p % N == 0:  # zero ends at (0, 0)
+                p //= N
+                k -= 1
+            append((p, k))
+        return points
 
     return draw
 

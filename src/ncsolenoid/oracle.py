@@ -9,29 +9,34 @@ test, not the answers, and import nothing from ``classify``.  Only
 item 6): it re-runs ``sequences._move``, the move that made the witness.
 
 The oracles compute in integers.  ``colimit_report`` holds each point of
-Q x Q_N as an integer pair over the one denominator N**(2 * depth), read
-at z = 0: Z x {0} lies in both sets it compares, and no check moves
-under it; its stage nesting is the (0, 1) entry of the coherence
-identity.  ``brute_symmetrizer`` clears the window's lowest-terms pairs
-(p, k) against term numerators read from ``value``, builds a point only
-for each member, and spot-checks Theta on them with ``_theta_frac``.
-``coboundary_solve`` reads as many digits as the heights of J and R
-require, so its answer is exact.  Every seeded draw is ``nadic._below``,
-getrandbits with rejection (the stream of ``randrange`` and ``choice``).
+Q x Q_N as an integer pair over the one denominator M = N**(2 * depth),
+read at z = 0: Z x {0} lies in both sets it compares, and no check moves
+under it; it checks coherence on each stage's embedding, built once,
+times M, and the stage nesting is the identity's (0, 1) entry.
+``brute_symmetrizer`` enumerates its members at level k as the window's
+multiples of lcm_j den(alpha_{k+j}) (terms read from ``value``), builds
+a point only for each, and spot-checks Theta on them with
+``_theta_frac``.  ``coboundary_solve`` reads as many digits as the
+heights of J and R require, so its answer is exact.  Every seeded draw
+is getrandbits with rejection (the stream of ``randrange`` and
+``choice``), by ``nadic._below`` or ``nadic._sampler``.
 
 A point p/N**k of Q_N is the lowest-terms pair (p, k) here, and a point
 of (Q_N)**2 a pair of them: the fuzzes, the spot checks and the replays
-draw them with ``nadic._sampler``, add them only with ``nadic._pair_sum``
-(``+`` joins tuples), and pass them to the cores that the public
-formulas run after their argument checks: ``ktheory._xi``, ``_zeta``,
-``_prufer``, ``_mu`` and ``GeneratorCochain._eval``, and
-``multiplier._theta_frac``, ``_psi_frac`` and ``_bichar_frac``, which
-give a phase as an integer pair (num, den), so the laws of Theta and
-Psi are congruences mod 1 checked by cross-multiplying.  A carrier
-reaches the cores as a tower (N, J, P) of lists J[k] = J_k and P[k] =
-N**k, built once per oracle call by ``nadic._tower`` to the deepest
-level its own sizes reach (``multiplier._terms`` adds a head a/c).  The
-fuzzes evaluate each shared value (xi(x, y), Theta(g, h)) once per
+draw them with ``nadic._sampler``, each loop all its points in one call
+(a spot check its two h points, between its picks), add them only with
+``nadic._pair_sum`` (``+`` joins tuples), and pass them to the cores
+that the public formulas run after their argument checks:
+``ktheory._xi``, ``_zeta``, ``_prufer``, ``_mu`` and
+``GeneratorCochain._eval``, and ``multiplier._theta_frac``,
+``_psi_frac`` and ``_bichar_frac``, which give a phase as an integer
+pair (num, den), so the laws of Theta and Psi are congruences mod 1
+checked by cross-multiplying.  A carrier reaches the cores as a tower
+(N, J, P) of lists J[k] = J_k and P[k] = N**k, built once per oracle
+call by ``nadic._tower`` to the deepest level its own sizes reach; a
+sequence as ``multiplier._terms`` (c, A, P), its numerator row
+A[n] = alpha_n * c * N**n built once from that tower.  The fuzzes
+evaluate each shared value (xi(x, y), Theta(g, h)) once per
 trial, check the pairing-lift route of xi as an integer identity over
 N**max(k1, k2), and floor the carry of the reduced angle pairs of
 ``_prufer`` with ``ktheory._carry``.
@@ -93,7 +98,7 @@ class FuzzReport(_Frozen):
 
 def sample_qn(rng, scale, max_num, max_exp):
     """A random Q_N element with bounded numerator and exponent."""
-    return QnRational._of(*_sampler(rng, scale, max_num, max_exp)(), scale)
+    return QnRational._of(*_sampler(rng, scale, max_num, max_exp)(1)[0], scale)
 
 
 def brute_symmetrizer(alpha, window_num=150, window_exp=4, spot_checks=2000, seed=DEFAULT_SEED):
@@ -105,7 +110,10 @@ def brute_symmetrizer(alpha, window_num=150, window_exp=4, spot_checks=2000, see
     slot, because Theta is additive in each slot separately (that
     additivity is fuzzed independently; see cocycle_fuzz with kind
     "psi_bichar"): p/N**k clears when p * alpha_{k+j} is integral for
-    every j <= window_exp, with the terms read from ``value``.  Each
+    every j <= window_exp.  With the terms read from ``value`` in lowest
+    terms, that is den(alpha_{k+j}) | p for each j, so the members at
+    level k are the window's multiples of their lcm, with N not dividing
+    p at k > 0 (the lowest-terms pairs), in the window's order.  Each
     spot check draws a member g and a window pair h and tests
     Theta_alpha(g, h) == 0 with ``multiplier._theta_frac``, which reads
     the terms through its own numerator formula; a disagreement raises
@@ -118,18 +126,17 @@ def brute_symmetrizer(alpha, window_num=150, window_exp=4, spot_checks=2000, see
     check_int(window_exp, "window_exp", 0)
     check_int(spot_checks, "spot_checks", 0)
     N = alpha.modulus
-    values = [alpha.value(m) for m in range(2 * window_exp + 1)]
-    denom = lcm(*(v.denominator for v in values))  # common denominator of the terms
-    nums = [v.numerator * (denom // v.denominator) for v in values]
-
-    # the window's distinct points are its lowest-terms pairs (p, k): k == 0 or N does not divide p
-    good = [(p, k) for k in range(window_exp + 1) for p in range(-window_num, window_num + 1)
-            if (k == 0 or p % N) and all(p * nums[k + j] % denom == 0 for j in range(window_exp + 1))]
+    dens = [alpha.value(m).denominator for m in range(2 * window_exp + 1)]
+    good = []
+    for k in range(window_exp + 1):
+        step = lcm(*dens[k:k + window_exp + 1])
+        good += [(p, k) for p in range(-(window_num // step) * step, window_num + 1, step)
+                 if k == 0 or p % N]
 
     rng, terms = random.Random(seed), _terms(alpha, 2 * window_exp)
     pick, draw = _below(rng, len(good)), _sampler(rng, N, window_num, window_exp)
     for _ in range(spot_checks):
-        g, h = (good[pick()], good[pick()]), (draw(), draw())
+        g, h = (good[pick()], good[pick()]), tuple(draw(2))
         num, den = _theta_frac(terms, g, h)
         if num % den:
             raise AssertionError("member %r fails against %r" % (g, h))
@@ -149,7 +156,8 @@ def colimit_report(alpha, depth=6, num_window=24):
 
     * coherence: the mirrored connecting identity U_{k+1} D F_k D == U_k
       on the library's stage matrices (``ktheory.embedding_matrix``,
-      ``connecting_matrix`` and ``MIRROR``).  Its (0, 1) entry is the
+      ``connecting_matrix`` and ``MIRROR``), compared in integers as
+      M U_{k+1} D F_k D == M U_k, each U_k built once.  Its (0, 1) entry is the
       nesting of the stages, J_2k+2 - J_2k == r_k N**2k: stage k images
       recur at stage k+1 via (z, p) -> (z - p r_k, N**2 p);
     * inclusion: enumerated stage points satisfy the K0 membership test,
@@ -168,14 +176,17 @@ def colimit_report(alpha, depth=6, num_window=24):
     failures = []
     checks = 0
 
+    M = N ** (2 * depth)
+    # each stage's embedding once, times M: integer entries, as every denominator divides M
+    U = [tuple(tuple(x.numerator * (M // x.denominator) for x in row)
+               for row in embedding_matrix(alpha, k)) for k in range(depth + 1)]
     for k in range(depth):
         mirrored = mat_mul(MIRROR, mat_mul(connecting_matrix(alpha, k), MIRROR))
         checks += 1
-        if mat_mul(embedding_matrix(alpha, k + 1), mirrored) != embedding_matrix(alpha, k):
+        if mat_mul(U[k + 1], mirrored) != U[k]:
             failures.append("mirrored connecting identity fails at stage %d" % k)
 
-    _, J, P = _tower(alpha.carrier, 2 * depth)  # the levels the coherence loop has read
-    M = P[-1]
+    _, J, P = _tower(alpha.carrier, 2 * depth)  # the levels the embeddings have read
     stage_points = set()
     for k in range(depth + 1):
         for p in range(-num_window * N, num_window * N + 1):
@@ -218,7 +229,7 @@ def colimit_compare(alpha, depth=6, num_window=24):
 
 
 def _fuzz_xi(carrier, trials, seed):
-    draw = _sampler(random.Random(seed), carrier.modulus, _FUZZ_NUM, _FUZZ_EXP)
+    points = iter(_sampler(random.Random(seed), carrier.modulus, _FUZZ_NUM, _FUZZ_EXP)(3 * trials))
     T = N, J, P = _tower(carrier, _FUZZ_EXP)
     failures = []
 
@@ -226,8 +237,7 @@ def _fuzz_xi(carrier, trials, seed):
         """N**e times the pairing lift p * J_k / N**k of u = (p, k), k <= e."""
         return u[0] * J[u[1]] * P[e - u[1]]
 
-    for t in range(trials):
-        x, y, z = draw(), draw(), draw()
+    for t, (x, y, z) in enumerate(zip(points, points, points)):
         s = _pair_sum(x, y, N)
         xy = _xi(T, x, y)
         if xy != _xi(T, y, x):
@@ -244,11 +254,10 @@ def _fuzz_xi(carrier, trials, seed):
 
 
 def _fuzz_zeta(carrier, trials, seed):
-    draw = _sampler(random.Random(seed), carrier.modulus, _FUZZ_NUM, _FUZZ_EXP)
+    points = iter(_sampler(random.Random(seed), carrier.modulus, _FUZZ_NUM, _FUZZ_EXP)(2 * trials))
     T = N, _, _ = _tower(carrier, _FUZZ_EXP)
     failures = []
-    for t in range(trials):
-        x, y = draw(), draw()
+    for t, (x, y) in enumerate(zip(points, points)):
         zc = _zeta(T, x, y)
         if zc not in (0, 1):
             failures.append("zeta out of range at trial %d" % t)
@@ -271,12 +280,12 @@ def _congruent(x, *terms):
 
 def _fuzz_psi_bichar(alpha, trials, seed):
     N = alpha.modulus
-    draw = _sampler(random.Random(seed), N, _FUZZ_NUM, _FUZZ_EXP)
+    points = iter(_sampler(random.Random(seed), N, _FUZZ_NUM, _FUZZ_EXP)(6 * trials))
+    pairs = zip(points, points)  # points of (Q_N)**2, three a trial
     failures = []
     # a level k1 + k4 of two drawn points is at most 2 * _FUZZ_EXP
     a, z = (_terms(s, 2 * _FUZZ_EXP) for s in (alpha, AngleSequence.zero(N)))
-    for t in range(trials):
-        g, g2, h = (draw(), draw()), (draw(), draw()), (draw(), draw())
+    for t, (g, g2, h) in enumerate(zip(pairs, pairs, pairs)):
         gg2 = (_pair_sum(g[0], g2[0], N), _pair_sum(g[1], g2[1], N))
         gh = _theta_frac(a, g, h)
         if not _congruent((0, 1), gh, _theta_frac(a, h, g)):
@@ -351,9 +360,8 @@ def coboundary_solve(J, R, seed=DEFAULT_SEED):
     # psi1 == -acc (mod w) for the last sum, and each sum agrees with it mod its own w
     psi = GeneratorCochain(N, dict(enumerate((psi1 + acc) // w for acc, w in sums)))
 
-    draw, c = _sampler(random.Random(seed), N, 40, D - 1), psi._eval
-    for _ in range(_SOLVE_SAMPLES):
-        x, y = draw(), draw()
+    points, c = iter(_sampler(random.Random(seed), N, 40, D - 1)(2 * _SOLVE_SAMPLES)), psi._eval
+    for x, y in zip(points, points):
         if c(x) + c(y) - c(_pair_sum(x, y, N)) != _xi(TJ, x, y) - _xi(TR, x, y):
             return None
     return psi

@@ -12,8 +12,9 @@
 * Points of Q_N below the public API are lowest-terms integer pairs
   (num, exp), and only ``nadic._pair_sum`` adds them (``+`` on two tuples
   joins them): no pair is an operand of ``+`` or reaches ``coboundary``
-  in the cores that read pairs or in the loops that draw them, and
-  ``QnRational.__add__`` calls ``_pair_sum``.
+  in the cores that read pairs or in the loops that draw them (followed
+  from a draw through ``iter``, ``zip``, ``enumerate`` and ``tuple`` to
+  the loop variables), and ``QnRational.__add__`` calls ``_pair_sum``.
 * Value equality has one home: only ``nadic._Value`` defines ``__eq__``
   and ``__hash__``.
 * Group subtraction and the operand check of ``__add__`` have one home:
@@ -38,8 +39,10 @@
   ``_theta_frac`` and ``_bichar_frac`` skip the argument checks, so they
   never run on user input: ``codec`` and ``cli`` do not call them, and no
   private name enters ``ncsolenoid.__all__``.
-* The cores read a carrier as a tower (N, J, P), by subscript only:
-  ``ktheory._xi``, ``_zeta``, ``_mu``, ``_prufer`` and
+* The cores read a carrier as a tower (N, J, P) and a sequence as its
+  terms (c, A, P), numerator row A[n] = alpha_n * c * N**n (built by
+  ``multiplier._terms`` through ``multiplier._numerator``), by subscript
+  only: ``ktheory._xi``, ``_zeta``, ``_mu``, ``_prufer`` and
   ``multiplier._numerator``, ``_psi_frac``, ``_theta_frac`` and
   ``_bichar_frac`` contain no ``._at``, ``.modulus``, ``.base`` or ``**``.
 * The fraction wire format has one home: the string ``"%d/%d"`` appears
@@ -162,20 +165,44 @@ PAIR_READERS = (
 )
 
 
-def _makes_pairs(value):
-    """Whether an expression is a draw, a pair sum, or a tuple that holds one."""
+def _makes_pairs(value, pairs):
+    """Whether an expression is a draw, a pair sum, or a tuple or iterator that holds one.
+
+    A draw is ``draw(...)`` or a loop's ``_sampler(...)(count)``; ``iter``,
+    ``zip``, ``enumerate`` and ``tuple`` pass through the pairs of their
+    arguments, draws or names in pairs.
+    """
     if isinstance(value, ast.Tuple):
-        return any(_makes_pairs(v) for v in value.elts)
-    return isinstance(value, ast.Call) and getattr(value.func, "id", None) in ("draw", "_pair_sum")
+        return any(_makes_pairs(v, pairs) for v in value.elts)
+    if not isinstance(value, ast.Call):
+        return False
+    if isinstance(value.func, ast.Call):
+        return getattr(value.func.func, "id", None) == "_sampler"
+    name = getattr(value.func, "id", None)
+    return name in ("draw", "_pair_sum") or name in ("iter", "zip", "enumerate", "tuple") and any(
+        getattr(v, "id", None) in pairs or _makes_pairs(v, pairs) for v in value.args
+    )
 
 
 def _pair_names(node):
-    """The names of a def that hold pairs: point parameters, and targets of draws and sums."""
+    """The names of a def that hold pairs: point parameters, targets of draws and sums, and
+    the loop variables over them (an ``enumerate`` index aside), to a fixed point."""
     names = {a.arg for a in node.args.args if a.arg in ("x", "y", "g", "h")}
-    for n in ast.walk(node):
-        if isinstance(n, ast.Assign) and _makes_pairs(n.value):
-            names |= {t.id for t in ast.walk(n.targets[0]) if isinstance(t, ast.Name)}
-    return names
+    while True:
+        grown = set(names)
+        for n in ast.walk(node):
+            if isinstance(n, ast.Assign) and _makes_pairs(n.value, names):
+                target = n.targets[0]
+            elif isinstance(n, ast.For) and _makes_pairs(n.iter, names):
+                target = n.target
+                if isinstance(n.iter, ast.Call) and getattr(n.iter.func, "id", None) == "enumerate":
+                    target = target.elts[1]
+            else:
+                continue
+            grown |= {t.id for t in ast.walk(target) if isinstance(t, ast.Name)}
+        if grown == names:
+            return names
+        names = grown
 
 
 def test_only_pair_sum_adds_pairs():

@@ -7,11 +7,12 @@ from fractions import Fraction
 from math import gcd
 from pathlib import Path
 from types import SimpleNamespace
+from unittest import mock
 
 import pytest
-from hypothesis import example, given, strategies as st
+from hypothesis import assume, example, given, strategies as st
 
-from ncsolenoid import ktheory, multiplier, nadic
+from ncsolenoid import ktheory, multiplier, nadic, oracle
 from ncsolenoid.classify import AngleMatrix, BundleData, bundle_data
 from ncsolenoid.cli import main
 from ncsolenoid.ktheory import cohomologous, embedding_matrix
@@ -58,14 +59,33 @@ def test_sample_qn_is_reduced_and_deterministic():
 def test_the_fuzz_draws_are_pinned():
     # sampler shapes at N = 3: the fuzzes' (60, 6) and a replay's (40, 7); the draws are
     # lowest-terms pairs (num, exp), and the fault-injection rows name trial indices, so a
-    # faster draw path must draw these points
+    # faster draw path must draw these points; a loop draws its points in one call
     digest = hashlib.sha256()
     for max_num, max_exp in ((60, 6), (40, 7)):
         for seed in (5, 7, DEFAULT_SEED):
-            draw = _sampler(random.Random(seed), 3, max_num, max_exp)
-            for _ in range(600):
-                digest.update(b"%d/%d " % draw())
+            for point in _sampler(random.Random(seed), 3, max_num, max_exp)(600):
+                digest.update(b"%d/%d " % point)
     assert digest.hexdigest() == "716e623ea6b7a5ce7018affff926675e8fe4fb409d818d514b6272b0ff6b07e3"
+
+
+def _reference_point(rng, N, max_num, max_exp):
+    """One draw of a point by its definition: randrange for p, then for k, then lowest terms."""
+    p, k = rng.randrange(-max_num, max_num + 1), rng.randrange(0, max_exp + 1)
+    while k > 0 and p % N == 0:
+        p, k = p // N, k - 1
+    return p, k
+
+
+@pytest.mark.parametrize(
+    "N, max_num, max_exp",
+    [(2, 0, 0), (3, 60, 6), (3, 40, 7), (5, 0, 4), (6, 50, 0), (10, 1, 3), (12, 2**20 + 1, 12)],
+)
+def test_a_loop_draws_its_points_in_one_call_on_the_per_point_stream(N, max_num, max_exp):
+    ours, theirs = random.Random(N * max_exp), random.Random(N * max_exp)
+    draw = _sampler(ours, N, max_num, max_exp)
+    got = draw(1500) + draw(2) + draw(0) + draw(498)  # 2,000 points, in loops of any size
+    assert got == [_reference_point(theirs, N, max_num, max_exp) for _ in range(2000)]
+    assert ours.getrandbits(64) == theirs.getrandbits(64)
 
 
 def test_selftest_checks_its_arguments_once():
@@ -119,8 +139,9 @@ def test_selftest_builds_points_only_for_the_symmetrizer_members():
 
 def test_selftest_reads_each_residue_once_per_oracle_call():
     # the oracles' cores read residues from towers built once per call, each level
-    # through NadicInteger._at: 82 reads in 10 towers, and 26 for the term values and
-    # stage matrices; a selftest made 4,731 reads when every core call read its own
+    # through NadicInteger._at: 82 reads in 10 towers, and 24 for the term values and
+    # stage matrices, each stage's embedding read once; a selftest made 4,731 reads when
+    # every core call read its own
     at, reads = NadicInteger._at.__code__, [0]
 
     def count(frame, event, arg):
@@ -134,7 +155,7 @@ def test_selftest_reads_each_residue_once_per_oracle_call():
             code = main(["selftest", "--seed=7"])
         finally:
             sys.setprofile(previous)
-    assert (code, reads[0]) == (0, 108)
+    assert (code, reads[0]) == (0, 106)
 
 
 # ---------------------------------------------------------------- symmetrizer
@@ -158,6 +179,51 @@ def test_brute_symmetrizer_spot_checks_theta_on_its_members(five_62, monkeypatch
     )
     with pytest.raises(AssertionError, match="^member "):
         brute_symmetrizer(five_62, window_num=130, window_exp=4, spot_checks=2000)
+
+
+@st.composite
+def symmetrizer_windows(draw):
+    """A periodic or aperiodic element at N in {2, 3, 5, 6, 10}, a window and spot checks."""
+    N = draw(st.sampled_from([2, 3, 5, 6, 10]))
+    b = draw(st.sampled_from([b for b in range(1, 131) if gcd(b, N) == 1]))
+    head = Fraction(draw(st.integers(0, b - 1)), b)
+    value = -head if draw(st.booleans()) else Fraction(draw(st.integers(-99, 99)), b)
+    alpha = AngleSequence(N, head, NadicInteger.from_value(value, N))
+    return alpha, draw(st.integers(0, 200)), draw(st.integers(0, 4)), draw(st.integers(0, 6))
+
+
+@given(symmetrizer_windows(), st.integers(0, 2**32))
+@example((AngleSequence(5, Fraction(1, 62), NadicInteger.from_value(Fraction(-1, 62), 5)),
+          40, 2, 3), 7)  # the selftest's window, smaller than the lcm 62
+@example((AngleSequence(10, Fraction(3, 7), NadicInteger.from_value(Fraction(-3, 7), 10)),
+          200, 4, 6), 1)
+@example((AngleSequence(2, Fraction(0), NadicInteger.from_value(Fraction(5, 3), 2)), 0, 0, 2), 3)
+def test_brute_symmetrizer_members_are_the_points_of_the_definition(args, seed):
+    # the definition point by point in the window's order: p/N**k (lowest terms) clears when
+    # p * alpha_{k+j} is integral for every j <= window_exp; the spot checks pick members in
+    # that order, interleaved with two window draws each
+    alpha, window_num, window_exp, spot_checks = args
+    N = alpha.modulus
+    terms = [alpha.value(m) for m in range(2 * window_exp + 1)]
+    want = [(p, k) for k in range(window_exp + 1) for p in range(-window_num, window_num + 1)
+            if (k == 0 or p % N) and all((p * terms[k + j]).denominator == 1
+                                         for j in range(window_exp + 1))]
+    assume(len(want) <= 120)  # the answer is the product of the members with themselves
+    rng, checked = random.Random(seed), []
+    want_checked = [((want[rng.randrange(len(want))], want[rng.randrange(len(want))]),
+                     tuple(_reference_point(rng, N, window_num, window_exp) for _ in range(2)))
+                    for _ in range(spot_checks)]
+
+    def theta(t, g, h):
+        checked.append((g, h))
+        return honest(t, g, h)
+
+    honest = oracle._theta_frac
+    with mock.patch.object(oracle, "_theta_frac", theta):
+        got = brute_symmetrizer(alpha, window_num, window_exp, spot_checks, seed)
+    points = [QnRational(p, k, N) for p, k in want]
+    assert got == frozenset((x, y) for x in points for y in points)
+    assert checked == want_checked
 
 
 def test_brute_symmetrizer_zero_is_whole_window():
