@@ -14,8 +14,10 @@ from ncsolenoid.ktheory import (
     KPairElement,
     as_extension,
     as_pair,
+    coboundary,
     cohomologous,
     trace,
+    xi_cocycle,
 )
 from ncsolenoid.multiplier import Symmetrizer, is_simple, symmetrizer, theta_phase
 from ncsolenoid.nadic import NadicInteger, QnRational
@@ -161,13 +163,16 @@ def test_criterion_08_classification():
 
 def test_criterion_09_cohomologous_grid():
     t0 = time.monotonic()
+    rng = random.Random(SEED)
+    pairs = [(sample_qn(rng, 3, 50, 5), sample_qn(rng, 3, 50, 5)) for _ in range(20)]
     for a in range(-20, 21):
         for b in range(-20, 21):
-            psi = cohomologous(
-                NadicInteger.iota(a, 3), NadicInteger.iota(b, 3), depth=6, samples=20, seed=SEED
-            )
+            J, R = NadicInteger.iota(a, 3), NadicInteger.iota(b, 3)
+            psi = cohomologous(J, R, depth=6)
             assert psi is not None
             assert psi.psi1() == b - a
+            for x, y in pairs:  # the witness replays: xi_J - xi_R = d(psi)
+                assert xi_cocycle(J, x, y) - xi_cocycle(R, x, y) == coboundary(psi, x, y)
     none = cohomologous(NadicInteger.from_value(Fraction(-1, 2), 3), NadicInteger.iota(0, 3))
     assert none is None
     took = _elapsed(t0)

@@ -101,15 +101,14 @@ CASES = (
     + [_case(lambda v: ktheory.GeneratorCochain(3, {0: 0, v: 0}), -1, ValueError,
              id="GeneratorCochain-level-negative"),
        _case(lambda v: ktheory.GeneratorCochain(3, {0: 0, v: 0}), "1", ValueError,
-             id="GeneratorCochain-level-str")]
+             id="GeneratorCochain-level-str"),
+       _case(lambda v: ktheory.GeneratorCochain(3, {0: -5, v: 0}), 2, ValueError,
+             id="GeneratorCochain-level-gap")]
     + _ints("ExtensionElement-z", lambda v: ktheory.ExtensionElement(A3, v, X3), False)
     + _ints("GeneratorCochain-scale", lambda v: ktheory.GeneratorCochain(v, {0: 1}))
     + _ints("cohomologous-depth", lambda v: ktheory.cohomologous(J5, J0, depth=v))
-    + _ints("cohomologous-samples", lambda v: ktheory.cohomologous(J5, J0, samples=v))
     + [_case(lambda v: ktheory.cohomologous(J5, J0, depth=v), 0, ValueError,
              id="cohomologous-depth-0"),
-       _case(lambda v: ktheory.cohomologous(J5, J0, samples=v), 0, ValueError,
-             id="cohomologous-samples-0"),
        _case(lambda v: ktheory.cohomologous(J5, J0, depth=v), 2.0, ValueError,
              id="cohomologous-depth-integral-float")]
     + _ints("prime_factors", prime_factors)

@@ -71,6 +71,9 @@
   coherence identity it checks through ``connecting_matrix``), and
   ``oracle.brute_symmetrizer`` calls ``_theta_frac``, so its spot checks
   read Theta apart from the term values that decide membership.
+* Only the oracles check a witness: no module but ``oracle`` raises
+  ``AssertionError``, and ``ktheory.cohomologous`` takes exactly
+  ``(J, R, depth=8)``, with no replay knobs.
 * ``bundle_data`` builds and does not check: the relation helpers
   ``_twisted_commute`` and ``_power_is_one`` and the "bundle relation"
   raises are gone, and ``AngleMatrix.__pow__`` multiplies through ``@``
@@ -81,6 +84,9 @@
 * Every name in ``ncsolenoid.__all__`` resolves.
 * ``import ncsolenoid`` loads neither ``dataclasses`` nor ``typing``
   (the start-up cost of the CLI and of every library user).
+* A line ratchet: the package sources together (``cat *.py | wc -l``)
+  stay at or below ``SOURCE_LINES``; a change that deletes lines lowers
+  the pin with it.
 """
 
 import ast
@@ -159,9 +165,9 @@ def test_slot_writes_have_one_home():
 
 PAIR_READERS = (
     "ktheory._xi", "ktheory._zeta", "ktheory._prufer", "ktheory._mu",
-    "ktheory.GeneratorCochain._eval", "ktheory.cohomologous", "multiplier._psi_frac",
-    "multiplier._theta_frac", "multiplier._bichar_frac", "oracle._fuzz_xi", "oracle._fuzz_zeta",
-    "oracle._fuzz_psi_bichar", "oracle.coboundary_solve", "oracle.brute_symmetrizer",
+    "ktheory.GeneratorCochain._eval", "multiplier._psi_frac", "multiplier._theta_frac",
+    "multiplier._bichar_frac", "oracle._fuzz_xi", "oracle._fuzz_zeta", "oracle._fuzz_psi_bichar",
+    "oracle.coboundary_solve", "oracle.brute_symmetrizer",
 )
 
 
@@ -460,6 +466,21 @@ def test_bundle_data_builds_and_does_not_check():
     assert _matrix_reads(_function("classify.AngleMatrix.__pow__")) == ["MatMult"]
 
 
+def test_only_the_oracle_raises_assertion_error():
+    found = [
+        "%s.py:%d" % (stem, node.lineno)
+        for stem, tree in TREES.items()
+        if stem != "oracle"
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Raise) and "AssertionError" in ast.unparse(node)
+    ]
+    assert found == []
+
+
+def test_cohomologous_has_no_replay_knobs():
+    assert ast.unparse(_function("ktheory.cohomologous").args) == "J, R, depth=8"
+
+
 def test_the_removed_knobs_stay_removed():
     found = [
         "%s.py: %s" % (path.stem, name)
@@ -482,3 +503,10 @@ def test_import_loads_neither_dataclasses_nor_typing():
         [sys.executable, "-S", "-c", code], env=env, capture_output=True, text=True, check=True
     )
     assert out.stdout.strip() == "[]"
+
+
+SOURCE_LINES = 2806  # lower it when lines go; never raise it to let lines in
+
+
+def test_the_package_stays_within_its_line_ratchet():
+    assert sum(path.read_text().count("\n") for path in SOURCES) <= SOURCE_LINES

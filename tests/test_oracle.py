@@ -1,6 +1,7 @@
 import contextlib
 import hashlib
 import io
+import json
 import random
 import sys
 from fractions import Fraction
@@ -139,9 +140,10 @@ def test_selftest_builds_points_only_for_the_symmetrizer_members():
 
 def test_selftest_reads_each_residue_once_per_oracle_call():
     # the oracles' cores read residues from towers built once per call, each level
-    # through NadicInteger._at: 82 reads in 10 towers, and 24 for the term values and
-    # stage matrices, each stage's embedding read once; a selftest made 4,731 reads when
-    # every core call read its own
+    # through NadicInteger._at: 64 reads in 8 towers, 24 for the term values and stage
+    # matrices, each stage's embedding read once, and one for the cohomologous witness;
+    # a selftest made 4,731 reads when every core call read its own, and 106 when the
+    # witness replayed itself on two towers of its own
     at, reads = NadicInteger._at.__code__, [0]
 
     def count(frame, event, arg):
@@ -155,7 +157,7 @@ def test_selftest_reads_each_residue_once_per_oracle_call():
             code = main(["selftest", "--seed=7"])
         finally:
             sys.setprofile(previous)
-    assert (code, reads[0]) == (0, 106)
+    assert (code, reads[0]) == (0, 89)
 
 
 # ---------------------------------------------------------------- symmetrizer
@@ -324,7 +326,7 @@ def test_cocycle_fuzz_validates_inputs(three_half):
 def test_coboundary_solve_agrees_with_direct_route():
     J, R = NadicInteger.iota(5, 3), NadicInteger.iota(0, 3)
     solved = coboundary_solve(J, R, seed=4)
-    direct = cohomologous(J, R, seed=4)
+    direct = cohomologous(J, R)
     assert solved is not None
     assert solved.table == {k: direct.table[k] for k in solved.table}
 
@@ -355,7 +357,8 @@ def test_coboundary_solve_reads_the_digits_the_heights_require(J, R, psi1):
 
 def test_coboundary_solve_agrees_with_cohomologous_on_seeded_carrier_pairs():
     # 2,000 pairs with numerators up to 10**6 over denominators prime to N, about half of
-    # them an integer apart; reading a fixed 8 digits disagreed on 242 of them
+    # them an integer apart; reading a fixed 8 digits disagreed on 242 of them.  The two
+    # tables must agree on every level both hold, not only at psi(1)
     rng = random.Random(DEFAULT_SEED)
     dens, disagree = (1, 7, 11, 13), []
     for _ in range(2000):
@@ -366,10 +369,28 @@ def test_coboundary_solve_agrees_with_cohomologous_on_seeded_carrier_pairs():
         else:
             R = Fraction(rng.randint(-10**6, 10**6), rng.choice(dens))
         J, R = NadicInteger.from_value(J, N), NadicInteger.from_value(R, N)
-        got = [w if w is None else w.psi1() for w in (coboundary_solve(J, R), cohomologous(J, R))]
+        got = [w if w is None else w.table for w in (coboundary_solve(J, R), cohomologous(J, R))]
+        if None not in got:  # the tables on every level both hold
+            got = [[t[k] for k in range(min(map(len, got)))] for t in got]
         if got[0] != got[1]:
             disagree.append((J, R, got))
     assert disagree == []
+
+
+def test_selftest_fails_on_a_witness_off_at_a_deeper_level(monkeypatch):
+    # right at level 0 and off by one at level 3: a row comparing psi(1) alone passed it
+    honest = ktheory.cohomologous
+
+    def off(J, R, depth=8):
+        psi = honest(J, R, depth)
+        return ktheory.GeneratorCochain(psi.modulus, {**psi.table, 3: psi.table[3] + 1})
+
+    monkeypatch.setattr("ncsolenoid.ktheory.cohomologous", off)
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
+        code = main(["selftest", "--seed=7"])
+    failed = [r["kind"] for r in json.loads(out.getvalue())["reports"] if not r["passed"]]
+    assert (code, failed) == (1, ["coboundary"])
 
 
 def test_coboundary_solve_reflexive(three_half):
