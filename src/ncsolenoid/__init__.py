@@ -45,7 +45,6 @@ from .oracle import (
     brute_symmetrizer,
     coboundary_solve,
     cocycle_fuzz,
-    colimit_compare,
     colimit_report,
 )
 
@@ -74,7 +73,6 @@ __all__ = [
     "coboundary_solve",
     "cocycle_fuzz",
     "cohomologous",
-    "colimit_compare",
     "colimit_report",
     "isomorphic",
     "is_simple",

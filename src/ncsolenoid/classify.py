@@ -1,51 +1,17 @@
 """Isomorphism classification of twisted solenoid algebras.
 
-Two twisted algebras, given by angle sequences alpha over N and beta
-over M, can only be isomorphic when N and M have the same prime
-support.  Writing R = gcd(N, M), mu = N/R, nu = M/R, both sides are read
-at the common scale R as their exact pairs (h, w) of head and carrier
-value, alpha_n = (h + J_n)/N**n with J_n = w mod N**n; rescaling keeps
-the pair verbatim, frac(mu**n * alpha_n) = (h + J_n mod R**n)/R**n.
-Equal pairs at one scale are equal sequences.  The known sufficient
-condition for isomorphism is that one pair equals the other moved by a
-shift, an optional block shift and an optional sign (``sequences._move``,
-which also makes ``AngleSequence.shift`` and negation):
+Both sides are read at R = gcd(N, M) as exact pairs (h, w), head and carrier
+value, which rescaling keeps; a Yes moves one onto the other (``sequences._move``):
 
-* the shift q drops the first q terms: (h + J_q, w - J_q) / R**q;
-* the block shift by a proper divisor d of R interleaves the division
-  by R so that the sequence is read d slots into each block:
-  (h + c, w - c) / d with c = J_1 mod d, i.e. delta_n = (beta_n +
-  (m_n mod d)) / d with m_n the n-th digit.  Spread over the prime
-  ladder of R, a block of single-prime divisions can be entered at any
-  intermediate point; which primes come first only enters through their
-  product d, so enumerating proper divisors enumerates all
-  interleavings.  They are built from the prime factorisation of R and
-  tried in ascending order;
-* the sign negates with a carry c = 1 if h > 0 else 0: (c - h, -w - c).
+* the shift q: (h + J_q, w - J_q) / R**q;
+* the block d, a proper divisor of R: (h + c, w - c) / d with c = J_1 mod d
+  (interleaved primes enter only through d, so divisors cover them all);
+* the sign, carry c = 1 if h > 0 else 0: (c - h, -w - c).
 
-The search tries both directions and both signs.  A hit is returned as
-a replayable witness.  Exact invariants preserved by every move (and
-by rescaling) give sound No verdicts:
-
-* the prime support, by gcd stripping (``nadic._prime_to``);
-* the reduced denominator of the carrier value;
-* the prime-to-R part of the denominator of the head, stripped the same way;
-* periodicity (w = -h), and with it simplicity of the algebra.
-
-None of them factors anything.  Equal pairs answer Yes by the zero move
-after the prime-support check (equal pairs at N = 2 and N = 3 must
-answer No) and before the other invariants.  R is factored once, after
-them, only to list the blocks and to tell whether R is a prime power; an
-R with a cofactor that cannot be proven prime gets the trivial block
-only and never a No.
-
-For a periodic sequence the shift moves cycle with the period, the first
-shift q >= 1 that brings the pair back to itself, so the search space is
-finite.  Exhausting it upgrades the result from Unknown to No only when
-R is a proven prime power p**e: the units of Z[1/R] are then +-p**a, and
-shifts and blocks p**i with i < e reach every one of them.  At any other R the
-moves miss units (8 at R = 12, for one), so an exhausted search stays
-Unknown, as does an aperiodic search that exhausts the bound.
+No verdicts rest on invariants of every move: the prime support, the
+reduced carrier denominator, the prime-to-R part of the head denominator
+and periodicity (w = -h).  Verdict, factoring and prime-power rules:
+README "Conventions worth knowing".
 """
 
 from __future__ import annotations
@@ -157,18 +123,11 @@ def _witness(alpha, beta, scale, direction, shift, block, sign, image):
 def isomorphic(alpha, beta, bound=32):
     """Decide *-isomorphism of the twisted algebras where possible.
 
-    Works on the exact pairs (head, carrier value) at R = gcd(N, M) and
-    builds no sequence or carrier.  Yes verdicts carry a replayable
-    witness (see :func:`replay_witness`); No verdicts cite either a
-    prime-support mismatch, a separating invariant, or an exhausted
-    periodic search at a prime-power R; everything else, prefix
-    carriers included, is Unknown at the given shift bound.
-
-    The zero move comes after the prime-support and exactness checks
-    (equal pairs at N = 2 and N = 3 answer No) and before the other invariants.
-    A periodic pair's period is the first shift that brings it back to
-    itself, where the shift loop stops; one shift past the bound tells
-    whether a search that never met it is exhausted all the same.
+    Works on the exact pairs at R = gcd(N, M) and builds no sequence or
+    carrier.  Yes carries a witness for :func:`replay_witness`; No cites a
+    prime-support mismatch, a separating invariant or an exhausted periodic
+    search at a prime-power R; the rest, prefix carriers included, is
+    Unknown at the shift bound.
     """
     check_sequence(alpha, beta)
     check_int(bound, "bound", 0)
@@ -179,7 +138,7 @@ def isomorphic(alpha, beta, bound=32):
     if not (alpha.carrier.is_exact and beta.carrier.is_exact):
         return IsoVerdict.unknown(bound)
     a, b = (alpha.base, alpha.carrier.value), (beta.base, beta.carrier.value)
-    if a == b:
+    if a == b:  # after the prime-support check: equal pairs at N = 2 and N = 3 answer No
         return IsoVerdict.yes(_witness(alpha, beta, scale, "forward", 0, 1, 1, a))
     reason = _obstruction(a, b, scale)
     if reason is not None:
@@ -235,16 +194,10 @@ def prime_case_isomorphic(alpha, beta, bound=32):
 def replay_witness(alpha, beta, verdict):
     """Apply the moves of a Yes witness again and compare the pairs exactly.
 
-    Equal pairs at one scale mean equal sequences, so every term matches.
-    True only when every field is the one the moves give: R = gcd(N, M),
-    mu = N/R, nu = M/R, a direction "forward" or "reverse", an integer
-    shift >= 0, a proper divisor of R as block, a sign of +-1, and the
-    moved pair as ``matched``.  Raises on a verdict that is not a Yes and
-    on a prefix carrier.
-
-    The cost is bounded by the input at any shift q: a periodic pair moves
-    to (h, -h) with h = c R**-q mod b over b, for the head c/b, and as a
-    move scales s = h + w by +-1/(R**q d), an aperiodic pair refuses
+    True only when every field is the one the moves give; equal pairs are
+    equal sequences.  Raises ValueError on a verdict that is not a Yes and
+    on a prefix carrier.  The cost is bounded by the input at any shift:
+    as a move scales s = h + w by +-1/(R**q d), an aperiodic pair refuses
     R**q > |s(y)/s(x)| before any power.
     """
     if not isinstance(verdict, IsoVerdict) or not verdict.is_yes:
@@ -278,15 +231,10 @@ class AngleMatrix(_Value):
     """A monomial matrix of unit phases: row i holds e(phases[i]) in column
     perm[i], and every other entry is 0.
 
-    Stored as (perm, num, den): the phase of row i is num[i]/den with
-    0 <= num[i] < den, and den is the least common denominator of the
-    phases, so equal matrices have equal fields.  ``AngleMatrix(perm,
-    phases)`` and ``_of`` reach that form; the trusted ``_canonical`` keeps
-    fields canonical as built: ``identity``, ``cyclic`` and the u of
-    :func:`bundle_data`.  A product composes the permutations and adds
-    numerators; multiplying entries means adding angles.  ``@``, ``scaled``,
-    ``==`` and ``hash`` cost O(n) integer operations; ``m ** k`` is repeated
-    squaring, O(n log k).  The dense view ``rows`` and ``to_json`` cost O(n**2).
+    Stored as (perm, num, den), row i's phase num[i]/den over the least
+    common den, so equal matrices have equal fields.  ``@``, ``scaled``,
+    ``==`` and ``hash`` cost O(n) integer operations, ``m ** k`` O(n log k),
+    and the dense view ``rows`` and ``to_json`` O(n**2).
 
     >>> v = AngleMatrix.cyclic(3)
     >>> v ** 3 == AngleMatrix.identity(3)

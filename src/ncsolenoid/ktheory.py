@@ -236,8 +236,9 @@ def cohomologous(J, R, depth=8):
     The cocycles are cohomologous exactly when J - R is the canonical
     copy of an ordinary integer m; the witness then has psi(1) = -m and
     psi_k = (J_k - R_k - m) / N**k = -floor((R_k + m) / N**k), read from
-    R alone.  ``oracle.coboundary_solve`` checks it from cocycle values
-    alone, and the selftest ``coboundary`` row compares the two tables.
+    one residue of R, each level from the one before by ``// N``.
+    ``oracle.coboundary_solve`` checks it from cocycle values alone, and
+    the selftest ``coboundary`` row compares the two tables.
     """
     check_carrier(J, R)
     check_int(depth, "depth", 1)
@@ -246,8 +247,12 @@ def cohomologous(J, R, depth=8):
     diff = J.exact_value("cohomology") - R.exact_value("cohomology")
     if diff.denominator != 1:
         return None
-    m, N, top = int(diff), R.modulus, R._at(depth)  # R_k = R_depth mod N**k
-    return GeneratorCochain(N, {k: -((top % N**k + m) // N**k) for k in range(depth + 1)})
+    # R_k = t - N**k * (t // N**k) for t = R_depth, so psi_k = t // N**k - (t + m) // N**k
+    N, t = R.modulus, R._at(depth)
+    u, table = t + int(diff), {}
+    for k in range(depth + 1):
+        table[k], t, u = t - u, t // N, u // N
+    return GeneratorCochain(N, table)
 
 
 class ExtensionElement(_Value):

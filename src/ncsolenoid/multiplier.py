@@ -1,25 +1,15 @@
 """Multipliers on Q_N x Q_N and their symmetrizer subgroups.
 
 A coherent angle sequence alpha over scale N defines a multiplier on
-the group (Q_N)**2: for g = (p1/N**k1, p2/N**k2) and
-h = (p3/N**k3, p4/N**k4), both coordinates in lowest N-adic terms,
+(Q_N)**2: for g = (p1/N**k1, p2/N**k2) and h = (p3/N**k3, p4/N**k4),
+both coordinates in lowest N-adic terms,
 
-    Psi_alpha(g, h) = alpha_{k1 + k4} * p1 * p4   (mod 1).
+    Psi_alpha(g, h) = alpha_{k1 + k4} * p1 * p4   (mod 1),
 
-Its antisymmetrisation Theta_alpha(g, h) = Psi(g, h) - Psi(h, g) is a
-skew bicharacter.  The symmetrizer subgroup collects the g with
-Theta_alpha(g, .) identically zero; its shape is decided entirely by
-the range of alpha:
-
-* alpha periodic, all terms with denominator b: the symmetrizer is the
-  pair group of { p * b / N**k }, scale factor b.  At b = 1 (alpha
-  identically zero) that is the full group.
-* alpha aperiodic: only the trivial subgroup, and the twisted algebra
-  attached to Psi_alpha is simple.
-
-Periodicity itself is read off the storage: alpha is periodic exactly
-when its carrier value equals -alpha_0 (so in particular alpha has
-finite range if and only if it is periodic).
+whose antisymmetrisation Theta_alpha is a skew bicharacter.  Its
+symmetrizer, the g with Theta_alpha(g, .) = 0, and the simplicity of the
+twisted algebra follow from periodicity alone (README "Conventions
+worth knowing").
 """
 
 from __future__ import annotations

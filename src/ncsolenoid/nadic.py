@@ -1,22 +1,11 @@
-"""Exact arithmetic at a fixed scale N >= 2.
+"""Exact arithmetic at a fixed scale N >= 2, composite scales included.
 
-Two abelian groups underlie everything in this package:
+* ``Q_N``, the rationals whose denominator is a power of N, in lowest
+  N-adic terms p / N**k with k = 0 or p not divisible by N (``QnRational``);
+* ``Z_N``, the N-adic integers, as coherent residue towers J_0 = 0, J_1,
+  ... with J_k in [0, N**k) and J_{k+1} == J_k (mod N**k) (``NadicInteger``).
 
-* ``Q_N``, the additive group of rationals whose denominator is a power
-  of N.  Elements are kept in lowest N-adic terms ``p / N**k`` with
-  either k = 0 or p not divisible by N.
-
-* ``Z_N``, the N-adic integers, presented as coherent residue towers
-  ``J_0 = 0, J_1, J_2, ...`` with ``J_k in [0, N**k)`` and
-  ``J_{k+1} == J_k (mod N**k)``.  The tower is stored either as an exact
-  rational ``a/b`` with ``gcd(b, N) == 1`` (the residues are then
-  ``a * b**-1 mod N**k``), or as a finite digit prefix read from an
-  element file.  A prefix is a read-only window: it answers residues and
-  digits inside the window, and everything that needs the whole tower
-  raises ValueError.
-
-N may be any integer >= 2, composite scales included.  All arithmetic is
-exact; no floats enter or leave this module.
+All arithmetic is exact; no floats enter or leave this module.
 """
 
 from __future__ import annotations
@@ -469,22 +458,13 @@ def _sampler(rng, scale, max_num, max_exp):
 
 
 class NadicInteger(_Value):
-    """An N-adic integer as a coherent residue tower.
+    """An N-adic integer as a coherent residue tower, exact or a digit prefix.
 
-    Exact form: ``NadicInteger.from_value(Fraction(a, b), N)`` with
-    gcd(b, N) == 1; the tower is J_k = a * b**-1 mod N**k and every
-    residue, digit and segment is available.
-
-    Prefix form: ``NadicInteger.from_prefix([j0, j1, ...], N)`` records
-    the first digits of a carrier.  ``at``, ``digit`` and ``segment``
-    answer inside the recorded window and raise beyond it; arithmetic and
-    every decision that needs the whole tower raise ValueError through
-    :meth:`exact_value`.
-
-    Residues have one store and one read path: the deepest residue known,
-    J_K at level K (the whole window of a prefix; for an exact carrier the
-    deepest level asked for so far).  ``at(k)`` for k <= K reads J_K mod
-    N**k, so memory stays one residue however many levels are read.
+    ``from_value(Fraction(a, b), N)`` with gcd(b, N) == 1 answers every
+    residue J_k = a * b**-1 mod N**k.  ``from_prefix([j0, j1, ...], N)``
+    answers ``at``, ``digit`` and ``segment`` inside its window and raises
+    past it; all that needs the whole tower raises ValueError through
+    :meth:`exact_value`.  One residue is stored, the deepest read.
 
     >>> J = NadicInteger.iota(5, 3)
     >>> [J.at(k) for k in range(5)]

@@ -2,48 +2,13 @@
 
 The oracles work from raw definitions (term values, digit streams,
 matrix images) and never call the decision procedure they validate;
-they may use the definitional formulas (the multiplier, the cocycle,
-the stage matrices) as inputs, because those are the objects under
-test, not the answers, and import nothing from ``classify``.  Only
-``classify.replay_witness`` has no independent check here yet (ROADMAP
-item 6): it re-runs ``sequences._move``, the move that made the witness.
-
-The oracles compute in integers.  ``colimit_report`` holds each point of
-Q x Q_N as an integer pair over the one denominator M = N**(2 * depth),
-read at z = 0: Z x {0} lies in both sets it compares, and no check moves
-under it; it checks coherence on each stage's embedding, built once,
-times M, and the stage nesting is the identity's (0, 1) entry.
-``brute_symmetrizer`` enumerates its members at level k as the window's
-multiples of lcm_j den(alpha_{k+j}) (terms read from ``value``), builds
-a point only for each, and spot-checks Theta on them with
-``_theta_frac``.  ``coboundary_solve`` reads as many digits as the
-heights of J and R require, so its answer is exact.  Every seeded draw
-is getrandbits with rejection (the stream of ``randrange`` and
-``choice``), by ``nadic._below`` or ``nadic._sampler``.
-
-A point p/N**k of Q_N is the lowest-terms pair (p, k) here, and a point
-of (Q_N)**2 a pair of them: the fuzzes, the spot checks and the replays
-draw them with ``nadic._sampler``, each loop all its points in one call
-(a spot check its two h points, between its picks), add them only with
-``nadic._pair_sum`` (``+`` joins tuples), and pass them to the cores
-that the public formulas run after their argument checks:
-``ktheory._xi``, ``_zeta``, ``_prufer``, ``_mu`` and
-``GeneratorCochain._eval``, and ``multiplier._theta_frac``,
-``_psi_frac`` and ``_bichar_frac``, which give a phase as an integer
-pair (num, den), so the laws of Theta and Psi are congruences mod 1
-checked by cross-multiplying.  A carrier reaches the cores as a tower
-(N, J, P) of lists J[k] = J_k and P[k] = N**k, built once per oracle
-call by ``nadic._tower`` to the deepest level its own sizes reach; a
-sequence as ``multiplier._terms`` (c, A, P), its numerator row
-A[n] = alpha_n * c * N**n built once from that tower.  The fuzzes
-evaluate each shared value (xi(x, y), Theta(g, h)) once per
-trial, check the pairing-lift route of xi as an integer identity over
-N**max(k1, k2), and floor the carry of the reduced angle pairs of
-``_prufer`` with ``ktheory._carry``.
-
-Defaults are sized for desk use: windows around 150 numerators and
-exponent 4, depth 6 stages, 1000 fuzz trials on points p/N**k with
-|p| <= 60 and k <= 6.  Every report records the seed that produced it.
+they may take the definitional formulas (the multiplier, the cocycle,
+the stage matrices) as inputs, as the objects under test, and import
+nothing from ``classify``.  Only ``classify.replay_witness`` has no
+independent check here yet (ROADMAP item 6): it re-runs
+``sequences._move``, the move that made the witness.  Points, towers,
+term rows and draws are those of ``nadic._pair_sum``, ``_tower`` and
+``_sampler`` and ``multiplier._terms``; each report records its seed.
 """
 
 from __future__ import annotations
@@ -94,11 +59,6 @@ class FuzzReport(_Frozen):
             "passed": self.passed,
             "failures": self.failures[:10],
         }
-
-
-def sample_qn(rng, scale, max_num, max_exp):
-    """A random Q_N element with bounded numerator and exponent."""
-    return QnRational._of(*_sampler(rng, scale, max_num, max_exp)(1)[0], scale)
 
 
 def brute_symmetrizer(alpha, window_num=150, window_exp=4, spot_checks=2000, seed=DEFAULT_SEED):
@@ -221,11 +181,6 @@ def colimit_report(alpha, depth=6, num_window=24):
         "checks": checks,
         "failures": failures[:10],
     }
-
-
-def colimit_compare(alpha, depth=6, num_window=24):
-    """True when the explicit direct limit agrees with the K0 description."""
-    return colimit_report(alpha, depth, num_window)["match"]
 
 
 def _fuzz_xi(carrier, trials, seed):

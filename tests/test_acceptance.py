@@ -21,11 +21,16 @@ from ncsolenoid.ktheory import (
 )
 from ncsolenoid.multiplier import Symmetrizer, is_simple, symmetrizer, theta_phase
 from ncsolenoid.nadic import NadicInteger, QnRational
-from ncsolenoid.oracle import brute_symmetrizer, cocycle_fuzz, colimit_compare, sample_qn
+from ncsolenoid.oracle import brute_symmetrizer, cocycle_fuzz, colimit_report
 from ncsolenoid.classify import AngleMatrix
 from ncsolenoid.sequences import Angle, AngleSequence
 
 SEED = 20260817
+
+
+def _point(rng, m, e):
+    """A point p / 3**k of Q_3 with |p| <= m and k <= e, drawn p first."""
+    return QnRational(rng.randrange(-m, m + 1), rng.randrange(0, e + 1), 3)
 
 
 def _elapsed(t0):
@@ -53,8 +58,8 @@ def test_criterion_02_theta_parity():
     rng = random.Random(SEED)
     half = Angle(Fraction(1, 2))
     for _ in range(200):
-        g = (sample_qn(rng, 3, 60, 5), sample_qn(rng, 3, 60, 5))
-        h = (sample_qn(rng, 3, 60, 5), sample_qn(rng, 3, 60, 5))
+        g = (_point(rng, 60, 5), _point(rng, 60, 5))
+        h = (_point(rng, 60, 5), _point(rng, 60, 5))
         got = theta_phase(a, g, h)
         parity = (g[0].num * h[1].num - g[1].num * h[0].num) % 2
         assert got == (half if parity else Angle(0))
@@ -111,8 +116,8 @@ def test_criterion_06_omega_and_trace():
     inputs = set()
     images = set()
     for _ in range(200):
-        e = ExtensionElement(a, rng.randint(-40, 40), sample_qn(rng, 3, 40, 6))
-        f = ExtensionElement(a, rng.randint(-40, 40), sample_qn(rng, 3, 40, 6))
+        e = ExtensionElement(a, rng.randint(-40, 40), _point(rng, 40, 6))
+        f = ExtensionElement(a, rng.randint(-40, 40), _point(rng, 40, 6))
         # homomorphism, exact roundtrip both ways
         assert as_pair(e + f) == as_pair(e) + as_pair(f)
         assert as_extension(as_pair(e)) == e
@@ -130,13 +135,13 @@ def test_criterion_06_omega_and_trace():
 
 def test_criterion_07_colimit_depth_6():
     t0 = time.monotonic()
-    assert colimit_compare(AngleSequence.constant(3, Fraction(1, 2)), depth=6)
+    assert colimit_report(AngleSequence.constant(3, Fraction(1, 2)), depth=6)["match"]
     rng = random.Random(SEED)
     for n in (2, 5):
         d = rng.choice([q for q in (3, 7, 11, 13) if q % n])
         carrier = NadicInteger.from_value(Fraction(rng.randint(-30, 30), d), n)
         a = AngleSequence(n, Fraction(rng.randint(0, 5), 7), carrier)
-        assert colimit_compare(a, depth=6)
+        assert colimit_report(a, depth=6)["match"]
     took = _elapsed(t0)
     assert took < 30
     print("[criterion 07] PASS colimit oracle at depth 6, three carriers (%.2fs)" % took)
@@ -164,7 +169,7 @@ def test_criterion_08_classification():
 def test_criterion_09_cohomologous_grid():
     t0 = time.monotonic()
     rng = random.Random(SEED)
-    pairs = [(sample_qn(rng, 3, 50, 5), sample_qn(rng, 3, 50, 5)) for _ in range(20)]
+    pairs = [(_point(rng, 50, 5), _point(rng, 50, 5)) for _ in range(20)]
     for a in range(-20, 21):
         for b in range(-20, 21):
             J, R = NadicInteger.iota(a, 3), NadicInteger.iota(b, 3)

@@ -84,8 +84,6 @@ CASES = (
              lambda v: oracle.brute_symmetrizer(A3, spot_checks=v)),
             ("colimit_report-depth", lambda v: oracle.colimit_report(A3, depth=v)),
             ("colimit_report-num_window", lambda v: oracle.colimit_report(A3, num_window=v)),
-            ("colimit_compare-depth", lambda v: oracle.colimit_compare(A3, depth=v)),
-            ("colimit_compare-num_window", lambda v: oracle.colimit_compare(A3, num_window=v)),
             ("cocycle_fuzz-xi-trials", lambda v: oracle.cocycle_fuzz("xi", J3, trials=v)),
             ("cocycle_fuzz-zeta-trials", lambda v: oracle.cocycle_fuzz("zeta", J3, trials=v)),
             ("cocycle_fuzz-psi-trials", lambda v: oracle.cocycle_fuzz("psi_bichar", A3, trials=v)),

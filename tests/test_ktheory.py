@@ -139,6 +139,11 @@ def test_generator_cochain_validation():
 def test_cohomologous_frozen_witness():
     psi = cohomologous(NadicInteger.iota(5, 3), NadicInteger.iota(0, 3), depth=4)
     assert [psi.table[k] for k in range(5)] == [-5, -1, 0, 0, 0]
+    # deep, with J - R = m: every level of the table is (J_k - R_k - m) / N**k
+    m, R = -98765, Fraction(-5, 7)
+    J, R = NadicInteger.from_value(R + m, 6), NadicInteger.from_value(R, 6)
+    psi = cohomologous(J, R, depth=3000)
+    assert psi.table == {k: Fraction(J.at(k) - R.at(k) - m, 6**k) for k in range(3000, -1, -1)}
 
 
 def test_cohomologous_none_case():
