@@ -234,7 +234,7 @@ class AngleMatrix(_Value):
     Stored as (perm, num, den), row i's phase num[i]/den over the least
     common den, so equal matrices have equal fields.  ``@``, ``scaled``,
     ``==`` and ``hash`` cost O(n) integer operations, ``m ** k`` O(n log k),
-    and the dense view ``rows`` and ``to_json`` O(n**2).
+    and the dense ``to_json`` O(n**2).
 
     >>> v = AngleMatrix.cyclic(3)
     >>> v ** 3 == AngleMatrix.identity(3)
@@ -279,20 +279,6 @@ class AngleMatrix(_Value):
     @property
     def size(self):
         return len(self.perm)
-
-    def _dense(self, cell):
-        """Rows as lists: cell(Fraction(num[i], den)) in column perm[i], None elsewhere."""
-        n, out = self.size, []
-        for j, a in zip(self.perm, self.num):
-            row = [None] * n
-            row[j] = cell(Fraction(a, self.den))
-            out.append(row)
-        return out
-
-    @property
-    def rows(self):
-        """The dense form: a tuple of rows, each a tuple of Angle or None."""
-        return tuple(tuple(row) for row in self._dense(Angle._of))
 
     @classmethod
     def identity(cls, n):
@@ -342,8 +328,13 @@ class AngleMatrix(_Value):
         return "AngleMatrix(perm=%r, num=%r, den=%d)" % (self.perm, self.num, self.den)
 
     def to_json(self):
-        """The dense form: each phase in the wire form of ``format_fraction``, null elsewhere."""
-        return self._dense(format_fraction)
+        """The dense form: row i holds ``format_fraction`` of its phase at perm[i], else null."""
+        n, out = self.size, []
+        for j, a in zip(self.perm, self.num):
+            row = [None] * n
+            row[j] = format_fraction(Fraction(a, self.den))
+            out.append(row)
+        return out
 
 
 class BundleData(_Frozen):
@@ -389,9 +380,9 @@ def bundle_data(alpha):
     v u and of u v lies in column j + 1, with phases (j + 1) p/q and j p/q,
     so v u = e(p/q) u v; u**q has phases j p and v**q turns each row q
     places, so u**q = v**q = 1.  ``oracle.bundle_check`` checks them on the
-    dense rows, in ``selftest``.  The base is the square of the solenoid at
-    scale N**k, k the multiplicative order of N mod q, the period of
-    alpha.  Raises for aperiodic input and for q > MAX_BUNDLE_Q (2048).
+    printed matrices, in ``selftest``.  The base is the square of the
+    solenoid at scale N**k, k the multiplicative order of N mod q, the
+    period of alpha.  Raises for aperiodic input and for q > MAX_BUNDLE_Q (2048).
 
     >>> from .nadic import NadicInteger
     >>> a = AngleSequence(2, Fraction(1, 3), NadicInteger.from_value(Fraction(-1, 3), 2))

@@ -1,8 +1,9 @@
 """Command line interface: one table of subcommands, shown in README "CLI".
 
-Results go to stdout as one deterministic JSON document; diagnostics go
-to stderr.  Exit codes: 0 on success, 1 when a selftest oracle fails, 2
-on domain or input errors, 3 when a query comes back Unknown.
+Each handler returns one JSON document, and ``main`` prints it to stdout
+deterministically; diagnostics go to stderr.  Exit codes: 0 on success,
+1 when the document has "passed": false (a selftest oracle fails), 2 on
+domain or input errors, 3 when its verdict is Unknown.
 """
 
 from __future__ import annotations
@@ -24,56 +25,45 @@ EXIT_UNKNOWN = 3
 _TRIALS, _WINDOW_P, _WINDOW_K, _DEPTH = 200, 40, 2, 3
 
 
-def _emit(obj):
-    print(dump_json(obj))
-
-
 def cmd_info(args):
     seq = sequence_from_file(args.file)
-    kind = multiplier.classify_type(seq) if seq.is_exact else None
+    kind = multiplier.classify_type(seq) if seq.carrier.is_exact else None
     out = seq.to_json()
     depth = 8
-    if not seq.is_exact:
+    if not seq.carrier.is_exact:
         depth = min(depth, seq.carrier.length)
     out["values"] = [format_fraction(seq.value(n)) for n in range(depth)]
     out["type"] = kind.value if kind is not None else "Unknown"
-    _emit(out)
-    return EXIT_OK
+    return out
 
 
 def cmd_simple(args):
     seq = sequence_from_file(args.file)
-    _emit({"simple": multiplier.is_simple(seq)})
-    return EXIT_OK
+    return {"simple": multiplier.is_simple(seq)}
 
 
 def cmd_symmetrizer(args):
     seq = sequence_from_file(args.file)
-    _emit(multiplier.symmetrizer(seq).to_json())
-    return EXIT_OK
+    return multiplier.symmetrizer(seq).to_json()
 
 
 def cmd_k0_trace(args):
     seq = sequence_from_file(args.file)
     elem = ktheory.ExtensionElement(seq, args.z, QnRational.from_fraction(args.x, seq.modulus))
-    _emit({"trace": format_fraction(ktheory.trace(elem))})
-    return EXIT_OK
+    return {"trace": format_fraction(ktheory.trace(elem))}
 
 
 def cmd_k0_member(args):
     seq = sequence_from_file(args.file)
     second = QnRational.from_fraction(args.second, seq.modulus)
-    ok = ktheory.k_member(seq, as_fraction(args.first), second)
-    _emit({"member": ok})
-    return EXIT_OK
+    return {"member": ktheory.k_member(seq, as_fraction(args.first), second)}
 
 
 def cmd_k0_add(args):
     seq = sequence_from_file(args.file)
     a = ktheory.ExtensionElement(seq, args.az, QnRational.from_fraction(args.ax, seq.modulus))
     b = ktheory.ExtensionElement(seq, args.bz, QnRational.from_fraction(args.bx, seq.modulus))
-    _emit((a + b).to_json())
-    return EXIT_OK
+    return (a + b).to_json()
 
 
 def cmd_cohomologous(args):
@@ -81,24 +71,19 @@ def cmd_cohomologous(args):
     R = carrier_from_file(args.file_r)
     psi = ktheory.cohomologous(J, R)
     if psi is None:
-        _emit({"cohomologous": False})
-    else:
-        _emit({"cohomologous": True, "witness": psi.to_json()})
-    return EXIT_OK
+        return {"cohomologous": False}
+    return {"cohomologous": True, "witness": psi.to_json()}
 
 
 def cmd_iso(args):
     a = sequence_from_file(args.file_a)
     b = sequence_from_file(args.file_b)
-    verdict = classify.isomorphic(a, b, bound=args.bound)
-    _emit(verdict.to_json())
-    return EXIT_UNKNOWN if verdict.is_unknown else EXIT_OK
+    return classify.isomorphic(a, b, bound=args.bound).to_json()
 
 
 def cmd_bundle(args):
     seq = sequence_from_file(args.file)
-    _emit(classify.bundle_data(seq).to_json())
-    return EXIT_OK
+    return classify.bundle_data(seq).to_json()
 
 
 def cmd_selftest(args):
@@ -137,9 +122,7 @@ def cmd_selftest(args):
 
     for r in reports:
         print("selftest %s: %s" % (r["kind"], "ok" if r["passed"] else "FAIL"), file=sys.stderr)
-    passed = all(r["passed"] for r in reports)
-    _emit({"passed": passed, "reports": reports})
-    return EXIT_OK if passed else 1
+    return {"passed": all(r["passed"] for r in reports), "reports": reports}
 
 
 _FILE, _REQ, _REQ_INT = ("file", {}), {"required": True}, {"type": int, "required": True}
@@ -219,10 +202,14 @@ def main(argv=None):
     except SystemExit as err:
         return EXIT_DOMAIN if err.code not in (0, None) else 0
     try:
-        return args.fn(args)
+        doc = args.fn(args)
+        print(dump_json(doc))
     except (ValueError, OSError) as err:
         print("error: %s" % err, file=sys.stderr)
         return EXIT_DOMAIN
+    if doc.get("verdict") == "Unknown":
+        return EXIT_UNKNOWN
+    return 1 if doc.get("passed") is False else EXIT_OK
 
 
 if __name__ == "__main__":

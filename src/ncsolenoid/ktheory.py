@@ -27,37 +27,11 @@ the last case writing x + y = q / N**r in lowest terms (q = r = 0 when
 x + y == 0).  The correspondence between the two presentations is
 (z, p/N**k) <-> (z + p J_k / N**k, p/N**k).
 
-Related integer cochains measure how the cocycle interacts with the
-pairing x = p/N**k |-> frac(p J_k / N**k) into Q/Z:
-
-* ``prufer_pair``: the pairing itself, as an exact Angle;
-* ``mu_cochain``: mu_J(x) = -floor(p J_k / N**k) on lowest terms;
-* ``cross_section_carry``: the carry cocycle s(t) + s(t') - s(t + t')
-  of the section s: Q/Z -> [0, 1);
-* ``zeta_cocycle``: the pullback of the carry cocycle along the
-  pairing; it satisfies zeta_J + d(-mu_J) = xi_J with the coboundary
-  convention d(c)(x, y) = c(x) + c(y) - c(x + y).
-
-Two carriers J, R give cohomologous cocycles exactly when J - R is the
-canonical copy of an ordinary integer m; a witness cochain psi with
-xi_J - xi_R = d(psi) then has psi(1) = -m and is linear on each
-generator level: psi(p / N**k) = p * (psi(1) + J_k - R_k) / N**k.
-
-Stagewise, K0 is the increasing union of rank-2 lattices.  Stage k maps
-into Q x Q_N by the embedding matrix
-
-    U_k = [[1, J_{2k} / N**2k], [0, 1 / N**2k]]
-
-(acting on integer columns (z, p)), and consecutive stages are linked
-by the connecting matrix
-
-    F_k = [[1, r_k], [0, N**2]],      r_k = N * j_{2k+1} + j_{2k}.
-
-The lattice images U_k(Z^2) increase with k and their union is exactly
-K_alpha.  Note the orientation: with these exact matrices the vector
-identity that holds is U_{k+1} * D * F_k * D = U_k with D = diag(1, -1)
-(equivalently, the mirrored embeddings U_k * D form a strictly
-compatible family with the same lattice images).
+The pairing ``prufer_pair`` into Q/Z and the cochains ``mu_cochain``,
+``zeta_cocycle`` and ``cohomologous``'s witness relate to xi_J as their
+docstrings state.  Stagewise, K0 is the increasing union of the rank-2
+lattices of ``embedding_matrix``, which ``connecting_matrix`` links as
+``MIRROR`` states; ``oracle.colimit_report`` checks both.
 """
 
 from __future__ import annotations
@@ -78,6 +52,12 @@ def _lift(J, x):
     return Fraction(x.num * J._at(x.exp), J.modulus ** x.exp)
 
 
+def _read(J, *points):
+    """(tower, *pairs) of carrier J and points of Q_N, checked in turn: J first, then each point."""
+    check_carrier(J)
+    return (_view(J), *((check_point(x, J.modulus).num, x.exp) for x in points))
+
+
 def xi_cocycle(J, x, y):
     """The integer 2-cocycle xi_J(x, y) on Q_N (symmetric, zero on 0).
 
@@ -87,10 +67,7 @@ def xi_cocycle(J, x, y):
     >>> xi_cocycle(J, QnRational(1, 1, 2), QnRational(1, 2, 2))
     0
     """
-    check_carrier(J)
-    check_point(x, J.modulus)
-    check_point(y, J.modulus)
-    return _xi(_view(J), (x.num, x.exp), (y.num, y.exp))
+    return _xi(*_read(J, x, y))
 
 
 def _xi(T, x, y):
@@ -106,9 +83,7 @@ def _xi(T, x, y):
 
 def prufer_pair(J, x):
     """The pairing  p/N**k |-> frac(p * J_k / N**k)  into Q/Z."""
-    check_carrier(J)
-    check_point(x, J.modulus)
-    return Angle._of(Fraction(*_prufer(_view(J), (x.num, x.exp))))
+    return Angle._of(Fraction(*_prufer(*_read(J, x))))
 
 
 def _prufer(T, x):
@@ -126,9 +101,7 @@ def mu_cochain(J, x):
     >>> mu_cochain(J, QnRational(3, 1, 2))
     -1
     """
-    check_carrier(J)
-    check_point(x, J.modulus)
-    return _mu(_view(J), (x.num, x.exp))
+    return _mu(*_read(J, x))
 
 
 def _mu(T, x):
@@ -162,15 +135,13 @@ def zeta_cocycle(J, x, y):
     the carry is (a1 * N**(e - k1) + a2 * N**(e - k2)) // N**e.  So it is
     a route independent of ``cross_section_carry(prufer_pair(J, x),
     prufer_pair(J, y))``, which ``oracle.cocycle_fuzz`` compares it with.
+    It satisfies zeta_J + d(-mu_J) = xi_J, with d as in ``coboundary``.
 
     >>> J = NadicInteger.iota(1, 2)
     >>> zeta_cocycle(J, QnRational(1, 1, 2), QnRational(1, 1, 2))
     1
     """
-    check_carrier(J)
-    check_point(x, J.modulus)
-    check_point(y, J.modulus)
-    return _zeta(_view(J), (x.num, x.exp), (y.num, y.exp))
+    return _zeta(*_read(J, x, y))
 
 
 def _zeta(T, x, y):
@@ -205,10 +176,6 @@ class GeneratorCochain(_Frozen):
         if not table or max(table) != len(table) - 1:
             raise ValueError("the table must cover every level from 0 to its depth")
         self._fill(modulus, table)
-
-    @property
-    def depth(self):
-        return len(self.table) - 1
 
     def psi1(self):
         return self.table[0]

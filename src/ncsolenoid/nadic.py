@@ -462,8 +462,8 @@ class NadicInteger(_Value):
 
     ``from_value(Fraction(a, b), N)`` with gcd(b, N) == 1 answers every
     residue J_k = a * b**-1 mod N**k.  ``from_prefix([j0, j1, ...], N)``
-    answers ``at``, ``digit`` and ``segment`` inside its window and raises
-    past it; all that needs the whole tower raises ValueError through
+    answers ``at`` and ``digit`` inside its window and raises past it;
+    all that needs the whole tower raises ValueError through
     :meth:`exact_value`.  One residue is stored, the deepest read.
 
     >>> J = NadicInteger.iota(5, 3)
@@ -543,16 +543,6 @@ class NadicInteger(_Value):
         """The base-N digit j_n in [0, N)."""
         check_int(n, "depth", 0)
         return (self._at(n + 1) - self._at(n)) // self.modulus ** n
-
-    def segment(self, k, m):
-        """The integer (J_m - J_k) / N**k for k <= m.
-
-        >>> NadicInteger.from_value(Fraction(-1, 2), 3).segment(1, 3)
-        4
-        """
-        if check_int(k, "depth", 0) > check_int(m, "depth", 0):
-            raise ValueError("need 0 <= k <= m")
-        return self._at(m) // self.modulus ** k  # J_k = J_m mod N**k
 
     def exact_value(self, what):
         """The exact value a/b; on a prefix, ValueError naming the operation what."""

@@ -24,8 +24,8 @@ from .ktheory import (
 )
 from .multiplier import _bichar_frac, _psi_frac, _terms, _theta_frac
 from .nadic import (
-    DEFAULT_SEED, QnRational, _below, _Frozen, _pair_sum, _sampler, _tower, check_carrier,
-    check_int,
+    DEFAULT_SEED, QnRational, _below, _Frozen, _pair_sum, _sampler, _tower, as_fraction,
+    check_carrier, check_int,
 )
 from .sequences import Angle, AngleSequence, check_sequence
 
@@ -323,8 +323,8 @@ def coboundary_solve(J, R, seed=DEFAULT_SEED):
 
 
 def _phases(rows, q):
-    """(column, phase) of each row of dense q x q rows with one phase per row, else None."""
-    cells = [[(j, e.value) for j, e in enumerate(row) if e is not None] for row in rows]
+    """(column, phase) of each printed row of a q x q matrix with one phase per row, else None."""
+    cells = [[(j, as_fraction(e)) for j, e in enumerate(row) if e is not None] for row in rows]
     shaped = len(rows) == q and all(len(row) == q and len(c) == 1 for row, c in zip(rows, cells))
     return [c[0] for c in cells] if shaped else None
 
@@ -337,15 +337,15 @@ def _compose(a, b, den, c=0):
 def bundle_check(alpha, data):
     """The relations that fail on the bundle data of alpha; [] when all hold.
 
-    u and v are read only through their dense ``rows``.  Products are composed
-    row by row on phase numerators over one denominator, q of them per power;
+    u and v are read only as printed, through ``to_json``.  Products are
+    composed row by row on phase numerators over one denominator, q per power;
     q = den(alpha_0), lam = e(alpha_0) and the least k are read from ``value``.
     """
     check_sequence(alpha)
     head = alpha.value(0)
     q = head.denominator
     k = next((k for k in range(1, q + 1) if alpha.value(k) == head), None)
-    u, v = _phases(data.u.rows, q), _phases(data.v.rows, q)
+    u, v = _phases(data.u.to_json(), q), _phases(data.v.to_json(), q)
     failed = [fault for fault, holds in (
         ("p/q is not alpha_0 in lowest terms", (data.p, data.q) == (head.numerator, q)),
         ("lam is not e(alpha_0)", data.lam == Angle._of(head)),

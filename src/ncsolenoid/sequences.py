@@ -136,10 +136,6 @@ class AngleSequence(_Value):
         head = frac_part(as_fraction(q))
         return cls(modulus, head, NadicInteger.from_value(-head, modulus))
 
-    @property
-    def is_exact(self):
-        return self.carrier.is_exact
-
     def value(self, n):
         """The term alpha_n as a Fraction in [0, 1)."""
         return (self.base + self.carrier.at(n)) / self.modulus ** n

@@ -7,7 +7,7 @@ from pathlib import Path
 
 import pytest
 
-from ncsolenoid.classify import isomorphic, replay_witness
+from ncsolenoid.classify import AngleMatrix, isomorphic, replay_witness
 from ncsolenoid import cli
 from ncsolenoid.cli import main
 from ncsolenoid.codec import sequence_from_file
@@ -314,6 +314,21 @@ def test_selftest_small(capsys):
     out = json.loads(captured.out)
     assert out["passed"] is True
     assert "selftest" in captured.err
+
+
+def test_selftest_checks_the_bundle_as_printed(capsys, monkeypatch):
+    printed = AngleMatrix.to_json
+
+    def misprint(m):  # u's phase 1/3 in row 1 prints as 2/3; v and every field stay right
+        rows = printed(m)
+        if rows[1][1] == "1/3":
+            rows[1][1] = "2/3"
+        return rows
+
+    monkeypatch.setattr(AngleMatrix, "to_json", misprint)
+    assert main(["selftest", "--seed=7"]) == 1
+    reports = json.loads(capsys.readouterr().out)["reports"]
+    assert [r["kind"] for r in reports if not r["passed"]] == ["bundle"]
 
 
 # the 28 selftest seeds of the benchmark's cli-session plan, then 1, 2, 3, 7 and the default seed

@@ -67,12 +67,7 @@ CASES = (
     + _ints("NadicInteger.at", J3.at)
     + _ints("AngleSequence.shift", A3.shift)
     + [
-        _case(call, v, ValueError, id="%s-%s" % (name, kind))
-        for name, call in (
-            ("NadicInteger.segment-k", lambda v: J3.segment(v, 3)),
-            ("NadicInteger.segment-m", lambda v: J3.segment(0, v)),
-            ("NadicInteger.digit", J3.digit),
-        )
+        _case(J3.digit, v, ValueError, id="NadicInteger.digit-%s" % kind)
         for kind, v in (("bool", True), ("float", 1.5), ("negative", -2))
     ]
     + [
@@ -226,8 +221,6 @@ CASES = (
              "exactly one of value and prefix is required"),
             ("NadicInteger-both", lambda p: NadicInteger(3, value=0, prefix=p), [1], ValueError,
              "exactly one of value and prefix is required"),
-            ("NadicInteger.segment-order", lambda k: J3.segment(k, 1), 3, ValueError,
-             "need 0 <= k <= m"),
             ("trace-class", ktheory.trace, X3, TypeError, "expected a K0 element"),
             ("coboundary_solve-scale", lambda R: oracle.coboundary_solve(J3, R), J2, ValueError,
              "carriers live at different scales"),

@@ -129,7 +129,7 @@ def test_generator_cochain_validation():
     with pytest.raises(ValueError):
         GeneratorCochain(3, {0: "x"})
     c = GeneratorCochain(3, {0: -5, 1: -1, 2: 0})
-    assert c.depth == 2
+    assert c.table == {0: -5, 1: -1, 2: 0}
     assert c.psi1() == -5
     assert c(QnRational(7, 1, 3)) == -7
     with pytest.raises(ValueError):

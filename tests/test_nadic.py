@@ -8,6 +8,7 @@ import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
 from ncsolenoid.codec import carrier_from_file
+from ncsolenoid.ktheory import xi_cocycle
 from ncsolenoid.nadic import (
     NadicInteger,
     QnRational,
@@ -259,10 +260,12 @@ def test_from_value_requires_coprime_denominator():
 
 
 def test_segment():
+    # the segments S(k, m) = (J_m - J_k) / N**k of the xi formula, as xi_cocycle reads them
     J = NadicInteger.from_value(Fraction(-1, 2), 3)
-    assert J.segment(1, 3) == 4
-    assert J.segment(0, 2) == J.at(2)
-    assert J.segment(2, 2) == 0
+    unit, third, ninth = (QnRational(1, k, 3) for k in range(3))
+    assert xi_cocycle(J, third, QnRational(1, 3, 3)) == -4  # -S(1, 3)
+    assert xi_cocycle(J, unit, ninth) == -J.at(2)  # -S(0, 2)
+    assert xi_cocycle(J, ninth, ninth) == 0  # 2 * S(2, 2)
 
 
 def _outcome(f, *args):
@@ -286,12 +289,15 @@ def carriers(draw):
 
 @given(carriers())
 def test_segment_reads_one_residue(args):
-    # J_k = J_m mod N**k, so (J_m - J_k) / N**k is J_m // N**k; past a prefix the deeper read raises
+    # xi(1/N**k, 1/N**m) = -S(k, m) for k < m, and J_k = J_m mod N**k, so xi reads J_m
+    # alone as J_m // N**k; past a prefix the deeper read raises
     make, top = args
-    two_reads = lambda J, k, m: (J.at(m) - J.at(k)) // J.modulus ** k
+    two_reads = lambda J, k, m: -((J.at(m) - J.at(k)) // J.modulus ** k)
+    N = make().modulus
     for m in range(top + 1):
-        for k in range(m + 1):
-            assert _outcome(make().segment, k, m) == _outcome(two_reads, make(), k, m)
+        for k in range(m):
+            got = _outcome(xi_cocycle, make(), QnRational(1, k, N), QnRational(1, m, N))
+            assert got == _outcome(two_reads, make(), k, m)
 
 
 def test_prefix_carrier():

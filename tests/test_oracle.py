@@ -424,8 +424,9 @@ def _forged(data, **fields):
 
 def test_bundle_check_names_each_wrong_field(thirds_2):
     data = bundle_data(thirds_2)
-    two_phases = SimpleNamespace(rows=((Angle(0), Angle(0), None),) + data.u.rows[1:])
-    wide = SimpleNamespace(rows=tuple(row + (None,) for row in data.u.rows))  # 3 x 4
+    printed = data.u.to_json()
+    two_phases = SimpleNamespace(to_json=lambda: [["0", "0", None]] + printed[1:])
+    wide = SimpleNamespace(to_json=lambda: [row + [None] for row in printed])  # 3 x 4
     for fields, failure in [
         ({"k": 1}, "k is not the least k >= 1 with alpha_k = alpha_0"),
         ({"k": 4}, "k is not the least k >= 1 with alpha_k = alpha_0"),  # a period, not the least
@@ -436,9 +437,9 @@ def test_bundle_check_names_each_wrong_field(thirds_2):
         ({"v": AngleMatrix.cyclic(4)}, "v is not q x q with one phase per row"),
     ]:
         assert bundle_check(thirds_2, _forged(data, **fields)) == [failure]
-    # nothing but the dense rows is read
-    rows_only = {name: SimpleNamespace(rows=getattr(data, name).rows) for name in ("u", "v")}
-    assert bundle_check(thirds_2, _forged(data, **rows_only)) == []
+    # nothing but the printed matrices is read
+    printed_only = {name: SimpleNamespace(to_json=getattr(data, name).to_json) for name in "uv"}
+    assert bundle_check(thirds_2, _forged(data, **printed_only)) == []
 
 
 # ---------------------------------------------------------------- colimit fault injection

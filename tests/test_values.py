@@ -109,7 +109,7 @@ CASES = {
         make_symmetrizer,
         lambda x: (x.variant, x.b),
     ),
-    "AngleMatrix": (matrix_args(), make_matrix, lambda x: x.rows),
+    "AngleMatrix": (matrix_args(), make_matrix, lambda x: x.to_json()),
 }
 
 
