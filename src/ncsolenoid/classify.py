@@ -272,9 +272,7 @@ class AngleMatrix(_Value):
     @classmethod
     def _canonical(cls, perm, num, den):
         """Trusted construction from fields that are canonical as given."""
-        m = object.__new__(cls)
-        m._fill(tuple(perm), tuple(num), den)
-        return m
+        return object.__new__(cls)._fill(tuple(perm), tuple(num), den)
 
     @property
     def size(self):

@@ -42,7 +42,7 @@ from operator import attrgetter
 
 from .nadic import (
     NadicInteger, QnRational, _Frozen, _pair_sum, _Value, _view, as_fraction, check_carrier,
-    check_int, check_point, check_scale, format_fraction, frac_part,
+    check_int, check_point, check_scale, format_fraction,
 )
 from .sequences import Angle, AngleSequence, check_sequence
 
@@ -116,8 +116,8 @@ def cross_section_carry(t1, t2):
     Takes Angles (or rationals read mod 1); the result is 0 or 1, the
     integer floor (n1 d2 + n2 d1) // (d1 d2) of t1 + t2 = n1/d1 + n2/d2.
     """
-    a1 = t1.value if isinstance(t1, Angle) else frac_part(as_fraction(t1))
-    a2 = t2.value if isinstance(t2, Angle) else frac_part(as_fraction(t2))
+    a1 = t1.value if isinstance(t1, Angle) else as_fraction(t1) % 1
+    a2 = t2.value if isinstance(t2, Angle) else as_fraction(t2) % 1
     return _carry(a1.as_integer_ratio(), a2.as_integer_ratio())
 
 

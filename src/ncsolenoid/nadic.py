@@ -84,15 +84,6 @@ def format_fraction(q):
     return "%d/%d" % (a, b)
 
 
-def frac_part(q):
-    """The representative of a Fraction q mod 1 in [0, 1).
-
-    >>> frac_part(Fraction(-1, 3))
-    Fraction(2, 3)
-    """
-    return q - (q.numerator // q.denominator)
-
-
 def residue(value, m):
     """J mod m for the N-adic integer of an exact value a/b with gcd(b, m) == 1: a * b**-1 mod m.
 
@@ -236,12 +227,12 @@ def multiplicative_order(n, m):
 class _Frozen:
     """Base of the package's classes: attributes are set once, at construction.
 
-    Construction is the one place that writes slots, through ``_fill``.
-    Each subclass that declares slots gets ``_setters``, the ``__set__``
-    of each of its slots in slot order, bound once; a subclass that adds
-    no slot keeps its parent's.  The hot trusted constructors
-    (``QnRational._of``, ``Angle._of``, ``_Lazy``) and the residue cache
-    of ``NadicInteger._at`` call setters taken from ``_setters``.
+    Construction is the one place that writes slots, through ``_fill``;
+    a read stores nothing.  Each subclass that declares slots gets
+    ``_setters``, the ``__set__`` of each of its slots in slot order,
+    bound once; a subclass that adds no slot keeps its parent's.  The one
+    named setter is ``Angle._of``'s, the hot trusted constructor of the
+    bundle phases, where ``_fill``'s loop would double the cost of an angle.
 
     IsoVerdict, BundleData, FuzzReport and GeneratorCochain derive from it
     directly and compare by identity; the value classes use :class:`_Value`.
@@ -255,12 +246,13 @@ class _Frozen:
             cls._setters = tuple(cls.__dict__[name].__set__ for name in cls.__slots__)
 
     def _fill(self, *values):
-        """Set every slot, in slot order, to one value each; ValueError on another count."""
+        """Set each slot in order, one value each, and return self; ValueError on a miscount."""
         setters = self._setters
         if len(values) != len(setters):
             raise ValueError("%d values for %d slots" % (len(values), len(setters)))
         for i, set_slot in enumerate(setters):  # zip(strict=True) costs 250-350 ns more a call
             set_slot(self, values[i])
+        return self
 
     def __setattr__(self, name, value):
         raise AttributeError("%s is immutable" % type(self).__name__)
@@ -329,11 +321,7 @@ class QnRational(_Value):
             while exp > 0 and num % modulus == 0:
                 num //= modulus
                 exp -= 1
-        x = object.__new__(cls)
-        _set_num(x, num)
-        _set_exp(x, exp)
-        _set_modulus(x, modulus)
-        return x
+        return object.__new__(cls)._fill(num, exp, modulus)
 
     @classmethod
     def from_fraction(cls, value, modulus):
@@ -375,9 +363,6 @@ class QnRational(_Value):
 
     def to_json(self):
         return {"num": str(self.num), "exp": self.exp}
-
-
-_set_num, _set_exp, _set_modulus = QnRational._setters
 
 
 def _pair_sum(x, y, N):
@@ -464,7 +449,8 @@ class NadicInteger(_Value):
     residue J_k = a * b**-1 mod N**k.  ``from_prefix([j0, j1, ...], N)``
     answers ``at`` and ``digit`` inside its window and raises past it;
     all that needs the whole tower raises ValueError through
-    :meth:`exact_value`.  One residue is stored, the deepest read.
+    :meth:`exact_value`.  An exact carrier computes each residue when it
+    is read, a prefix cuts it from its window residue; a read stores nothing.
 
     >>> J = NadicInteger.iota(5, 3)
     >>> [J.at(k) for k in range(5)]
@@ -475,7 +461,7 @@ class NadicInteger(_Value):
     252
     """
 
-    __slots__ = ("modulus", "value", "prefix", "_deep")
+    __slots__ = ("modulus", "value", "prefix", "_window")
     _key = attrgetter("modulus", "value", "prefix")
 
     def __init__(self, modulus, value=None, prefix=None):
@@ -489,7 +475,7 @@ class NadicInteger(_Value):
                     "denominator %d shares a factor with scale %d"
                     % (value.denominator, modulus)
                 )
-            deep = (0, 0)
+            window = None
         else:
             if not isinstance(prefix, (list, tuple)):
                 raise ValueError("a prefix must be a list of digits")
@@ -497,8 +483,8 @@ class NadicInteger(_Value):
             for j in prefix:
                 if check_int(j, "digit", 0) >= modulus:
                     raise ValueError("digits must lie below %d" % modulus)
-            deep = (len(prefix), sum(j * modulus ** i for i, j in enumerate(prefix)))
-        self._fill(modulus, value, prefix, deep)
+            window = sum(j * modulus ** i for i, j in enumerate(prefix))
+        self._fill(modulus, value, prefix, window)
 
     @classmethod
     def iota(cls, z, modulus):
@@ -523,21 +509,16 @@ class NadicInteger(_Value):
         return None if self.prefix is None else len(self.prefix)
 
     def at(self, k):
-        """The residue J_k in [0, N**k): the stored deepest residue mod N**k."""
+        """The residue J_k in [0, N**k): a * b**-1 mod N**k, or the window residue mod N**k."""
         return self._at(check_int(k, "depth", 0))
 
     def _at(self, k):
         """:meth:`at` without the argument check, for depths the library computed."""
-        level, rep = self._deep
-        if k == level:
-            return rep
-        if k < level:
-            return rep % self.modulus ** k
-        if self.value is None:
-            raise ValueError("depth %d exceeds recorded prefix of length %d" % (k, level))
-        rep = residue(self.value, self.modulus ** k)
-        _set_deep(self, (k, rep))
-        return rep
+        if self.value is not None:
+            return residue(self.value, self.modulus ** k)
+        if k > self.length:
+            raise ValueError("depth %d exceeds recorded prefix of length %d" % (k, self.length))
+        return self._window % self.modulus ** k
 
     def digit(self, n):
         """The base-N digit j_n in [0, N)."""
@@ -582,17 +563,14 @@ class NadicInteger(_Value):
         return {"prefix": list(self.prefix)}
 
 
-_set_deep = NadicInteger._setters[3]
-
-
 def _tower(J, K):
-    """The tower (N, J, P) to level K: lists of J_k, each read by ``_at`` (J_K first), and N**k.
+    """The tower (N, J, P) to level K: lists of J_k, each read once by ``_at``, and N**k.
 
     >>> _tower(NadicInteger.iota(5, 3), 3)
     (3, [0, 2, 5, 5], [1, 3, 9, 27])
     """
     N = J.modulus
-    return N, [J._at(k) for k in range(K, -1, -1)][::-1], [N ** k for k in range(K + 1)]
+    return N, [J._at(k) for k in range(K + 1)], [N ** k for k in range(K + 1)]
 
 
 class _Lazy(_Frozen):
@@ -601,7 +579,7 @@ class _Lazy(_Frozen):
     __slots__ = ("read",)
 
     def __init__(self, read):
-        self._setters[0](self, read)  # _fill's loop would double the cost of a view
+        self._fill(read)
 
     def __getitem__(self, k):
         return self.read(k)

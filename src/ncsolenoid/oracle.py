@@ -323,8 +323,11 @@ def coboundary_solve(J, R, seed=DEFAULT_SEED):
 
 
 def _phases(rows, q):
-    """(column, phase) of each printed row of a q x q matrix with one phase per row, else None."""
-    cells = [[(j, as_fraction(e)) for j, e in enumerate(row) if e is not None] for row in rows]
+    """(column, phase) of each printed row of a q x q matrix, one rational phase a row, or None."""
+    try:
+        cells = [[(j, as_fraction(e)) for j, e in enumerate(row) if e is not None] for row in rows]
+    except ValueError:  # a cell that is no rational literal
+        return None
     shaped = len(rows) == q and all(len(row) == q and len(c) == 1 for row, c in zip(rows, cells))
     return [c[0] for c in cells] if shaped else None
 

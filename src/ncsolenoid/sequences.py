@@ -30,7 +30,6 @@ from .nadic import (
     check_int,
     check_scale,
     format_fraction,
-    frac_part,
     multiplicative_order,
     residue,
 )
@@ -49,7 +48,7 @@ class Angle(_Value):
     _key = attrgetter("value")
 
     def __init__(self, value):
-        self._fill(frac_part(as_fraction(value)))
+        self._fill(as_fraction(value) % 1)
 
     @classmethod
     def _of(cls, value):
@@ -133,7 +132,7 @@ class AngleSequence(_Value):
         >>> a.period()
         6
         """
-        head = frac_part(as_fraction(q))
+        head = as_fraction(q) % 1
         return cls(modulus, head, NadicInteger.from_value(-head, modulus))
 
     def value(self, n):

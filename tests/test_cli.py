@@ -331,6 +331,23 @@ def test_selftest_checks_the_bundle_as_printed(capsys, monkeypatch):
     assert [r["kind"] for r in reports if not r["passed"]] == ["bundle"]
 
 
+def test_selftest_reports_a_printed_cell_it_cannot_parse(capsys, monkeypatch):
+    printed = AngleMatrix.to_json
+
+    def misprint(m):  # u's phase 1/3 in row 1 prints as "1/x", no rational literal
+        rows = printed(m)
+        if rows[1][1] == "1/3":
+            rows[1][1] = "1/x"
+        return rows
+
+    monkeypatch.setattr(AngleMatrix, "to_json", misprint)
+    assert main(["selftest", "--seed=7"]) == 1
+    captured = capsys.readouterr()
+    reports = json.loads(captured.out)["reports"]
+    assert [r["kind"] for r in reports if not r["passed"]] == ["bundle"]
+    assert captured.err.endswith("selftest bundle: FAIL\n")
+
+
 # the 28 selftest seeds of the benchmark's cli-session plan, then 1, 2, 3, 7 and the default seed
 SELFTEST_PIN_SEEDS = (
     454465, 994632, 251731, 180447, 16922, 573988, 39883, 750385, 511751, 213973,

@@ -14,9 +14,10 @@ from ncsolenoid.nadic import (
     QnRational,
     _below,
     _sampler,
+    _tower,
+    _view,
     as_fraction,
     format_fraction,
-    frac_part,
     is_prime,
     multiplicative_order,
     prime_factors,
@@ -55,12 +56,6 @@ def test_as_fraction_rejects_floats_and_bools():
 def test_format_fraction():
     assert format_fraction(Fraction(-3, 7)) == "-3/7"
     assert format_fraction(Fraction(4)) == "4"
-
-
-def test_frac_part():
-    assert frac_part(Fraction(7, 3)) == Fraction(1, 3)
-    assert frac_part(Fraction(-1, 4)) == Fraction(3, 4)
-    assert frac_part(Fraction(2)) == 0
 
 
 def test_prime_factors():
@@ -394,7 +389,7 @@ def test_carrier_json_round_trip(tmp_path):
 
 
 def test_reading_many_levels_retains_one_residue():
-    # one stored residue, not one per level read: about 0.5 KB at N = 3
+    # a read stores no residue, so reading 2,000 levels retains nothing of them
     J = NadicInteger.from_value(Fraction(-1, 2), 3)
     tracemalloc.start()
     try:
@@ -405,6 +400,22 @@ def test_reading_many_levels_retains_one_residue():
     finally:
         tracemalloc.stop()
     assert retained < 16 * 1024
+
+
+def test_a_read_writes_no_slot():
+    # every slot is set at construction: the residue, digit, tower and view reads change none
+    slots = lambda J: {name: getattr(J, name) for name in J.__slots__}
+    exact = NadicInteger.from_value(Fraction(-1, 62), 5)
+    prefix = NadicInteger.from_prefix([k % 5 for k in range(60)], 5)
+    for J in (exact, prefix):
+        before = slots(J)
+        _, row, _ = _view(J)
+        tower = _tower(J, 50)[1]
+        assert [J.at(3), J.digit(7), row[40]] == [tower[3], tower[8] // 5**7, tower[40]]
+        assert slots(J) == before
+    with pytest.raises(ValueError):
+        prefix.at(61)
+    assert slots(prefix) == before
 
 
 def test_zeta_inverts_iota():

@@ -427,6 +427,7 @@ def test_bundle_check_names_each_wrong_field(thirds_2):
     printed = data.u.to_json()
     two_phases = SimpleNamespace(to_json=lambda: [["0", "0", None]] + printed[1:])
     wide = SimpleNamespace(to_json=lambda: [row + [None] for row in printed])  # 3 x 4
+    unparsed = SimpleNamespace(to_json=lambda: [[e and "1/x" for e in printed[0]]] + printed[1:])
     for fields, failure in [
         ({"k": 1}, "k is not the least k >= 1 with alpha_k = alpha_0"),
         ({"k": 4}, "k is not the least k >= 1 with alpha_k = alpha_0"),  # a period, not the least
@@ -434,6 +435,7 @@ def test_bundle_check_names_each_wrong_field(thirds_2):
         ({"q": 4}, "p/q is not alpha_0 in lowest terms"),
         ({"u": two_phases}, "u is not q x q with one phase per row"),
         ({"u": wide}, "u is not q x q with one phase per row"),
+        ({"u": unparsed}, "u is not q x q with one phase per row"),
         ({"v": AngleMatrix.cyclic(4)}, "v is not q x q with one phase per row"),
     ]:
         assert bundle_check(thirds_2, _forged(data, **fields)) == [failure]
