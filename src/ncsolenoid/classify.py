@@ -62,10 +62,6 @@ class IsoVerdict(_Frozen):
     def is_no(self):
         return self.kind == "no"
 
-    @property
-    def is_unknown(self):
-        return self.kind == "unknown"
-
     def __repr__(self):
         if self.is_yes:
             return "IsoVerdict(yes, witness=%r)" % (self.witness,)
@@ -148,7 +144,7 @@ def isomorphic(alpha, beta, bound=32):
         return IsoVerdict.no("exactly one side is periodic")
     try:
         factors = prime_factors(scale)
-    except ValueError:  # a cofactor of R passes every Miller-Rabin base past the bound
+    except ValueError:  # a cofactor of R is past the Miller-Rabin bound or rho's budget
         factors = None
     blocks = _proper_divisors(factors) if factors else [1]
     period = None
@@ -283,11 +279,6 @@ class AngleMatrix(_Value):
         return cls._canonical(range(n), (0,) * n, 1)
 
     @classmethod
-    def diagonal(cls, angles):
-        angles = tuple(angles)
-        return cls(range(len(angles)), angles)
-
-    @classmethod
     def cyclic(cls, n):
         """The permutation sending basis vector e_{i+1} to e_i (e_0 wraps)."""
         return cls._canonical((*range(1, n), 0)[:n], (0,) * n, 1)
@@ -343,10 +334,10 @@ class BundleData(_Frozen):
     v u = lam u v and u**q = v**q = 1, and a label for the base space.
     """
 
-    __slots__ = ("modulus", "q", "p", "k", "lam", "u", "v", "base_label")
+    __slots__ = ("q", "p", "k", "lam", "u", "v", "base_label")
 
-    def __init__(self, modulus, q, p, k, lam, u, v, base_label):
-        self._fill(modulus, q, p, k, lam, u, v, base_label)
+    def __init__(self, q, p, k, lam, u, v, base_label):
+        self._fill(q, p, k, lam, u, v, base_label)
 
     def __repr__(self):
         return "BundleData(q=%d, k=%d, lam=%r)" % (self.q, self.k, self.lam)
@@ -398,5 +389,5 @@ def bundle_data(alpha):
     u = AngleMatrix._canonical(range(q), [j * p % q for j in range(q)], q)
     v = AngleMatrix.cyclic(q)
     label = "S_{%d^%d} x S_{%d^%d}" % (alpha.modulus, k, alpha.modulus, k)
-    return BundleData(alpha.modulus, q, p, k, Angle._of(alpha.base), u, v, label)
+    return BundleData(q, p, k, Angle._of(alpha.base), u, v, label)
 

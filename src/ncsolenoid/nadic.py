@@ -19,6 +19,7 @@ from operator import attrgetter
 #: least composite that passes all 13.
 _SMALL_PRIMES = tuple(p for p in range(2, 100) if all(p % d for d in range(2, isqrt(p) + 1)))
 _MR_BOUND = 3317044064679887385961981
+_RHO_STEPS = 1 << 19  # rho squarings for one n over all c, 8x the largest split in the tests
 
 
 def check_int(value, what, least=None):
@@ -114,7 +115,8 @@ def prime_factors(n):
     Trial division by the primes below 100, then deterministic
     Miller-Rabin and Pollard-Brent rho on what is left.  Raises
     ValueError when a cofactor of 3.317e24 or more passes every
-    Miller-Rabin base, since its primality is then unproven.
+    Miller-Rabin base, since its primality is then unproven, and when
+    rho cannot split a composite within its budget.
 
     >>> prime_factors(360)
     (2, 2, 2, 3, 3, 5)
@@ -163,13 +165,17 @@ def _rho(n):
     """A proper factor of an odd composite n by Pollard-Brent rho.
 
     Brent (BIT 20, 1980): gcds batched over 128 steps.  Deterministic:
-    x -> x**2 + c from 2, for c = 1, 2, ... until one splits n.
+    x -> x**2 + c from 2, for c = 1, 2, ... until one splits n.  Raises
+    ValueError rather than start a round (2r squarings) past _RHO_STEPS.
     """
-    c = 0
+    c = steps = 0
     while True:
         c += 1
         y, r, q, g = 2, 1, 1, 1
         while g == 1:
+            steps += 2 * r
+            if steps > _RHO_STEPS:
+                raise ValueError("cannot factor %d within %d rho squarings" % (n, _RHO_STEPS))
             x, k = y, 0
             for _ in range(r):
                 y = (y * y + c) % n
@@ -377,7 +383,9 @@ def _pair_sum(x, y, N):
     if k < m:
         return p * N ** (m - k) + q, m
     p += q
-    while k > 0 and p % N == 0:  # zero ends at (0, 0)
+    if p == 0:
+        return 0, 0
+    while k > 0 and p % N == 0:
         p //= N
         k -= 1
     return p, k
@@ -540,17 +548,6 @@ class NadicInteger(_Value):
 
     def __neg__(self):
         return NadicInteger(self.modulus, value=-self.exact_value("negation"))
-
-    def zeta(self):
-        """Recover an ordinary integer from its canonical copy.
-
-        >>> NadicInteger.iota(-7, 3).zeta()
-        -7
-        """
-        value = self.exact_value("zeta")
-        if value.denominator != 1:
-            raise ValueError("not in the image of the integers")
-        return value.numerator
 
     def __repr__(self):
         if self.value is not None:

@@ -107,7 +107,7 @@ def test_iso_unknown_exit_code(capsys, tmp_path):
 
 
 BIG = 10 ** 30 + 57  # past the Miller-Rabin proof bound, so factoring it raises
-SEMI = (10 ** 17 + 3) * (1001 * 10 ** 14 + 9)  # 35 digits; Pollard rho runs past a minute on it
+SEMI = (10 ** 17 + 3) * (1001 * 10 ** 14 + 9)  # 35 digits; rho finds no factor within its budget
 
 
 @pytest.mark.parametrize(
@@ -138,6 +138,16 @@ def test_iso_of_a_file_with_itself_answers_yes_before_factoring(capsys, tmp_path
 
 def _element(n, head, carrier):
     return '{"N": %d, "alpha0": "%s", "carrier": {"value": "%s"}}' % (n, head, carrier)
+
+
+def test_iso_at_a_scale_rho_cannot_split_exits_3(capsys, tmp_path):
+    paths = [tmp_path / "a.json", tmp_path / "b.json"]
+    for path, carrier in zip(paths, ("1/3", "2/3")):
+        path.write_text(_element(SEMI, "1/2", carrier))
+    start = time.process_time()
+    got = run(capsys, ["iso"] + [str(path) for path in paths])
+    assert time.process_time() - start < 2
+    assert got == (3, {"verdict": "Unknown", "bound": 32})
 
 
 # the head alpha_3 = (1/2 + J_3) / BIG**3 of the head-1/2, carrier-1/3 sequence shifted by 3;

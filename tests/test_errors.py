@@ -222,6 +222,10 @@ CASES = (
             ("NadicInteger-both", lambda p: NadicInteger(3, value=0, prefix=p), [1], ValueError,
              "exactly one of value and prefix is required"),
             ("trace-class", ktheory.trace, X3, TypeError, "expected a K0 element"),
+            ("IsoVerdict-kind", classify.IsoVerdict, "maybe", ValueError,
+             "bad verdict kind 'maybe'"),
+            ("AngleMatrix.scaled-class", classify.AngleMatrix.identity(2).scaled, Fraction(1, 2),
+             ValueError, "expected an Angle"),
             ("coboundary_solve-scale", lambda R: oracle.coboundary_solve(J3, R), J2, ValueError,
              "carriers live at different scales"),
             # the digits it reads are sized by the heights of exact carriers

@@ -1,5 +1,6 @@
 import json
 import random
+import time
 import tracemalloc
 from fractions import Fraction
 from math import gcd, isqrt, prod
@@ -13,6 +14,7 @@ from ncsolenoid.nadic import (
     NadicInteger,
     QnRational,
     _below,
+    _pair_sum,
     _sampler,
     _tower,
     _view,
@@ -62,6 +64,8 @@ def test_prime_factors():
     assert prime_factors(12) == (2, 2, 3)
     assert prime_factors(360) == (2, 2, 2, 3, 3, 5)
     assert prime_factors(2) == (2,)
+    # at c = 1 rho's 128-step batch reaches gcd n, and single steps from its start split it
+    assert prime_factors(101 * 103) == (101, 103)
 
 
 def test_is_prime():
@@ -155,6 +159,17 @@ def test_prime_factors_refuses_an_unproven_prime(n):
         prime_factors(n)
 
 
+SEMI = (10 ** 17 + 3) * (1001 * 10 ** 14 + 9)  # 35 digits; rho finds no factor within its budget
+
+
+def test_rho_gives_up_at_its_budget():
+    for call in (lambda: prime_factors(SEMI), AngleSequence.constant(2, Fraction(1, SEMI)).period):
+        start = time.process_time()
+        with pytest.raises(ValueError, match="within 524288 rho squarings"):
+            call()
+        assert time.process_time() - start < 2
+
+
 # ---------------------------------------------------------------- seeded draws
 
 # widths 1 to 2**20; at 2**k no draw is rejected, at 2**k + 1 almost half of them
@@ -226,6 +241,15 @@ def test_qn_group_laws(triple):
     assert (a + b) + c == a + (b + c)
     assert a + (-a) == QnRational(0, 0, a.modulus)
     assert (a + b).fraction == a.fraction + b.fraction
+
+
+def test_a_zero_sum_ends_at_once():
+    # cancelling the exponent one factor of N at a time took about 0.5 s at this exponent
+    x = QnRational(1, 10 ** 7, 3)
+    start = time.process_time()
+    assert _pair_sum((1, 10 ** 7), (-1, 10 ** 7), 3) == (0, 0)
+    assert (x + (-x), x - x) == (QnRational(0, 0, 3),) * 2
+    assert time.process_time() - start < 0.05
 
 
 # ---------------------------------------------------------------- NadicInteger
@@ -416,11 +440,3 @@ def test_a_read_writes_no_slot():
     with pytest.raises(ValueError):
         prefix.at(61)
     assert slots(prefix) == before
-
-
-def test_zeta_inverts_iota():
-    assert NadicInteger.iota(-7, 3).zeta() == -7
-    with pytest.raises(ValueError):
-        NadicInteger.from_value(Fraction(-1, 2), 3).zeta()
-    with pytest.raises(ValueError):
-        NadicInteger.from_prefix([1, 1], 3).zeta()

@@ -321,6 +321,18 @@ def test_coboundary_solve_agrees_with_direct_route():
     assert solved.table == {k: direct.table[k] for k in solved.table}
 
 
+def test_coboundary_solve_refuses_a_candidate_its_replay_fails(monkeypatch, capsys):
+    # xi_J exact at the digit points (1/N**d, (N-1)/N**d) and 1 off at unequal exponents (J's
+    # tower has J_1 = 2, R's is zero): the digits give a candidate, and its replay refutes it
+    J, R = NadicInteger.iota(5, 3), NadicInteger.iota(0, 3)
+    xi = oracle._xi
+    monkeypatch.setattr(oracle, "_xi", lambda T, x, y: xi(T, x, y) + (x[1] != y[1] and T[1][1] > 0))
+    assert coboundary_solve(J, R) is None
+    assert main(["selftest"]) == 1
+    reports = json.loads(capsys.readouterr().out)["reports"]
+    assert [r["passed"] for r in reports if r["kind"] == "coboundary"] == [False]
+
+
 def test_coboundary_solve_none_case():
     J = NadicInteger.from_value(Fraction(-1, 2), 3)
     assert coboundary_solve(J, NadicInteger.iota(0, 3)) is None
@@ -418,7 +430,7 @@ def test_bundle_check_passes_what_bundle_data_builds(pair):
 
 def _forged(data, **fields):
     """A hand-built BundleData: the fields of data, some replaced."""
-    names = ("modulus", "q", "p", "k", "lam", "u", "v", "base_label")
+    names = ("q", "p", "k", "lam", "u", "v", "base_label")
     return BundleData(*(fields.get(name, getattr(data, name)) for name in names))
 
 
