@@ -20,6 +20,7 @@ from operator import attrgetter
 _SMALL_PRIMES = tuple(p for p in range(2, 100) if all(p % d for d in range(2, isqrt(p) + 1)))
 _MR_BOUND = 3317044064679887385961981
 _RHO_STEPS = 1 << 19  # rho squarings for one n over all c, 8x the largest split in the tests
+_WALK_BELOW = 32  # an order walk below it (<= 30 steps) costs less than lambda; see README
 
 
 def check_int(value, what, least=None):
@@ -207,7 +208,8 @@ def is_prime(n):
 def multiplicative_order(n, m):
     """Least t >= 1 with n**t == 1 (mod m), for gcd(n, m) == 1.
 
-    m == 1 gives order 1.  Starts from the Carmichael exponent lambda(m),
+    m == 1 gives order 1.  Below _WALK_BELOW it walks n, n**2, ... mod m
+    to 1.  From there on it starts from the Carmichael exponent lambda(m),
     which every unit's order divides, and divides out each prime r of it
     while n**(t/r) == 1 (Cohen, GTM 138, 1.4).  Each sorted factor tuple
     is walked once, equal primes in runs; lambda(2**e) = phi(2**(e-1)), e >= 3.
@@ -217,6 +219,11 @@ def multiplicative_order(n, m):
     """
     if gcd(check_int(n, "base"), check_int(m, "modulus", 1)) != 1:
         raise ValueError("%d is not a unit mod %d" % (n, m))
+    if m < _WALK_BELOW:  # a unit is never 0 mod m >= 2, and n % 1 == 0 ends the walk at once
+        t, x = 1, n % m
+        while x > 1:
+            x, t = x * n % m, t + 1
+        return t
     t, x, last = 1, 1, 0
     for p in prime_factors(m)[m % 8 == 0 :] if m > 1 else ():  # one 2 fewer when 8 | m
         x = x * p if p == last else p - 1  # phi(p**k) at the k-th p of a run

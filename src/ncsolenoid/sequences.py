@@ -156,22 +156,13 @@ class AngleSequence(_Value):
         return AngleSequence(self.modulus, h, NadicInteger.from_value(w, self.modulus))
 
     def period(self):
-        """Minimal p with alpha_{n+p} == alpha_n for all n, or None.
-
-        The sequence is periodic exactly when the carrier value equals
-        -alpha_0; the minimal period is then the multiplicative order of
-        N modulo the denominator of alpha_0.
-        """
+        """Minimal p with alpha_{n+p} == alpha_n for all n, or None; README "Conventions"."""
         if not self.has_finite_range():
             return None
         return multiplicative_order(self.modulus, self.base.denominator)
 
     def has_finite_range(self):
-        """Whether {alpha_n} is a finite set, i.e. whether alpha is periodic.
-
-        Read off the integer fields: the carrier value equals -alpha_0.
-        No multiplicative order is computed.
-        """
+        """Whether {alpha_n} is a finite set (alpha is periodic); README "Conventions"."""
         w, h = self.carrier.exact_value("periodicity"), self.base
         return w.numerator == -h.numerator and w.denominator == h.denominator
 

@@ -99,7 +99,8 @@
   ``demos/``, or in the two test modules that pass unedited,
   ``test_acceptance`` and ``test_iso_digest``.  A method is read as
   ``.name``; a module-level name also as a bare name, an import, or a
-  word of a string that is not a docstring.  A name with no reader is
+  string that is the whole name, as ``getattr(module, kind)`` reads one
+  (a word of a message reads nothing).  A name with no reader is
   deleted unless ``PAPER_OBJECTS`` says which object of the paper it is.
 * ``import ncsolenoid`` loads neither ``dataclasses`` nor ``typing``
   (the start-up cost of the CLI and of every library user).
@@ -110,7 +111,6 @@
 
 import ast
 import os
-import re
 import subprocess
 import sys
 from collections import Counter
@@ -570,6 +570,7 @@ PAPER_OBJECTS = {
     "ktheory.mu_cochain": "the cochain mu_J with zeta_J + d(-mu_J) = xi_J",
     "ktheory.prufer_pair": "the Pruefer pairing p/N**k -> p J_k / N**k of Q_N into Q/Z",
     "ktheory.cross_section_carry": "the carry cocycle of the section Q/Z -> [0, 1)",
+    "multiplier.bicharacter": "the product bicharacter of four angle sequences",
 }
 
 
@@ -598,7 +599,7 @@ def _public_names():
 
 def _uses(tree):
     """How often each use occurs below tree, docstrings aside: '.attr', '=name' (a bare name
-    read, or an import) or "'word" (a word of a string)."""
+    read, or an import) or "'name" (a string that is the whole name)."""
     found, stack = Counter(), [tree]
     while stack:
         node = stack.pop()
@@ -610,7 +611,7 @@ def _uses(tree):
         elif isinstance(node, ast.alias):
             found["=" + node.name.split(".")[-1]] += 1
         elif isinstance(node, ast.Constant) and isinstance(node.value, str):
-            found.update("'" + word for word in re.findall(r"\w+", node.value))
+            found["'" + node.value] += 1
         elif isinstance(node, (ast.Module, ast.ClassDef, ast.FunctionDef)) and ast.get_docstring(
             node, clean=False
         ) is not None:
@@ -647,7 +648,7 @@ def test_import_loads_neither_dataclasses_nor_typing():
     assert out.stdout.strip() == "[]"
 
 
-SOURCE_LINES = 2568  # lower it when lines go; never raise it to let lines in
+SOURCE_LINES = 2566  # lower it when lines go; never raise it to let lines in
 
 
 def test_the_package_stays_within_its_line_ratchet():

@@ -13,6 +13,7 @@ from ncsolenoid.ktheory import xi_cocycle
 from ncsolenoid.nadic import (
     NadicInteger,
     QnRational,
+    _WALK_BELOW,
     _below,
     _pair_sum,
     _sampler,
@@ -103,6 +104,14 @@ def test_multiplicative_order_has_no_cap():
     assert all(pow(2, t // r, q) != 1 for r in _prime_divisors_by_trial(t))
 
 
+def _order_by_stepping(n, m):
+    t, acc = 1, n % m
+    while acc != 1 % m:
+        acc = acc * n % m
+        t += 1
+    return t
+
+
 @given(st.integers(min_value=1, max_value=2000), st.integers(min_value=1, max_value=2000))
 # lambda(2**e) = 2**(e-2) for e >= 3, and repeated primes; each n has order lambda(m)
 @example(3, 8)
@@ -113,11 +122,28 @@ def test_multiplicative_order_has_no_cap():
 @example(5, 162)
 def test_multiplicative_order_matches_power_stepping(n, m):
     assume(gcd(n, m) == 1)
-    t, acc = 1, n % m
-    while acc != 1 % m:
-        acc = acc * n % m
-        t += 1
-    assert multiplicative_order(n, m) == t
+    assert multiplicative_order(n, m) == _order_by_stepping(n, m)
+
+
+@st.composite
+def units_mod(draw):
+    """(n, m): m on both sides of the walk bound, n any unit mod m, negative or past m too."""
+    m = draw(st.integers(min_value=1, max_value=4 * _WALK_BELOW))
+    r = draw(st.sampled_from([r for r in range(m) if gcd(r, m) == 1]))
+    return r + m * draw(st.integers(min_value=-10**6, max_value=10**6)), m
+
+
+@given(units_mod())
+@example((3, _WALK_BELOW - 1))  # 31: the last walked modulus, 3 a primitive root (order 30)
+@example((3 - 5 * (_WALK_BELOW - 1), _WALK_BELOW - 1))
+@example((3, _WALK_BELOW))  # 32: the first modulus on the Carmichael path (order 8)
+@example((-3, _WALK_BELOW))
+@example((1 + 7 * _WALK_BELOW, _WALK_BELOW))  # n == 1 (mod m): order 1 on both paths
+@example((1 - 7 * (_WALK_BELOW - 1), _WALK_BELOW - 1))
+@example((-10**6, 1))
+def test_multiplicative_order_walks_and_reduces_alike(unit):
+    n, m = unit
+    assert multiplicative_order(n, m) == _order_by_stepping(n, m)
 
 
 @given(st.integers(min_value=2, max_value=10**6 - 1))
