@@ -1,14 +1,17 @@
 """Command line interface: one table of subcommands, shown in README "CLI".
 
-Each handler returns one JSON document, and ``main`` prints it to stdout
-deterministically; diagnostics go to stderr.  Exit codes: 0 on success,
-1 when the document has "passed": false (a selftest oracle fails), 2 on
-domain or input errors, 3 when its verdict is Unknown.
+``main`` reads a well-formed argv straight off the table (``_read``); any
+other argv, help among them, goes to argparse built over the whole table,
+so help, usage and errors are argparse's.  A negative number after its
+flag is joined to it first (``--x -1/3`` reads as ``--x=-1/3``).  Each
+handler returns one JSON document, which ``main`` prints to stdout with
+the exit code README gives; diagnostics go to stderr.
 """
 
 from __future__ import annotations
 
 import argparse
+import re
 import sys
 from fractions import Fraction
 
@@ -17,9 +20,7 @@ from .codec import carrier_from_file, dump_json, sequence_from_file
 from .nadic import NadicInteger, QnRational, as_fraction, format_fraction
 from .sequences import AngleSequence
 
-EXIT_OK = 0
-EXIT_DOMAIN = 2
-EXIT_UNKNOWN = 3
+EXIT_OK, EXIT_DOMAIN, EXIT_UNKNOWN = 0, 2, 3
 
 #: selftest sizes: fuzz trials, symmetrizer window (numerators, exponent), colimit depth
 _TRIALS, _WINDOW_P, _WINDOW_K, _DEPTH = 200, 40, 2, 3
@@ -27,24 +28,21 @@ _TRIALS, _WINDOW_P, _WINDOW_K, _DEPTH = 200, 40, 2, 3
 
 def cmd_info(args):
     seq = sequence_from_file(args.file)
-    kind = multiplier.classify_type(seq) if seq.carrier.is_exact else None
+    exact = seq.carrier.is_exact
+    kind = multiplier.classify_type(seq) if exact else None
     out = seq.to_json()
-    depth = 8
-    if not seq.carrier.is_exact:
-        depth = min(depth, seq.carrier.length)
+    depth = 8 if exact else min(8, seq.carrier.length)
     out["values"] = [format_fraction(seq.value(n)) for n in range(depth)]
     out["type"] = kind.value if kind is not None else "Unknown"
     return out
 
 
 def cmd_simple(args):
-    seq = sequence_from_file(args.file)
-    return {"simple": multiplier.is_simple(seq)}
+    return {"simple": multiplier.is_simple(sequence_from_file(args.file))}
 
 
 def cmd_symmetrizer(args):
-    seq = sequence_from_file(args.file)
-    return multiplier.symmetrizer(seq).to_json()
+    return multiplier.symmetrizer(sequence_from_file(args.file)).to_json()
 
 
 def cmd_k0_trace(args):
@@ -76,19 +74,16 @@ def cmd_cohomologous(args):
 
 
 def cmd_iso(args):
-    a = sequence_from_file(args.file_a)
-    b = sequence_from_file(args.file_b)
+    a, b = sequence_from_file(args.file_a), sequence_from_file(args.file_b)
     return classify.isomorphic(a, b, bound=args.bound).to_json()
 
 
 def cmd_bundle(args):
-    seq = sequence_from_file(args.file)
-    return classify.bundle_data(seq).to_json()
+    return classify.bundle_data(sequence_from_file(args.file)).to_json()
 
 
 def cmd_selftest(args):
-    seed = args.seed
-    reports = []
+    seed, reports = args.seed, []
 
     alpha = AngleSequence.constant(3, Fraction(1, 2))
     for kind, subject, trials in (
@@ -108,8 +103,7 @@ def cmd_selftest(args):
     colimit_ok = oracle.colimit_report(alpha, depth=_DEPTH, num_window=8)["match"]
     reports.append({"kind": "colimit", "passed": colimit_ok})
 
-    J = NadicInteger.iota(5, 3)
-    R = NadicInteger.iota(0, 3)
+    J, R = NadicInteger.iota(5, 3), NadicInteger.iota(0, 3)
     witness, direct = oracle.coboundary_solve(J, R, seed=seed), ktheory.cohomologous(J, R)
     agree = (witness is None) == (direct is None) and (  # on every level both tables hold
         witness is None or all(direct.table.get(k, v) == v for k, v in witness.table.items())
@@ -125,6 +119,8 @@ def cmd_selftest(args):
     return {"passed": all(r["passed"] for r in reports), "reports": reports}
 
 
+#: a negative integer, decimal or fraction: the value that may follow its flag spaced
+_NUMBER = r"-\d+(/\d+)?|-\d*\.\d+"
 _FILE, _REQ, _REQ_INT = ("file", {}), {"required": True}, {"type": int, "required": True}
 #: name -> (handler, help, arguments); k0 has no handler, and its own table as arguments
 _COMMANDS = {
@@ -149,12 +145,6 @@ _COMMANDS = {
 }
 
 
-def _add_arguments(parser, fn, arguments):
-    for flag, options in arguments:
-        parser.add_argument(flag, **options)
-    parser.set_defaults(fn=fn)
-
-
 def _add_commands(parser, table, dest):
     """Give parser every subcommand of table; a table entry nests its own."""
     sub = parser.add_subparsers(dest=dest, required=True)
@@ -162,45 +152,58 @@ def _add_commands(parser, table, dest):
         p = sub.add_parser(name, help=text)
         if fn is None:
             _add_commands(p, arguments, name + "_command")
+            continue
+        for flag, options in arguments:
+            p.add_argument(flag, **options)
+        p.set_defaults(fn=fn)
+
+
+def _read(argv):
+    """(argv with each _NUMBER after a flag of its leaf joined to the flag, the namespace the
+    full table reads from that argv less the subcommand names, or None to leave it to argparse)."""
+    fn, arguments, depth = None, _COMMANDS, 0
+    while fn is None and depth < len(argv) and argv[depth] in arguments:
+        fn, _, arguments = arguments[argv[depth]]
+        depth += 1
+    if fn is None:
+        return argv, None
+    flags, rest = {flag for flag, _ in arguments if flag[0] == "-"}, []
+    for token in argv[depth:]:
+        if rest and rest[-1] in flags and "--" not in rest and re.fullmatch(_NUMBER, token):
+            rest[-1] += "=" + token
         else:
-            _add_arguments(p, fn, arguments)
-
-
-def _leaf_parser(argv):
-    """(parser, rest of argv) for the leaf command argv starts with, or None if it names none.
-
-    The parser is the one the full build gives that command, down to its
-    prog, so its help and errors read the same.
-    """
-    table = _COMMANDS
-    for depth, name in enumerate(argv, 1):
-        if name not in table:
-            return None
-        fn, _, arguments = table[name]
-        if fn is not None:
-            parser = argparse.ArgumentParser(prog=" ".join(["ncsolenoid"] + argv[:depth]))
-            _add_arguments(parser, fn, arguments)
-            return parser, argv[depth:]
-        table = arguments
-    return None
+            rest.append(token)
+    argv, got, tokens = argv[:depth] + rest, {}, iter(rest)
+    positionals = iter(name for name, _ in arguments if name[0] != "-")
+    for token in tokens:
+        if token[:1] != "-":
+            name, value = next(positionals, None), token
+        else:  # an exact flag, its value after "=" or in the next token; argparse drops "--"
+            name, eq, value = token.partition("=")
+            value = value if eq else next(tokens, "-")
+            if name not in flags or value == "--" or value[:1] == "-" and not eq:
+                return argv, None
+        if name is None or name in got:
+            return argv, None
+        got[name] = value
+    for name, options in arguments:
+        try:  # a value not of its type, or neither a value nor a default, declines
+            got[name] = options.get("type", str)(got[name]) if name in got else options["default"]
+        except (KeyError, ValueError):
+            return argv, None
+    return argv, argparse.Namespace(fn=fn, **{name.lstrip("-"): v for name, v in got.items()})
 
 
 def main(argv=None):
-    argv = sys.argv[1:] if argv is None else list(argv)
-    leaf = _leaf_parser(argv)
-    try:
-        if leaf is not None:
-            parser, rest = leaf
-            args, extra = parser.parse_known_args(rest)
-        if leaf is None or extra:  # the full build names the command and prints the top usage
-            parser = argparse.ArgumentParser(
-                prog="ncsolenoid",
-                description="Exact invariants of twisted solenoid algebras over Q_N.",
-            )
-            _add_commands(parser, _COMMANDS, "command")
+    argv, args = _read(sys.argv[1:] if argv is None else list(argv))
+    if args is None:  # help, usage and errors: the full table reads argv
+        description = "Exact invariants of twisted solenoid algebras over Q_N."
+        parser = argparse.ArgumentParser(prog="ncsolenoid", description=description)
+        _add_commands(parser, _COMMANDS, "command")
+        try:
             args = parser.parse_args(argv)
-    except SystemExit as err:
-        return EXIT_DOMAIN if err.code not in (0, None) else 0
+        except SystemExit as err:
+            return EXIT_DOMAIN if err.code not in (0, None) else 0
     try:
         doc = args.fn(args)
         print(dump_json(doc))
@@ -210,7 +213,3 @@ def main(argv=None):
     if doc.get("verdict") == "Unknown":
         return EXIT_UNKNOWN
     return 1 if doc.get("passed") is False else EXIT_OK
-
-
-if __name__ == "__main__":
-    sys.exit(main())

@@ -6,6 +6,7 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from ncsolenoid.classify import AngleMatrix, isomorphic, replay_witness
 from ncsolenoid import cli
@@ -517,14 +518,20 @@ def test_usage_help_and_error_text(capsys, monkeypatch, argv, code, out, err):
     assert (captured.out, captured.err) == (out, err)
 
 
+#: the parsers the full table builds: the top one, eight subcommands and k0's three
+FULL_TABLE_PARSERS = 12
+
+
 @pytest.mark.parametrize(
-    "argv",
+    "argv, parsers",
     [
-        pytest.param(["info", "FILE"], id="info"),
-        pytest.param(["k0", "trace", "--z", "1", "--x", "1/3", "FILE"], id="k0-trace"),
+        pytest.param(["info", "FILE"], 0, id="info"),
+        pytest.param(["k0", "trace", "--z", "1", "--x", "-1/3", "FILE"], 0, id="k0-trace"),
+        pytest.param(["info", "FILE", "extra"], FULL_TABLE_PARSERS, id="info-extra"),
+        pytest.param(["k0", "trace", "--z", "1", "FILE"], FULL_TABLE_PARSERS, id="k0-trace-no-x"),
     ],
 )
-def test_a_call_builds_only_the_parsers_of_its_subcommand(monkeypatch, capsys, argv):
+def test_only_a_call_the_reader_declines_builds_parsers(monkeypatch, capsys, argv, parsers):
     built = []
     init = argparse.ArgumentParser.__init__
 
@@ -536,10 +543,10 @@ def test_a_call_builds_only_the_parsers_of_its_subcommand(monkeypatch, capsys, a
     counts = []
     for _ in range(2):
         built.clear()
-        assert main(argv) == 2  # FILE does not exist
+        assert main(argv) == 2  # FILE does not exist, or argv is malformed
         counts.append(len(built))
-    assert counts == [1, 1]  # the same on a second call: nothing is cached
-    assert "FILE" in capsys.readouterr().err
+    assert counts == [parsers, parsers]  # the same on a second call: nothing is cached
+    assert ("FILE" if parsers == 0 else "usage:") in capsys.readouterr().err
 
 
 # element files of the golden corpus, read from its directory
@@ -555,6 +562,9 @@ HALF3, THIRDS2, TRACE = "half3.json", "thirds2.json", ["k0", "trace", "--z", "1"
         TRACE + [HALF3],
         ["k0", "member", "--first", "1/3", "--second", "1/3", HALF3],
         ["k0", "add", "--az", "0", "--ax", "1/3", "--bz", "0", "--bx", "2/3", HALF3],
+        ["k0", "add", "--az", "2", "--ax", "3/5", "--bz", "-1", "--bx", "7/25", "n5_62.json"],
+        ["k0", "trace", "--z", "1", "--x=-1/3", HALF3],
+        ["k0", "trace", "--z", "1", "--x", "-1/3", HALF3],
         ["cohomologous", "half3_carrier.json", "iota0_3.json"],
         ["iso", THIRDS2, "thirds4.json", "--bound", "8"],
         ["bundle", THIRDS2],
@@ -588,11 +598,67 @@ def test_one_parser_answers_as_the_full_table_does(capsys, monkeypatch, argv):
     # the full build is the reference: exit code, stdout and stderr are the same byte for byte
     monkeypatch.setenv("COLUMNS", "80")
     monkeypatch.chdir(GOLDEN)
-    got = []
+    got, read = [], cli._read
     for decline in (False, True):
-        if decline:
-            monkeypatch.setattr(cli, "_leaf_parser", lambda argv: None)
+        if decline:  # argv as the reader joins it, read by the full table
+            monkeypatch.setattr(cli, "_read", lambda argv: (read(argv)[0], None))
         code = main(argv)
         captured = capsys.readouterr()
         got.append((code, captured.out, captured.err))
     assert got[0] == got[1]
+
+
+def test_every_golden_call_but_the_usage_error_takes_the_reader():
+    cases = json.loads((GOLDEN.parent / "cases.json").read_text())
+    declined = [case["name"] for case in cases if cli._read(case["argv"])[1] is None]
+    assert declined == ["usage_error"]
+
+
+def _leaves(table=cli._COMMANDS, path=()):
+    """(argv path, arguments) of every leaf command of table."""
+    for name, (fn, _, arguments) in table.items():
+        if fn is None:
+            yield from _leaves(arguments, path + (name,))
+        else:
+            yield list(path + (name,)), arguments
+
+
+values = st.one_of(
+    st.sampled_from(["", "0", "7", "-1", "-1/3", "2/9", "-.5", "2.5", "-2.5", "\u0663", "-\u0663",
+                     "1_000", "-1_0", "--", "--x", "--help", "-h", "-", "x y", "-1 2", "a=b"]),
+    st.integers(min_value=-99, max_value=99).map(str),
+    st.text(max_size=3),
+)
+noise = st.sampled_from(["-h", "--help", "--", "--bogus", "--bogus=1", "extra", "-1", "-1/3"])
+
+
+@st.composite
+def argvs(draw):
+    """argv of one leaf command: its arguments missing, once or twice, in any order, exact
+    or abbreviated, "=" or spaced, with noise between them."""
+    path, arguments = draw(st.sampled_from(list(_leaves())))
+    groups = [[token] for token in draw(st.lists(noise, max_size=2))]
+    for name, _ in arguments:
+        for _ in range(draw(st.sampled_from([1] * 8 + [0, 2]))):
+            value = draw(values)
+            if name[0] != "-":
+                groups.append([value])
+                continue
+            flag = draw(st.sampled_from([name] * 8 + [name[:3], name + "x"]))
+            groups.append(draw(st.sampled_from([[flag + "=" + value], [flag, value]])))
+    return path + [token for group in draw(st.permutations(groups)) for token in group]
+
+
+@settings(max_examples=300)
+@given(argvs())
+@example(["k0", "trace", "--z=1", "--x=--", "FILE"])  # argparse up to 3.12 drops this "--"
+@example(["k0", "trace", "--z", "1", "--x", "-1/3", "FILE"])
+@example(["k0", "add", "--az", "2", "--ax", "3/5", "--bz", "-1", "--bx", "7/25", "FILE"])
+def test_the_reader_reads_as_the_full_table_does(argv):
+    # whenever the reader answers, the full table reads the same argv without error
+    joined, args = cli._read(argv)
+    if args is not None:
+        parser = argparse.ArgumentParser(prog="ncsolenoid")
+        cli._add_commands(parser, cli._COMMANDS, "command")
+        want = vars(parser.parse_args(joined))
+        assert {k: v for k, v in want.items() if not k.endswith("command")} == vars(args)

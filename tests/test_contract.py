@@ -91,7 +91,7 @@ def calls(draw, command):
     files = {"el": el}
     if command in ("info", "simple", "symmetrizer", "bundle"):
         return [command, "el"], files
-    # "--x=-1/2": a separate "-1/2" reads as an option (the breach row below)
+    # "--x=-1/2"; a spaced "--x -1/2" reads the same (the last row below)
     if command == "k0 trace":
         return ["k0", "trace", "--z=" + _z(draw), "--x=" + draw(points(N)), "el"], files
     if command == "k0 member":
@@ -155,10 +155,13 @@ def test_selftest_keeps_the_contract_at_its_defaults(tmp):
     assert _breach("selftest", code, err, cpu) is None
 
 
-def test_breach_a_negative_fraction_after_its_flag_reads_as_an_option(tmp):
-    """Known breach, ROADMAP item 19: argparse takes "-1/3" for an option, so
-    ``--x -1/3`` exits 2 with a usage error where ``--x=-1/3`` (used above) answers."""
-    el = {"N": 3, "alpha0": "1/2", "carrier": {"value": "-1/2"}}
-    code, err, _ = _run(tmp, ["k0", "trace", "--z", "1", "--x", "-1/3", "el"], {"el": el})
-    assert (code, "argument --x: expected one argument" in err) == (2, True)
-    assert _run(tmp, ["k0", "trace", "--z", "1", "--x=-1/3", "el"], {"el": el})[0] == 0
+def test_a_negative_fraction_after_its_flag_reads_as_its_value(tmp, capsys):
+    """Once a breach of ROADMAP item 19: argparse took "-1/3" for an option, so
+    ``--x -1/3`` exited 2 with a usage error where ``--x=-1/3`` answered."""
+    path = tmp / "half3.json"
+    path.write_text(json.dumps({"N": 3, "alpha0": "1/2", "carrier": {"value": "-1/2"}}))
+    got = []
+    for x in (["--x", "-1/3"], ["--x=-1/3"]):
+        code = main(["k0", "trace", "--z", "1"] + x + [str(path)])
+        got.append((code, capsys.readouterr().out))
+    assert got[0] == got[1] == (0, '{"trace": "1/2"}\n')
